@@ -8,9 +8,9 @@ error-exponent bounds, and ships a Monte Carlo harness for failure-rate
 studies.
 """
 
-from ._kernels import backend_name
 from .channel import (
     ChannelPair,
+    DecodeEvent,
     Direction,
     UsageLedger,
     binary_entropy,
@@ -44,20 +44,16 @@ from .experiment import (
     wilson_interval,
 )
 from .protocol import (
-    Additive,
-    FnKind,
     Protocol,
-    Stuck,
     Transcript,
     TransmitFn,
-    classify_fn,
     eval_fn,
     gen_uniform_protocol,
     parse_protocol,
     serialize_protocol,
     simulate_reference,
 )
-from .report import DecodeEvent, SimulationReport
+from .report import SimulationReport
 from .scheme_random import (
     Partition,
     decode_partition,
@@ -68,7 +64,6 @@ from .scheme_random import (
 )
 from .scheme_regular import (
     ParityBranch,
-    PredictorMessages,
     parity_bob,
     predict_last,
     predictor_exchange,
@@ -78,8 +73,6 @@ from .scheme_regular import (
 )
 from .vertical import (
     FnDescMode,
-    RowState,
-    VerticalPlan,
     describe_functions,
     functions_from_bits,
     offline_simulate,
@@ -88,7 +81,6 @@ from .vertical import (
 )
 
 __all__ = [
-    "Additive",
     "ChannelPair",
     "CodeSpec",
     "DecodeEvent",
@@ -97,25 +89,18 @@ __all__ = [
     "ExperimentConfig",
     "ExponentQuery",
     "FnDescMode",
-    "FnKind",
     "Identity",
     "ML_SEARCH_CAP",
     "ParityBranch",
     "Partition",
-    "PredictorMessages",
     "Protocol",
     "RandomLinear",
     "Repetition",
-    "RowState",
     "SimulationReport",
-    "Stuck",
     "Transcript",
     "TransmitFn",
     "UsageLedger",
-    "VerticalPlan",
-    "backend_name",
     "binary_entropy",
-    "classify_fn",
     "decode",
     "decode_partition",
     "decode_payload",

@@ -1,37 +1,12 @@
-"""Hot loops with a numba fast path and a pure numpy fallback.
+"""The two hot loops, in numpy: chain evaluation and packed ML search.
 
-The backend is picked once at import time.  Set MARKOVSIM_BACKEND=numpy to
-force the fallback, MARKOVSIM_BACKEND=numba to require the accelerated path
-(raises if numba is missing).  Unset, numba is used when importable.
-
-Both implementations of each kernel are kept importable so tests and the
-benchmark script can cross-check them against each other.
+Per-layer timings of both kernels are reported by the benchmark in
+``perfbench/`` as ``kernels.markov_chain.*`` and ``kernels.ml_decode_index.*``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-_choice = os.environ.get("MARKOVSIM_BACKEND", "").strip().lower()
-if _choice not in ("", "numba", "numpy"):
-    raise ValueError(f"MARKOVSIM_BACKEND must be 'numba' or 'numpy', got {_choice!r}")
-if _choice == "numba" and not HAS_NUMBA:
-    raise ImportError("MARKOVSIM_BACKEND=numba but numba is not importable")
-USE_NUMBA = HAS_NUMBA if _choice == "" else (_choice == "numba")
-
-
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
-
 
 # ---------------------------------------------------------------------------
 # chain evaluation
@@ -41,14 +16,19 @@ def backend_name() -> str:
 # A code c applied to bit y is (y ^ (c-1)) for c<=2 and (c-3) otherwise.
 
 
-def _markov_chain_numpy(f: np.ndarray, g: np.ndarray, b0: int):
-    """Whole-chain evaluation without a sequential loop.
+def markov_chain(f: np.ndarray, g: np.ndarray, b0: int = 0):
+    """Run the two-party recursion A_i = f_i(B_{i-1}), B_i = g_i(A_i).
+
+    f, g: uint8 function codes, b0: Bob's bit entering round 1.
+    Returns (a, b) uint8 arrays of the same length.
 
     Each round composes into a single map on Bob's previous bit: stuck if
     either half is stuck, additive otherwise.  Downstream of the latest stuck
     round the chain is an XOR of additive offsets, so a prefix XOR plus the
     index of the last stuck round gives every B bit at once.
     """
+    f = np.asarray(f, dtype=np.uint8)
+    g = np.asarray(g, dtype=np.uint8)
     n = f.size
     a = np.empty(n, np.uint8)
     b = np.empty(n, np.uint8)
@@ -74,49 +54,8 @@ def _markov_chain_numpy(f: np.ndarray, g: np.ndarray, b0: int):
     return a, b
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _markov_chain_numba(f, g, b0):  # pragma: no cover - exercised via dispatch
-        n = f.shape[0]
-        a = np.empty(n, np.uint8)
-        b = np.empty(n, np.uint8)
-        prev = b0
-        for i in range(n):
-            fi = f[i]
-            ai = (prev ^ (fi - 1)) if fi <= 2 else (fi - 3)
-            gi = g[i]
-            bi = (ai ^ (gi - 1)) if gi <= 2 else (gi - 3)
-            a[i] = ai
-            b[i] = bi
-            prev = bi
-        return a, b
-
-
-def markov_chain(f: np.ndarray, g: np.ndarray, b0: int = 0):
-    """Run the two-party recursion A_i = f_i(B_{i-1}), B_i = g_i(A_i).
-
-    f, g: uint8 function codes, b0: Bob's bit entering round 1.
-    Returns (a, b) uint8 arrays of the same length.
-    """
-    f = np.ascontiguousarray(f, dtype=np.uint8)
-    g = np.ascontiguousarray(g, dtype=np.uint8)
-    if USE_NUMBA:
-        return _markov_chain_numba(f, g, np.uint8(b0))
-    return _markov_chain_numpy(f, g, b0)
-
-
 # ---------------------------------------------------------------------------
 # packed maximum-likelihood search
-
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-_U1 = np.uint64(1)
-_U2 = np.uint64(2)
-_U4 = np.uint64(4)
-_U56 = np.uint64(56)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -133,35 +72,8 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return words[0] if squeeze else words
 
 
-def _ml_decode_numpy(codebook: np.ndarray, received: np.ndarray) -> int:
-    d = np.bitwise_count(codebook ^ received[None, :]).sum(axis=1)
-    return int(np.argmin(d))
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _ml_decode_numba(codebook, received):  # pragma: no cover - via dispatch
-        nrows, words = codebook.shape
-        best = 0
-        best_d = np.uint64(0xFFFFFFFFFFFFFFFF)
-        for i in range(nrows):
-            d = np.uint64(0)
-            for w in range(words):
-                x = codebook[i, w] ^ received[w]
-                x = x - ((x >> _U1) & _M1)
-                x = (x & _M2) + ((x >> _U2) & _M2)
-                x = (x + (x >> _U4)) & _M4
-                d += (x * _H01) >> _U56
-            if d < best_d:
-                best_d = d
-                best = i
-        return best
-
-
 def ml_decode_index(codebook: np.ndarray, received: np.ndarray) -> int:
     """Index of the packed codebook row nearest to ``received`` in Hamming
     distance.  Ties go to the lowest index."""
-    if USE_NUMBA:
-        return int(_ml_decode_numba(codebook, received))
-    return _ml_decode_numpy(codebook, received)
+    d = np.bitwise_count(codebook ^ received[None, :]).sum(axis=1)
+    return int(np.argmin(d))

@@ -25,13 +25,6 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     return ((value >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-def bits_to_int(bits: np.ndarray) -> int:
-    out = 0
-    for b in np.asarray(bits, dtype=np.uint8):
-        out = (out << 1) | int(b)
-    return out
-
-
 def ints_to_bits(values, width: int) -> np.ndarray:
     """Concatenated fixed-width fields for a vector of nonnegative ints."""
     values = np.asarray(values, dtype=np.int64)

@@ -10,7 +10,7 @@ keeps whole runs bit-reproducible.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -23,12 +23,29 @@ class Direction(enum.IntEnum):
     B_TO_A = 1
 
 
+@dataclass(frozen=True)
+class DecodeEvent:
+    """One block decode that did not return what was sent.
+
+    stage: which message of the scheme it happened in, index: position of the
+    message within that stage (column number, round number, ...).
+    """
+
+    stage: str
+    index: int
+    direction: Direction
+
+
 @dataclass
 class UsageLedger:
-    """Counts channel uses per direction; schemes report rate out of this."""
+    """A run's wire record.  Channel uses per direction, which the rate is
+    computed from; the info-bit size of every coded block sent, which the
+    union-bound accounting consumes; and every decode that missed."""
 
     uses_ab: int = 0
     uses_ba: int = 0
+    block_profile: list[int] = field(default_factory=list)
+    decode_log: list[DecodeEvent] = field(default_factory=list)
 
     @property
     def total(self) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -28,32 +27,12 @@ class TransmitFn(enum.IntEnum):
     MU4 = 4  # y -> 1
 
 
-@dataclass(frozen=True)
-class Additive:
-    offset: int
-
-
-@dataclass(frozen=True)
-class Stuck:
-    value: int
-
-
-FnKind = Union[Additive, Stuck]
-
-
 def eval_fn(fn: int, bit: int) -> int:
     """Apply one transmission function to one bit."""
     fn = int(fn)
     if fn <= 2:
         return (bit ^ (fn - 1)) & 1
     return fn - 3
-
-
-def classify_fn(fn: int) -> FnKind:
-    fn = int(fn)
-    if fn <= 2:
-        return Additive(fn - 1)
-    return Stuck(fn - 3)
 
 
 def eval_fn_array(codes: np.ndarray, inputs: np.ndarray) -> np.ndarray:

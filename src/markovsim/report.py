@@ -2,24 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import Direction, UsageLedger
+from .channel import DecodeEvent, UsageLedger
 from .protocol import Transcript
-
-
-@dataclass(frozen=True)
-class DecodeEvent:
-    """One block decode that did not return what was sent.
-
-    stage: which message of the scheme it happened in, index: position of the
-    message within that stage (column number, round number, ...).
-    """
-
-    stage: str
-    index: int
-    direction: Direction
 
 
 @dataclass
@@ -27,9 +14,8 @@ class SimulationReport:
     """Everything a Monte Carlo harness needs from one simulated run.
 
     alice/bob are the transcript each party ends up believing in; ok flags
-    compare them against the noiseless reference.  block_profile lists the
-    info-bit size of every coded block that crossed a channel, which is what
-    the union-bound accounting consumes.
+    compare them against the noiseless reference.  The ledger is the run's
+    wire record; decode_log and block_profile read it.
     """
 
     scheme: str
@@ -40,8 +26,15 @@ class SimulationReport:
     bob_ok: bool
     ledger: UsageLedger
     rate: Fraction
-    decode_log: list[DecodeEvent] = field(default_factory=list)
-    block_profile: list[int] = field(default_factory=list)
+
+    @property
+    def decode_log(self) -> list[DecodeEvent]:
+        return self.ledger.decode_log
+
+    @property
+    def block_profile(self) -> list[int]:
+        """Info-bit size of every coded block that crossed a channel."""
+        return self.ledger.block_profile
 
     @property
     def ok(self) -> bool:

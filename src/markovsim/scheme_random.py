@@ -24,18 +24,16 @@ import numpy as np
 
 from .bits import bits_to_ints, ints_to_bits
 from .channel import ChannelPair, Direction, UsageLedger
-from .coding import CodeSpec, decode_payload, encode_payload, payload_blocks
+from .coding import CodeSpec
 from .protocol import Protocol, Transcript, TransmitFn, eval_fn_array
-from .report import DecodeEvent
 from .vertical import (
     FnDescMode,
-    RowState,
-    VerticalPlan,
     describe_functions,
     finish_report,
     functions_from_bits,
     offline_simulate,
     run_vertical_exchange,
+    send,
 )
 
 
@@ -159,8 +157,6 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
     n = p.n
     w = ceil_isqrt(n)
     ledger = UsageLedger()
-    log: list[DecodeEvent] = []
-    profile: list[int] = []
 
     part = find_partition(p.f, n)
     n_pad = _padded_len(part, n)
@@ -168,12 +164,9 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
     pg = _pad_fns(p.g, n_pad)
 
     enc = encode_partition(part, n)
-    profile += payload_blocks(code, enc.size)
-    sent = ch.transmit(Direction.A_TO_B, encode_payload(code, enc), ledger)
-    got = decode_payload(code, sent, enc.size)
+    got = send(ch, code, ledger, enc, Direction.A_TO_B, "partition")
     aligned = True
     if not np.array_equal(got, enc):
-        log.append(DecodeEvent("partition", 1, Direction.A_TO_B))
         try:
             part_bob = decode_partition(got, n)
         except ValueError:
@@ -198,19 +191,16 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
 
     if part.p > _ceil_root4(n):
         # vertical Part A, appended one-bit descriptions for Part B
-        plan = VerticalPlan(part.p, w, code)
         tail = describe_functions(pf[b_idx - 1], FnDescMode.ONE_BIT_ADDITIVE)
         res = run_vertical_exchange(
             _rows_of(pf, part, w),
             _rows_of(pg, part_bob, w),
-            RowState.zeros(part.p),
-            plan,
+            np.zeros(part.p, np.uint8),
+            code,
             ch,
             ledger,
             alice_tail=tail,
         )
-        log += res.decode_log
-        profile += res.block_profile
 
         # Bob: run every Part B stretch offline from his final vertical column
         f_tail_bob = functions_from_bits(res.bob_tail, FnDescMode.ONE_BIT_ADDITIVE)
@@ -225,19 +215,13 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
             tr = offline_simulate(
                 f_tail_bob[done : done + seg.size],
                 pg[seg - 1],
-                int(res.bob.b[r, w - 1]),
+                int(res.bob_b[r, w - 1]),
             )
             bob_pb_a[done : done + seg.size] = tr.a
             bob_pb_b[done : done + seg.size] = tr.b
             done += seg.size
 
-        profile += payload_blocks(code, b_idx.size)
-        sent = ch.transmit(
-            Direction.B_TO_A, encode_payload(code, bob_pb_b), ledger
-        )
-        got = decode_payload(code, sent, b_idx.size)
-        if not np.array_equal(got, bob_pb_b):
-            log.append(DecodeEvent("part_b", 1, Direction.B_TO_A))
+        got = send(ch, code, ledger, bob_pb_b, Direction.B_TO_A, "part_b")
 
         # Alice: rebuild her Part B view from her own functions and the reply
         alice_pb_a = np.empty(b_idx.size, np.uint8)
@@ -249,21 +233,21 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
                 continue
             chunk = got[done : done + seg.size]
             prev = np.concatenate(
-                [[res.alice.b[r, w - 1]], chunk[:-1]]
+                [[res.alice_b[r, w - 1]], chunk[:-1]]
             )
             alice_pb_a[done : done + seg.size] = eval_fn_array(pf[seg - 1], prev)
             done += seg.size
 
         for r, s in enumerate(part.starts):
             cols = np.arange(s - 1, s - 1 + w)
-            alice_a[cols] = res.alice.a[r]
-            alice_b[cols] = res.alice.b[r]
+            alice_a[cols] = res.alice_a[r]
+            alice_b[cols] = res.alice_b[r]
         alice_a[b_idx - 1] = alice_pb_a
         alice_b[b_idx - 1] = got
         for r, s in enumerate(part_bob.starts):
             cols = np.arange(s - 1, s - 1 + w)
-            bob_a[cols] = res.bob.a[r]
-            bob_b[cols] = res.bob.b[r]
+            bob_a[cols] = res.bob_a[r]
+            bob_b[cols] = res.bob_b[r]
         bob_a[b_idx_bob - 1] = bob_pb_a
         bob_b[b_idx_bob - 1] = bob_pb_b
     else:
@@ -274,11 +258,7 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
                 describe_functions(pf[b_idx - 1], FnDescMode.ONE_BIT_ADDITIVE),
             ]
         )
-        profile += payload_blocks(code, desc.size)
-        sent = ch.transmit(Direction.A_TO_B, encode_payload(code, desc), ledger)
-        got = decode_payload(code, sent, desc.size)
-        if not np.array_equal(got, desc):
-            log.append(DecodeEvent("descriptions", 1, Direction.A_TO_B))
+        got = send(ch, code, ledger, desc, Direction.A_TO_B, "descriptions")
         f_hat = np.empty(n_pad, np.uint8)
         f_hat[a_idx_bob - 1] = functions_from_bits(
             got[: 2 * a_idx_bob.size], FnDescMode.TWO_BIT
@@ -291,11 +271,7 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
         bob_a[:] = bob_tr.a
         bob_b[:] = bob_tr.b
 
-        profile += payload_blocks(code, n_pad)
-        sent = ch.transmit(Direction.B_TO_A, encode_payload(code, bob_b), ledger)
-        b_hat = decode_payload(code, sent, n_pad)
-        if not np.array_equal(b_hat, bob_b):
-            log.append(DecodeEvent("transcript_b", 1, Direction.B_TO_A))
+        b_hat = send(ch, code, ledger, bob_b, Direction.B_TO_A, "transcript_b")
         alice_b[:] = b_hat
         prev_b = np.concatenate([[np.uint8(0)], b_hat[:-1]])
         alice_a[:] = eval_fn_array(pf, prev_b)
@@ -306,8 +282,6 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
         Transcript(alice_a[:n], alice_b[:n]),
         Transcript(bob_a[:n], bob_b[:n]),
         ledger,
-        log,
-        profile,
     )
     if not aligned:
         report.bob_ok = False

@@ -19,17 +19,16 @@ v_b never needs its own bit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bits import bits_to_ints, ints_to_bits, xor_reduce
 from .channel import ChannelPair, Direction, UsageLedger
-from .coding import CodeSpec, decode_payload, encode_payload, payload_blocks
+from .coding import CodeSpec
 from .protocol import Protocol, Transcript, TransmitFn
-from .report import DecodeEvent, SimulationReport
+from .report import SimulationReport
 from .scheme_random import ceil_isqrt
-from .vertical import RowState, VerticalPlan, finish_report, run_vertical_exchange
+from .vertical import finish_report, run_vertical_exchange, send
 
 
 def summarize_block_bob(g_slice) -> tuple[int, int]:
@@ -96,33 +95,15 @@ def predict_last(
     return v_b ^ p_b ^ xor_reduce(a_off[min(s, m):])
 
 
-@dataclass(frozen=True)
-class PredictorMessages:
-    """The three wire payloads, one field per block: Bob's last-stuck
-    indices, Alice's, and Bob's folded parity bits."""
-
-    s_bob: np.ndarray
-    s_alice: np.ndarray
-    sigma: np.ndarray
-
-
-@dataclass
-class PredictorResult:
-    ends: np.ndarray  # Alice's predicted closing B bit of every block
-    messages: PredictorMessages
-    n_info: int
-    decode_log: list[DecodeEvent] = field(default_factory=list)
-    block_profile: list[int] = field(default_factory=list)
-
-
 def predictor_exchange(
     p: Protocol, m: int, code: CodeSpec, ch: ChannelPair, ledger: UsageLedger
-) -> PredictorResult:
+) -> np.ndarray:
     """Run the three predictor rounds for all n/m blocks of ``p`` at once.
 
-    Requires m to divide the protocol length.  Decoded values are used as
-    received; corrupt fields shift predictions and surface later as
-    transcript mismatch.
+    Returns Alice's predicted closing B bit of every block.  Requires m to
+    divide the protocol length.  Decoded values are used as received;
+    corrupt fields shift predictions and surface later as transcript
+    mismatch.
     """
     n = p.n
     if n % m:
@@ -132,27 +113,16 @@ def predictor_exchange(
     f_rows = p.f.reshape(blocks, m)
     g_rows = p.g.reshape(blocks, m)
 
-    log: list[DecodeEvent] = []
-    profile: list[int] = []
-
-    def send(payload, direction, stage):
-        profile.extend(payload_blocks(code, payload.size))
-        sent = ch.transmit(direction, encode_payload(code, payload), ledger)
-        got = decode_payload(code, sent, payload.size)
-        if not np.array_equal(got, payload):
-            log.append(DecodeEvent(stage, 1, direction))
-        return got
-
     summaries = [summarize_block_bob(g_rows[i]) for i in range(blocks)]
     s_bob = np.array([s for s, _ in summaries], np.int64)
     round1 = ints_to_bits(s_bob, width)
-    s_bob_hat = bits_to_ints(send(round1, Direction.B_TO_A, "predictor_s_bob"), width)
+    got = send(ch, code, ledger, round1, Direction.B_TO_A, "predictor_s_bob")
+    s_bob_hat = bits_to_ints(got, width)
 
     s_alice = np.array([summarize_block_alice(f_rows[i]) for i in range(blocks)], np.int64)
     round2 = ints_to_bits(s_alice, width)
-    s_alice_hat = bits_to_ints(
-        send(round2, Direction.A_TO_B, "predictor_s_alice"), width
-    )
+    got = send(ch, code, ledger, round2, Direction.A_TO_B, "predictor_s_alice")
+    s_alice_hat = bits_to_ints(got, width)
 
     sigma = np.empty(blocks, np.uint8)
     for i in range(blocks):
@@ -161,7 +131,7 @@ def predictor_exchange(
             sigma[i] = parity_bob(g_rows[i], int(s_alice_hat[i]), ParityBranch.AT_ALICE)
         else:
             sigma[i] = v_b ^ parity_bob(g_rows[i], s_b, ParityBranch.AT_BOB_OR_NONE)
-    sigma_hat = send(sigma, Direction.B_TO_A, "predictor_parity")
+    sigma_hat = send(ch, code, ledger, sigma, Direction.B_TO_A, "predictor_parity")
 
     ends = np.empty(blocks, np.uint8)
     prev = 0
@@ -172,13 +142,7 @@ def predictor_exchange(
         )
         ends[i] = prev
 
-    return PredictorResult(
-        ends=ends,
-        messages=PredictorMessages(s_bob, s_alice, sigma),
-        n_info=blocks * (2 * width + 1),
-        decode_log=log,
-        block_profile=profile,
-    )
+    return ends
 
 
 def run_scheme2(
@@ -203,25 +167,19 @@ def run_scheme2(
     blocks = n_pad // m
 
     ledger = UsageLedger()
-    pred = predictor_exchange(padded, m, code, ch, ledger)
-
-    starts = np.concatenate([[np.uint8(0)], pred.ends[:-1]])
+    ends = predictor_exchange(padded, m, code, ch, ledger)
     res = run_vertical_exchange(
         padded.f.reshape(blocks, m),
         padded.g.reshape(blocks, m),
-        RowState(starts),
-        VerticalPlan(blocks, m, code),
+        np.concatenate([[np.uint8(0)], ends[:-1]]),
+        code,
         ch,
         ledger,
     )
-
-    report = finish_report(
+    return finish_report(
         "scheme2",
         p,
-        Transcript(res.alice.a.reshape(-1)[:n], res.alice.b.reshape(-1)[:n]),
-        Transcript(res.bob.a.reshape(-1)[:n], res.bob.b.reshape(-1)[:n]),
+        Transcript(res.alice_a.reshape(-1)[:n], res.alice_b.reshape(-1)[:n]),
+        Transcript(res.bob_a.reshape(-1)[:n], res.bob_b.reshape(-1)[:n]),
         ledger,
-        pred.decode_log + res.decode_log,
-        pred.block_profile + res.block_profile,
     )
-    return report

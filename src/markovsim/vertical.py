@@ -8,25 +8,26 @@ sends column t of her A bits, Bob decodes it, computes his B column, codes it
 back.  Each column is one coded block over all rows, which is where the
 error-exponent gain over bit-by-bit coding comes from.
 
-Also home to the transmission-function descriptions (the 2-bit encoding of
-arbitrary functions and the 1-bit encoding of additive ones), the offline
-chain evaluator, and the non-interactive baseline scheme built from them.
+Also home to ``send``, the one path every coded message of every scheme
+takes; the transmission-function descriptions (the 2-bit encoding of
+arbitrary functions and the 1-bit encoding of additive ones); the offline
+chain evaluator; and the non-interactive baseline scheme built from them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
 from .bits import bits_to_ints, ints_to_bits
-from .channel import ChannelPair, Direction, UsageLedger, rate_of
+from .channel import ChannelPair, DecodeEvent, Direction, UsageLedger, rate_of
 from .coding import CodeSpec, decode_payload, encode_payload, payload_blocks
 from .protocol import Protocol, Transcript, eval_fn_array, simulate_reference
-from .report import DecodeEvent, SimulationReport
+from .report import SimulationReport
 
 
 class FnDescMode(enum.Enum):
@@ -65,118 +66,91 @@ def offline_simulate(f, g, b0: int) -> Transcript:
     return Transcript(a, b)
 
 
-@dataclass(frozen=True)
-class VerticalPlan:
-    rows: int
-    width: int
-    code: CodeSpec
+def send(
+    ch: ChannelPair,
+    code: CodeSpec,
+    ledger: UsageLedger,
+    payload: np.ndarray,
+    direction: Direction,
+    stage: str,
+    index: int = 1,
+) -> np.ndarray:
+    """Carry one message: encode, transmit, decode at the far end.
 
-    def __post_init__(self):
-        if self.rows < 1 or self.width < 1:
-            raise ValueError("plan needs at least one row and one column")
-
-
-@dataclass(frozen=True)
-class RowState:
-    """Input bit consumed by each row's first Alice function.
-
-    Rows that begin at a stuck function ignore their entry, so any value
-    works there; zeros() is the conventional choice.
+    The ledger records the channel uses and the coded blocks, and a
+    DecodeEvent(stage, index, direction) when the decode differs from the
+    payload.  Returns what the receiver decoded; wrong bits are not fixed.
     """
-
-    start_bits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "start_bits", np.asarray(self.start_bits, dtype=np.uint8).copy()
-        )
-
-    @classmethod
-    def zeros(cls, rows: int) -> "RowState":
-        return cls(np.zeros(rows, np.uint8))
-
-
-@dataclass
-class RegionView:
-    """One party's belief about the region transcript, as (rows, width) bits."""
-
-    a: np.ndarray
-    b: np.ndarray
+    ledger.block_profile += payload_blocks(code, payload.size)
+    sent = ch.transmit(direction, encode_payload(code, payload), ledger)
+    got = decode_payload(code, sent, payload.size)
+    if not np.array_equal(got, payload):
+        ledger.decode_log.append(DecodeEvent(stage, index, direction))
+    return got
 
 
 @dataclass
 class VerticalResult:
-    alice: RegionView
-    bob: RegionView
-    decode_log: list[DecodeEvent] = field(default_factory=list)
+    """Each party's belief about the region, as (rows, width) A and B bits."""
+
+    alice_a: np.ndarray
+    alice_b: np.ndarray
+    bob_a: np.ndarray
+    bob_b: np.ndarray
     bob_tail: Optional[np.ndarray] = None
-    block_profile: list[int] = field(default_factory=list)
 
 
 def run_vertical_exchange(
     f_rows: np.ndarray,
     g_rows: np.ndarray,
-    rs: RowState,
-    plan: VerticalPlan,
+    start_bits: np.ndarray,
+    code: CodeSpec,
     ch: ChannelPair,
     ledger: UsageLedger,
     alice_tail: Optional[np.ndarray] = None,
 ) -> VerticalResult:
     """Interactively evaluate all rows, one coded column at a time.
 
-    f_rows, g_rows: (rows, width) function codes.  Column t of A bits is
-    computed from the previously decoded B column (the row-state bits for
-    t = 1), coded, transmitted; Bob answers with his B column the same way.
-    Decode failures are logged and the wrong bits propagate; nothing aborts.
+    f_rows, g_rows: (rows, width) function codes.  start_bits: the input bit
+    of each row's first Alice function; rows that begin at a stuck function
+    ignore it.  Column t of A bits is computed from the previously decoded B
+    column (start_bits for t = 1), coded, transmitted; Bob answers with his B
+    column the same way.  Decode failures are logged and the wrong bits
+    propagate; nothing aborts.
 
     alice_tail, if given, rides along as extra payload inside Alice's final
     column block; Bob's decode of it is returned as bob_tail.
     """
     f_rows = np.asarray(f_rows, dtype=np.uint8)
     g_rows = np.asarray(g_rows, dtype=np.uint8)
-    rows, width = plan.rows, plan.width
-    if f_rows.shape != (rows, width) or g_rows.shape != (rows, width):
-        raise ValueError("function matrices must match the plan shape")
-    if rs.start_bits.size != rows:
-        raise ValueError("row state must hold one bit per row")
+    start_bits = np.asarray(start_bits, dtype=np.uint8)
+    if f_rows.ndim != 2 or g_rows.shape != f_rows.shape or 0 in f_rows.shape:
+        raise ValueError("function matrices must share one non-empty (rows, width) shape")
+    rows, width = f_rows.shape
+    if start_bits.shape != (rows,):
+        raise ValueError("start_bits must hold one bit per row")
 
-    alice = RegionView(np.empty((rows, width), np.uint8), np.empty((rows, width), np.uint8))
-    bob = RegionView(np.empty((rows, width), np.uint8), np.empty((rows, width), np.uint8))
-    log: list[DecodeEvent] = []
-    profile: list[int] = []
-    bob_tail = None
-
-    prev_b_alice = rs.start_bits
+    res = VerticalResult(*(np.empty((rows, width), np.uint8) for _ in range(4)))
+    prev_b_alice = start_bits
     for t in range(width):
         a_col = eval_fn_array(f_rows[:, t], prev_b_alice)
-        alice.a[:, t] = a_col
+        res.alice_a[:, t] = a_col
         payload = a_col
         if alice_tail is not None and t == width - 1:
             payload = np.concatenate([a_col, np.asarray(alice_tail, np.uint8)])
-        profile += payload_blocks(plan.code, payload.size)
-        sent = ch.transmit(
-            Direction.A_TO_B, encode_payload(plan.code, payload), ledger
-        )
-        got = decode_payload(plan.code, sent, payload.size)
-        if not np.array_equal(got, payload):
-            log.append(DecodeEvent("vertical_a", t + 1, Direction.A_TO_B))
-        bob.a[:, t] = got[:rows]
+        got = send(ch, code, ledger, payload, Direction.A_TO_B, "vertical_a", t + 1)
+        res.bob_a[:, t] = got[:rows]
         if alice_tail is not None and t == width - 1:
-            bob_tail = got[rows:]
+            res.bob_tail = got[rows:]
 
-        b_col = eval_fn_array(g_rows[:, t], bob.a[:, t])
-        bob.b[:, t] = b_col
-        profile += payload_blocks(plan.code, b_col.size)
-        sent = ch.transmit(
-            Direction.B_TO_A, encode_payload(plan.code, b_col), ledger
+        b_col = eval_fn_array(g_rows[:, t], res.bob_a[:, t])
+        res.bob_b[:, t] = b_col
+        res.alice_b[:, t] = send(
+            ch, code, ledger, b_col, Direction.B_TO_A, "vertical_b", t + 1
         )
-        got = decode_payload(plan.code, sent, b_col.size)
-        if not np.array_equal(got, b_col):
-            log.append(DecodeEvent("vertical_b", t + 1, Direction.B_TO_A))
-        alice.b[:, t] = got
-        prev_b_alice = alice.b[:, t]
+        prev_b_alice = res.alice_b[:, t]
 
-    return VerticalResult(alice, bob, log, bob_tail, profile)
+    return res
 
 
 def finish_report(
@@ -185,8 +159,6 @@ def finish_report(
     alice_view: Transcript,
     bob_view: Transcript,
     ledger: UsageLedger,
-    decode_log: list[DecodeEvent],
-    block_profile: list[int],
 ) -> SimulationReport:
     """Compare both views against the noiseless reference and wrap up."""
     ref = simulate_reference(p)
@@ -203,8 +175,6 @@ def finish_report(
         bob_ok=bob_ok,
         ledger=ledger,
         rate=rate_of(ledger, p.n),
-        decode_log=decode_log,
-        block_profile=block_profile,
     )
 
 
@@ -215,25 +185,13 @@ def run_baseline(p: Protocol, ch: ChannelPair, code: CodeSpec) -> SimulationRepo
     Costs 2n + n coded info bits, hence rate 2/3 with the identity code.
     """
     ledger = UsageLedger()
-    log: list[DecodeEvent] = []
-    profile: list[int] = []
-
     desc = describe_functions(p.f, FnDescMode.TWO_BIT)
-    profile += payload_blocks(code, desc.size)
-    sent = ch.transmit(Direction.A_TO_B, encode_payload(code, desc), ledger)
-    got = decode_payload(code, sent, desc.size)
-    if not np.array_equal(got, desc):
-        log.append(DecodeEvent("descriptions", 1, Direction.A_TO_B))
+    got = send(ch, code, ledger, desc, Direction.A_TO_B, "descriptions")
     f_hat = functions_from_bits(got, FnDescMode.TWO_BIT)
 
     bob_view = offline_simulate(f_hat, p.g, 0)
-
-    profile += payload_blocks(code, p.n)
-    sent = ch.transmit(Direction.B_TO_A, encode_payload(code, bob_view.b), ledger)
-    b_hat = decode_payload(code, sent, p.n)
-    if not np.array_equal(b_hat, bob_view.b):
-        log.append(DecodeEvent("transcript_b", 1, Direction.B_TO_A))
+    b_hat = send(ch, code, ledger, bob_view.b, Direction.B_TO_A, "transcript_b")
 
     prev_b = np.concatenate([[np.uint8(0)], b_hat[:-1]])
     alice_view = Transcript(eval_fn_array(p.f, prev_b), b_hat)
-    return finish_report("baseline", p, alice_view, bob_view, ledger, log, profile)
+    return finish_report("baseline", p, alice_view, bob_view, ledger)

@@ -83,8 +83,8 @@ def protocol_file_record() -> dict:
     return {fmt: run_cli(argv + ["--format", fmt]) for fmt in ("csv", "json")}
 
 
-def trial_line(cell, t: int) -> str:
-    """Canonical text of trial t, seeded exactly as the harness seeds it."""
+def trial_record(cell, t: int) -> dict:
+    """Record of trial t, seeded exactly as the harness seeds it."""
     scheme, code, eps, n = cell
     ss = np.random.SeedSequence(entropy=(SEED, 0, t))
     p_seed, noise_seed, code_seed = (int(x) for x in ss.generate_state(3, np.uint64))
@@ -94,8 +94,8 @@ def trial_line(cell, t: int) -> str:
     try:
         rep = run_trial(scheme, gen_uniform_protocol(n, p_seed), eps, spec, noise_seed)
     except Exception as exc:  # recorded, so a change of behaviour shows
-        return json.dumps({"raised": type(exc).__name__})
-    return json.dumps({
+        return {"raised": type(exc).__name__}
+    return {
         "scheme": rep.scheme,
         "n": rep.n,
         "alice": [rep.alice.a.tobytes().hex(), rep.alice.b.tobytes().hex()],
@@ -105,18 +105,14 @@ def trial_line(cell, t: int) -> str:
         "rate": str(rep.rate),
         "decode_log": [[e.stage, e.index, int(e.direction)] for e in rep.decode_log],
         "block_profile": [int(b) for b in rep.block_profile],
-    })
+    }
 
 
 def trials_record(cell) -> dict:
-    lines = [trial_line(cell, t) for t in range(DIGEST_TRIALS)]
-    raised = {
-        str(t): json.loads(line)["raised"]
-        for t, line in enumerate(lines)
-        if line.startswith('{"raised"')
-    }
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    return {"sha256": digest, "raised": raised}
+    records = [trial_record(cell, t) for t in range(DIGEST_TRIALS)]
+    text = "\n".join(json.dumps(r) for r in records)
+    raised = {str(t): r["raised"] for t, r in enumerate(records) if "raised" in r}
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "raised": raised}
 
 
 @pytest.fixture(scope="module")

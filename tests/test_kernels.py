@@ -1,16 +1,8 @@
-"""Backend equivalence for the accelerated kernels."""
-
-import os
-import subprocess
-import sys
+"""The chain and packed ML-search kernels against brute force."""
 
 import numpy as np
-import pytest
 
 from markovsim import _kernels
-
-
-requires_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba missing")
 
 
 def _brute_chain(f, g, b0):
@@ -34,28 +26,13 @@ def test_numpy_chain_matches_bruteforce():
         f = rng.integers(1, 5, n).astype(np.uint8)
         g = rng.integers(1, 5, n).astype(np.uint8)
         b0 = int(rng.integers(0, 2))
-        a1, b1 = _kernels._markov_chain_numpy(f, g, b0)
+        a1, b1 = _kernels.markov_chain(f, g, b0)
         a2, b2 = _brute_chain(f, g, b0)
         assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
 
-@requires_numba
-def test_backends_agree_on_chain():
-    rng = np.random.default_rng(12)
-    for n in (1, 2, 3, 17, 64, 1000):
-        for _ in range(20):
-            f = rng.integers(1, 5, n).astype(np.uint8)
-            g = rng.integers(1, 5, n).astype(np.uint8)
-            b0 = np.uint8(rng.integers(0, 2))
-            a1, b1 = _kernels._markov_chain_numba(f, g, b0)
-            a2, b2 = _kernels._markov_chain_numpy(f, g, int(b0))
-            assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
-
-
 def test_chain_empty_input():
-    a, b = _kernels._markov_chain_numpy(
-        np.empty(0, np.uint8), np.empty(0, np.uint8), 0
-    )
+    a, b = _kernels.markov_chain(np.empty(0, np.uint8), np.empty(0, np.uint8), 0)
     assert a.size == 0 and b.size == 0
 
 
@@ -80,40 +57,9 @@ def test_pack_bits_batch_matches_rows():
         assert np.array_equal(batch[i], _kernels.pack_bits(mat[i]))
 
 
-@requires_numba
-def test_backends_agree_on_ml_decode():
-    rng = np.random.default_rng(15)
-    for words in (1, 2, 3):
-        cb = rng.integers(0, 1 << 63, (512, words)).astype(np.uint64)
-        for _ in range(50):
-            rc = rng.integers(0, 1 << 63, words).astype(np.uint64)
-            assert _kernels._ml_decode_numba(cb, rc) == _kernels._ml_decode_numpy(
-                cb, rc
-            )
-
-
 def test_ml_decode_tie_goes_to_lowest_index():
     cb = np.array([[0], [3], [5], [3]], dtype=np.uint64)
     rc = np.array([3], dtype=np.uint64)
     assert _kernels.ml_decode_index(cb, rc) == 1
     rc = np.array([1], dtype=np.uint64)  # distance 1 to rows 0 and 1
     assert _kernels.ml_decode_index(cb, rc) == 0
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, MARKOVSIM_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from markovsim import _kernels; print(_kernels.backend_name())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_backend():
-    env = dict(os.environ, MARKOVSIM_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import markovsim"],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode != 0

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from markovsim import (
-    Additive,
     Protocol,
-    Stuck,
     TransmitFn,
-    classify_fn,
     eval_fn,
     gen_uniform_protocol,
     parse_protocol,
@@ -25,21 +22,6 @@ M1, M2, M3, M4 = TransmitFn.MU1, TransmitFn.MU2, TransmitFn.MU3, TransmitFn.MU4
 )
 def test_eval_fn_table(fn, outputs):
     assert (eval_fn(fn, 0), eval_fn(fn, 1)) == outputs
-
-
-def test_classify_fn():
-    assert classify_fn(M1) == Additive(0)
-    assert classify_fn(M2) == Additive(1)
-    assert classify_fn(M3) == Stuck(0)
-    assert classify_fn(M4) == Stuck(1)
-
-
-def test_classify_and_eval_agree():
-    for fn in TransmitFn:
-        kind = classify_fn(fn)
-        for y in (0, 1):
-            want = (y ^ kind.offset) if isinstance(kind, Additive) else kind.value
-            assert eval_fn(fn, y) == want
 
 
 def test_eval_fn_array_matches_scalar():

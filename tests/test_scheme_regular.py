@@ -10,6 +10,18 @@ from markovsim.scheme_regular import ParityBranch
 from markovsim.vertical import offline_simulate
 
 
+class RecordingChannel(ms.ChannelPair):
+    """ChannelPair that keeps a copy of every wire payload it carried."""
+
+    def __init__(self, epsilon, noise_seed):
+        super().__init__(epsilon, noise_seed)
+        self.sent = []
+
+    def transmit(self, direction, bits, ledger):
+        self.sent.append(np.asarray(bits, np.uint8).copy())
+        return super().transmit(direction, bits, ledger)
+
+
 def last_b_oracle(f_block, g_block, prev_b):
     return int(offline_simulate(f_block, g_block, prev_b).b[-1])
 
@@ -93,44 +105,48 @@ def test_predictor_ends_match_reference():
         for seed in range(10):
             p = ms.gen_uniform_protocol(n, 31 * n + seed)
             led = ms.UsageLedger()
-            pred = sg.predictor_exchange(
+            ends = sg.predictor_exchange(
                 p, m, ms.Identity(), ms.ChannelPair(0.0, 0), led
             )
             ref = ms.simulate_reference(p)
-            assert pred.ends.tolist() == ref.b[m - 1 :: m].tolist()
-            assert pred.decode_log == []
+            assert ends.tolist() == ref.b[m - 1 :: m].tolist()
+            assert led.decode_log == []
 
 
 def test_predictor_info_budget():
     for n, m in ((16, 4), (256, 16), (1024, 32), (1000, 10)):
         p = ms.gen_uniform_protocol(n, 5)
         led = ms.UsageLedger()
-        pred = sg.predictor_exchange(p, m, ms.Identity(), ms.ChannelPair(0.0, 0), led)
+        sg.predictor_exchange(p, m, ms.Identity(), ms.ChannelPair(0.0, 0), led)
         blocks, width = n // m, m.bit_length()
-        assert pred.n_info == blocks * (2 * width + 1)
-        assert led.total == pred.n_info
+        assert led.total == blocks * (2 * width + 1)
         assert led.uses_ab == blocks * width
         assert led.uses_ba == blocks * (width + 1)
-    assert sg.predictor_exchange(
-        ms.gen_uniform_protocol(16, 6), 4, ms.Identity(), ms.ChannelPair(0.0, 0),
-        ms.UsageLedger(),
-    ).n_info == 28
+    led = ms.UsageLedger()
+    sg.predictor_exchange(
+        ms.gen_uniform_protocol(16, 6), 4, ms.Identity(), ms.ChannelPair(0.0, 0), led
+    )
+    assert (led.total, led.uses_ab, led.uses_ba) == (28, 12, 16)
 
 
 def test_predictor_messages_are_per_block():
-    p = ms.gen_uniform_protocol(32, 7)
-    m = 4
-    led = ms.UsageLedger()
-    pred = sg.predictor_exchange(p, m, ms.Identity(), ms.ChannelPair(0.0, 0), led)
-    perm = np.random.default_rng(8).permutation(32 // m)
+    # the three wire payloads (Bob's last-stuck indices, Alice's, the parity
+    # bits) hold one field per block, so permuting blocks permutes the fields
+    m, blocks = 4, 8
+
+    def wire(p):
+        ch = RecordingChannel(0.0, 0)
+        sg.predictor_exchange(p, m, ms.Identity(), ch, ms.UsageLedger())
+        return [bits.reshape(blocks, -1) for bits in ch.sent]
+
+    p = ms.gen_uniform_protocol(m * blocks, 7)
+    perm = np.random.default_rng(8).permutation(blocks)
     f2 = p.f.reshape(-1, m)[perm].reshape(-1)
     g2 = p.g.reshape(-1, m)[perm].reshape(-1)
-    pred2 = sg.predictor_exchange(
-        ms.Protocol(f2, g2), m, ms.Identity(), ms.ChannelPair(0.0, 0), ms.UsageLedger()
-    )
-    assert pred2.messages.s_bob.tolist() == pred.messages.s_bob[perm].tolist()
-    assert pred2.messages.s_alice.tolist() == pred.messages.s_alice[perm].tolist()
-    assert pred2.messages.sigma.tolist() == pred.messages.sigma[perm].tolist()
+    sent, sent2 = wire(p), wire(ms.Protocol(f2, g2))
+    assert [bits.shape for bits in sent] == [(blocks, 3), (blocks, 3), (blocks, 1)]
+    for fields, fields2 in zip(sent, sent2):
+        assert fields2.tolist() == fields[perm].tolist()
 
 
 def test_predictor_requires_divisible_length():

@@ -6,7 +6,7 @@ import pytest
 import markovsim as ms
 from markovsim import vertical
 from markovsim.protocol import TransmitFn as Mu
-from markovsim.vertical import FnDescMode, RowState, VerticalPlan
+from markovsim.vertical import FnDescMode
 
 
 class RecordingChannel(ms.ChannelPair):
@@ -107,12 +107,7 @@ def test_exchange_wire_order_interleaves_columns():
     g_rows = np.array([[Mu.MU1, Mu.MU2], [Mu.MU2, Mu.MU1]], np.uint8)
     ch = RecordingChannel(0.0, 0)
     res = vertical.run_vertical_exchange(
-        f_rows,
-        g_rows,
-        RowState.zeros(2),
-        VerticalPlan(2, 2, ms.Identity()),
-        ch,
-        ms.UsageLedger(),
+        f_rows, g_rows, np.zeros(2, np.uint8), ms.Identity(), ch, ms.UsageLedger()
     )
     dirs = [d for d, _ in ch.sent]
     payloads = [bits.tolist() for _, bits in ch.sent]
@@ -123,10 +118,10 @@ def test_exchange_wire_order_interleaves_columns():
         ms.Direction.B_TO_A,
     ]
     assert payloads == [[1, 1], [1, 0], [1, 1], [0, 1]]
-    assert res.alice.a.tolist() == [[1, 1], [1, 1]]
-    assert res.alice.b.tolist() == [[1, 0], [0, 1]]
-    assert res.bob.a.tolist() == res.alice.a.tolist()
-    assert res.bob.b.tolist() == res.alice.b.tolist()
+    assert res.alice_a.tolist() == [[1, 1], [1, 1]]
+    assert res.alice_b.tolist() == [[1, 0], [0, 1]]
+    assert res.bob_a.tolist() == res.alice_a.tolist()
+    assert res.bob_b.tolist() == res.alice_b.tolist()
 
 
 def test_exchange_noiseless_equals_per_row_chains():
@@ -136,20 +131,16 @@ def test_exchange_noiseless_equals_per_row_chains():
         f_rows = rng.integers(1, 5, (rows, width)).astype(np.uint8)
         g_rows = rng.integers(1, 5, (rows, width)).astype(np.uint8)
         starts = rng.integers(0, 2, rows).astype(np.uint8)
+        led = ms.UsageLedger()
         res = vertical.run_vertical_exchange(
-            f_rows,
-            g_rows,
-            RowState(starts),
-            VerticalPlan(rows, width, code),
-            ms.ChannelPair(0.0, 0),
-            ms.UsageLedger(),
+            f_rows, g_rows, starts, code, ms.ChannelPair(0.0, 0), led
         )
-        assert res.decode_log == []
+        assert led.decode_log == []
         for r in range(rows):
             want = vertical.offline_simulate(f_rows[r], g_rows[r], int(starts[r]))
-            for view in (res.alice, res.bob):
-                assert np.array_equal(view.a[r], want.a)
-                assert np.array_equal(view.b[r], want.b)
+            for a, b in ((res.alice_a, res.alice_b), (res.bob_a, res.bob_b)):
+                assert np.array_equal(a[r], want.a)
+                assert np.array_equal(b[r], want.b)
 
 
 def test_exchange_ledger_and_profile_accounting():
@@ -159,21 +150,20 @@ def test_exchange_ledger_and_profile_accounting():
 
     led = ms.UsageLedger()
     vertical.run_vertical_exchange(
-        f_rows, g_rows, RowState.zeros(rows), VerticalPlan(rows, width, ms.Repetition(3)),
+        f_rows, g_rows, np.zeros(rows, np.uint8), ms.Repetition(3),
         ms.ChannelPair(0.0, 0), led,
     )
     assert (led.uses_ab, led.uses_ba) == (18, 18)  # 2 columns x 3 bits x 3
 
     led = ms.UsageLedger()
     res = vertical.run_vertical_exchange(
-        f_rows, g_rows, RowState.zeros(rows),
-        VerticalPlan(rows, width, ms.RandomLinear(4, Fraction(1, 2), 2)),
+        f_rows, g_rows, np.zeros(rows, np.uint8), ms.RandomLinear(4, Fraction(1, 2), 2),
         ms.ChannelPair(0.0, 0), led, alice_tail=np.array([1, 0], np.uint8),
     )
     # A columns: 3 bits -> one k=4 block, last column 3+2 bits -> two blocks
     assert led.uses_ab == 8 + 16
     assert led.uses_ba == 8 + 8
-    assert res.block_profile == [4, 4, 4, 4, 4]
+    assert led.block_profile == [4, 4, 4, 4, 4]
     assert res.bob_tail.tolist() == [1, 0]
 
 
@@ -181,8 +171,8 @@ def test_exchange_without_tail_returns_none():
     res = vertical.run_vertical_exchange(
         np.full((2, 2), Mu.MU1, np.uint8),
         np.full((2, 2), Mu.MU1, np.uint8),
-        RowState.zeros(2),
-        VerticalPlan(2, 2, ms.Identity()),
+        np.zeros(2, np.uint8),
+        ms.Identity(),
         ms.ChannelPair(0.0, 0),
         ms.UsageLedger(),
     )
@@ -190,31 +180,28 @@ def test_exchange_without_tail_returns_none():
 
 
 def test_exchange_validates_shapes():
-    plan = VerticalPlan(2, 3, ms.Identity())
     good = np.full((2, 3), Mu.MU1, np.uint8)
     bad = np.full((3, 2), Mu.MU1, np.uint8)
-    with pytest.raises(ValueError):
-        vertical.run_vertical_exchange(
-            bad, good, RowState.zeros(2), plan, ms.ChannelPair(0.0, 0), ms.UsageLedger()
-        )
-    with pytest.raises(ValueError):
-        vertical.run_vertical_exchange(
-            good, good, RowState.zeros(5), plan, ms.ChannelPair(0.0, 0), ms.UsageLedger()
-        )
-    with pytest.raises(ValueError):
-        VerticalPlan(0, 3, ms.Identity())
+    empty = np.empty((0, 3), np.uint8)
+    for f_rows, g_rows, rows in ((bad, good, 2), (good, good, 5), (empty, empty, 0)):
+        with pytest.raises(ValueError):
+            vertical.run_vertical_exchange(
+                f_rows, g_rows, np.zeros(rows, np.uint8), ms.Identity(),
+                ms.ChannelPair(0.0, 0), ms.UsageLedger(),
+            )
 
 
 def test_exchange_logs_decode_failures_under_heavy_noise():
     rng = np.random.default_rng(13)
     f_rows = rng.integers(1, 5, (4, 4)).astype(np.uint8)
     g_rows = rng.integers(1, 5, (4, 4)).astype(np.uint8)
-    res = vertical.run_vertical_exchange(
-        f_rows, g_rows, RowState.zeros(4), VerticalPlan(4, 4, ms.Repetition(3)),
-        ms.ChannelPair(0.45, 77), ms.UsageLedger(),
+    led = ms.UsageLedger()
+    vertical.run_vertical_exchange(
+        f_rows, g_rows, np.zeros(4, np.uint8), ms.Repetition(3),
+        ms.ChannelPair(0.45, 77), led,
     )
-    assert res.decode_log
-    for ev in res.decode_log:
+    assert led.decode_log
+    for ev in led.decode_log:
         assert ev.stage in ("vertical_a", "vertical_b")
         assert 1 <= ev.index <= 4
         want = ms.Direction.A_TO_B if ev.stage == "vertical_a" else ms.Direction.B_TO_A
@@ -234,18 +221,19 @@ def test_exchange_failure_rate_within_union_bound():
         f_rows = rng.integers(1, 5, (rows, width)).astype(np.uint8)
         g_rows = rng.integers(1, 5, (rows, width)).astype(np.uint8)
         code = ms.RandomLinear(rows, Fraction(1, 2), s_code)
+        led = ms.UsageLedger()
         res = vertical.run_vertical_exchange(
-            f_rows, g_rows, RowState.zeros(rows), VerticalPlan(rows, width, code),
-            ms.ChannelPair(eps, s_noise), ms.UsageLedger(),
+            f_rows, g_rows, np.zeros(rows, np.uint8), code,
+            ms.ChannelPair(eps, s_noise), led,
         )
         ok = True
         for r in range(rows):
             want = vertical.offline_simulate(f_rows[r], g_rows[r], 0)
-            ok = ok and np.array_equal(res.alice.b[r], want.b)
-            ok = ok and np.array_equal(res.bob.a[r], want.a)
+            ok = ok and np.array_equal(res.alice_b[r], want.b)
+            ok = ok and np.array_equal(res.bob_a[r], want.a)
         fails += not ok
         if bound is None:
-            bound = ms.union_bound_profile(res.block_profile, Fraction(1, 2), eps)
+            bound = ms.union_bound_profile(led.block_profile, Fraction(1, 2), eps)
     p_hat = fails / trials
     assert 0 < p_hat <= bound
 
