@@ -19,12 +19,6 @@ def as_bits(seq) -> np.ndarray:
     return arr
 
 
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    if value < 0 or (width < 64 and value >> width):
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return ((value >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
-
-
 def ints_to_bits(values, width: int) -> np.ndarray:
     """Concatenated fixed-width fields for a vector of nonnegative ints."""
     values = np.asarray(values, dtype=np.int64)

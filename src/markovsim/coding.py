@@ -7,6 +7,10 @@ random-linear info blocks are capped at ML_SEARCH_CAP bits; longer payloads
 are split into consecutive sub-blocks, and the union-bound accounting treats
 the sub-blocks as additional independent blocks.
 
+A random-linear code is held as its packed codebook, every codeword in
+info-word order.  Encoding looks the sub-blocks' codewords up in it; decoding
+searches it for all sub-blocks of a message in one batched kernel call.
+
 Exponent conventions: rates and gallager_e0 / gallager_exponent values are in
 bits.  The block-error bound for l independently coded blocks of b info bits
 each at rate R is min(1, l * exp(-(b/R) * Er_nats)) with Er_nats = Er * ln 2,
@@ -24,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .bits import int_to_bits
+from .bits import bits_to_ints, ints_to_bits
 
 ML_SEARCH_CAP = 20
 
@@ -85,15 +89,15 @@ def _require_seed(code: RandomLinear) -> int:
     return code.code_seed
 
 
-@functools.lru_cache(maxsize=64)
 def _rlc_matrix(k: int, nc: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    G = rng.integers(0, 2, size=(k, nc), dtype=np.uint8)
-    G.flags.writeable = False
-    return G
+    return rng.integers(0, 2, size=(k, nc), dtype=np.uint8)
 
 
-@functools.lru_cache(maxsize=16)
+# The harness draws a fresh code seed per trial, so a codebook is never needed
+# again once its trial ends, and one at k = ML_SEARCH_CAP takes 8 MB or more.
+# Two entries keep the running trial's code hot for all its messages.
+@functools.lru_cache(maxsize=2)
 def _rlc_codebook(k: int, nc: int, seed: int) -> np.ndarray:
     # row index equals the info word read MSB-first; built by doubling from
     # the least significant index bit upward
@@ -105,6 +109,22 @@ def _rlc_codebook(k: int, nc: int, seed: int) -> np.ndarray:
     return cb
 
 
+def _rlc_encode(code: RandomLinear, bits: np.ndarray) -> np.ndarray:
+    """Codewords of consecutive k-bit info blocks, concatenated."""
+    cb = _rlc_codebook(code.k, code.nc, _require_seed(code))
+    words = cb[bits_to_ints(bits, code.k)]
+    return np.unpackbits(
+        words.view(np.uint8), axis=1, count=code.nc, bitorder="little"
+    ).reshape(-1)
+
+
+def _rlc_decode(code: RandomLinear, received: np.ndarray) -> np.ndarray:
+    """ML info blocks of consecutive nc-bit received blocks, concatenated."""
+    cb = _rlc_codebook(code.k, code.nc, _require_seed(code))
+    packed = _kernels.pack_bits(received.reshape(-1, code.nc))
+    return ints_to_bits(_kernels.ml_decode_index(cb, packed), code.k)
+
+
 def encode(code: CodeSpec, info) -> np.ndarray:
     """Codeword for a single info block (for RandomLinear, exactly k bits)."""
     info = np.asarray(info, dtype=np.uint8)
@@ -114,8 +134,7 @@ def encode(code: CodeSpec, info) -> np.ndarray:
         return np.repeat(info, code.r)
     if info.size != code.k:
         raise ValueError(f"info block must be exactly {code.k} bits")
-    G = _rlc_matrix(code.k, code.nc, _require_seed(code))
-    return ((info.astype(np.int64) @ G) & 1).astype(np.uint8)
+    return _rlc_encode(code, info)
 
 
 def decode(code: CodeSpec, received) -> np.ndarray:
@@ -131,9 +150,7 @@ def decode(code: CodeSpec, received) -> np.ndarray:
         ).astype(np.uint8)
     if received.size != code.nc:
         raise ValueError(f"received block must be exactly {code.nc} bits")
-    cb = _rlc_codebook(code.k, code.nc, _require_seed(code))
-    idx = _kernels.ml_decode_index(cb, np.atleast_1d(_kernels.pack_bits(received)))
-    return int_to_bits(idx, code.k)
+    return _rlc_decode(code, received)
 
 
 def payload_blocks(code: CodeSpec, info_len: int) -> list[int]:
@@ -164,10 +181,7 @@ def encode_payload(code: CodeSpec, bits) -> np.ndarray:
     pad = (-bits.size) % code.k
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, np.uint8)])
-    G = _rlc_matrix(code.k, code.nc, _require_seed(code))
-    return ((bits.reshape(-1, code.k).astype(np.int64) @ G) & 1).astype(
-        np.uint8
-    ).reshape(-1)
+    return _rlc_encode(code, bits)
 
 
 def decode_payload(code: CodeSpec, received, info_len: int) -> np.ndarray:
@@ -181,13 +195,7 @@ def decode_payload(code: CodeSpec, received, info_len: int) -> np.ndarray:
         return decode(code, received)
     if info_len == 0:
         return np.empty(0, np.uint8)
-    cb = _rlc_codebook(code.k, code.nc, _require_seed(code))
-    chunks = _kernels.pack_bits(received.reshape(-1, code.nc))
-    out = np.empty((chunks.shape[0], code.k), np.uint8)
-    for i in range(chunks.shape[0]):
-        idx = _kernels.ml_decode_index(cb, chunks[i])
-        out[i] = int_to_bits(idx, code.k)
-    return out.reshape(-1)[:info_len]
+    return _rlc_decode(code, received)[:info_len]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,92 @@ def test_payload_round_trip_all_families():
             coded = ms.encode_payload(code, bits)
             assert coded.size == ms.coding.coded_length(code, length)
             assert np.array_equal(ms.decode_payload(code, coded, length), bits)
+
+
+def _ref_decode(G, received):
+    """Exhaustive ML decode of each nc-bit sub-block of ``received``, from G
+    itself and with info words taken in index order.  Returns the info
+    blocks, concatenated, and per sub-block whether another info word ties
+    the winner."""
+    k, nc = G.shape
+    shifts = np.arange(k - 1, -1, -1)
+    R = received.reshape(-1, nc).astype(np.float32)
+    rows = np.arange(len(R))
+    best = np.zeros(len(R), np.int64)
+    best_d = np.full(len(R), nc + 1.0, np.float32)
+    count = np.zeros(len(R), np.int64)
+    for lo in range(0, 1 << k, 1 << 14):
+        idx = np.arange(lo, min(lo + (1 << 14), 1 << k))
+        infos = ((idx[:, None] >> shifts) & 1).astype(np.float32)
+        C = ((infos @ G).astype(np.uint8) & 1).astype(np.float32)
+        # Hamming distance between 0/1 rows: |r| + |c| - 2 r.c, exact here
+        d = R.sum(axis=1)[:, None] + C.sum(axis=1)[None, :] - 2 * (R @ C.T)
+        i = d.argmin(axis=1)
+        better = d[rows, i] < best_d
+        best[better] = lo + i[better]
+        count[better] = 0
+        best_d = np.minimum(best_d, d[rows, i])
+        count += (d == best_d[:, None]).sum(axis=1)
+    return ((best[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1), count > 1
+
+
+@pytest.mark.parametrize(
+    "code, lengths",
+    [
+        # multi-word codewords (nc = 72); 601 sub-blocks span three chunks
+        (ms.RandomLinear(8, Fraction(1, 9), 5), (1, 7, 8, 9, 8 * 600 + 5)),
+        # the harness's code; 41 sub-blocks span three chunks
+        (ms.RandomLinear(12, Fraction(1, 4), 6), (5, 12, 12 * 40 + 5)),
+        # k = ML_SEARCH_CAP, one sub-block, one word
+        (ms.RandomLinear(coding.ML_SEARCH_CAP, Fraction(1, 2), 3), (13, 20)),
+        # a singular G: every codeword sits on two info words, so each
+        # decode is a tie
+        (ms.RandomLinear(coding.ML_SEARCH_CAP, Fraction(1), 1), (20,)),
+    ],
+)
+def test_rlc_payload_matches_per_block_reference(code, lengths):
+    rng = np.random.default_rng(code.k)
+    G = np.random.default_rng(code.code_seed).integers(
+        0, 2, (code.k, code.nc), dtype=np.uint8
+    )
+    ties = 0
+    for length in lengths:
+        bits = rng.integers(0, 2, length).astype(np.uint8)
+        blocks = np.concatenate(
+            [bits, np.zeros((-length) % code.k, np.uint8)]
+        ).reshape(-1, code.k)
+        coded = ms.encode_payload(code, bits)
+        assert np.array_equal(coded, ((blocks @ G) % 2).reshape(-1).astype(np.uint8))
+        # received words: random noise, and midpoints of two codewords,
+        # which sit at equal distance from both
+        noisy = coded ^ (rng.random(coded.size) < 0.15).astype(np.uint8)
+        other = ((rng.integers(0, 2, blocks.shape) @ G) % 2).reshape(-1)
+        diff = np.flatnonzero(coded != other)
+        mid = coded.copy()
+        mid[rng.permutation(diff)[: diff.size // 2]] ^= 1
+        for received in (noisy, mid):
+            want, tied = _ref_decode(G, received)
+            ties += int(tied.sum())
+            got = ms.decode_payload(code, received, length)
+            assert np.array_equal(got, want[:length])
+    assert ties > 0
+
+
+def test_rlc_decode_memory_stays_bounded():
+    # The batched search works through sub-blocks in chunks.  At 16
+    # sub-blocks a chunk the peak is about 0.6 MB; at 64 a chunk it is
+    # 2.5 MB, which showed as an 8 % rise of the benchmark's peak RSS.
+    code = ms.RandomLinear(12, Fraction(1, 4), 9)
+    bits = np.random.default_rng(9).integers(0, 2, 8192).astype(np.uint8)
+    coded = ms.encode_payload(code, bits)  # builds and caches the codebook
+    tracemalloc.start()
+    try:
+        out = ms.decode_payload(code, coded, bits.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, bits)
+    assert peak < 2 * 2**20
 
 
 def test_repetition_reliability_matches_binomial_and_is_monotone():

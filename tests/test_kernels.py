@@ -57,9 +57,50 @@ def test_pack_bits_batch_matches_rows():
         assert np.array_equal(batch[i], _kernels.pack_bits(mat[i]))
 
 
+def _brute_ml(cb_bits, rx_bits):
+    """Per received row, the first codebook row at the least Hamming distance."""
+    out = []
+    for r in rx_bits:
+        d = (cb_bits != r).sum(axis=1).tolist()
+        out.append(d.index(min(d)))
+    return np.array(out, np.int64)
+
+
 def test_ml_decode_tie_goes_to_lowest_index():
     cb = np.array([[0], [3], [5], [3]], dtype=np.uint64)
-    rc = np.array([3], dtype=np.uint64)
-    assert _kernels.ml_decode_index(cb, rc) == 1
-    rc = np.array([1], dtype=np.uint64)  # distance 1 to rows 0 and 1
-    assert _kernels.ml_decode_index(cb, rc) == 0
+    # 3 sits on rows 1 and 3; 1 is one flip from rows 0, 1 and 2; 7 is one
+    # flip from rows 1, 2 and 3; 6 is two flips from every row
+    rc = np.array([[3], [1], [5], [7], [6]], dtype=np.uint64)
+    assert _kernels.ml_decode_index(cb, rc).tolist() == [1, 0, 2, 1, 0]
+
+
+def test_ml_decode_index_matches_bruteforce():
+    rng = np.random.default_rng(12)
+    ties = 0
+    # (codebook rows, bits per row, blocks): one-word, multi-word, and
+    # batches that cross chunk boundaries (5000 rows give 13 blocks a chunk,
+    # 70000 rows give one)
+    for rows, nbits, blocks in (
+        (1, 5, 3),
+        (16, 8, 50),
+        (200, 64, 40),
+        (300, 72, 33),
+        (64, 130, 20),
+        (5000, 48, 40),
+        (70000, 30, 3),
+    ):
+        # rows drawn from a small pool, so many codebook rows repeat
+        pool = rng.integers(0, 2, (max(1, rows // 3), nbits)).astype(np.uint8)
+        cb_bits = pool[rng.integers(0, len(pool), rows)]
+        rx_bits = cb_bits[rng.integers(0, rows, blocks)].copy()
+        rx_bits ^= (rng.random(rx_bits.shape) < 0.1).astype(np.uint8)
+        got = _kernels.ml_decode_index(
+            _kernels.pack_bits(cb_bits), _kernels.pack_bits(rx_bits)
+        )
+        want = _brute_ml(cb_bits, rx_bits)
+        assert got.shape == (blocks,)
+        assert np.array_equal(got, want)
+        d = (cb_bits[None] != rx_bits[:, None]).sum(axis=2)
+        ties += int(((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert ties >= 50  # the tie rule was exercised, in several batches
+
