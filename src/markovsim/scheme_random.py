@@ -113,18 +113,18 @@ def decode_partition(bits, n: int) -> Partition:
     return Partition(starts.astype(np.int64), ceil_isqrt(n))
 
 
+def _runs(lo: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ranges lo[i], lo[i] + 1, ..., lo[i] + lengths[i] - 1."""
+    shift = np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+    return np.arange(shift.size, dtype=np.int64) + shift
+
+
 def split_parts(part: Partition, n: int):
     """1-based index arrays (part_a, part_b); blocks shorter than the Part A
     width contribute all their indices to Part A."""
-    w = part.part_a_width
-    ends = np.append(part.starts[1:], n + 1)
-    a_idx = []
-    b_idx = []
-    for s, e in zip(part.starts, ends):
-        cut = min(s + w, e)
-        a_idx.append(np.arange(s, cut, dtype=np.int64))
-        b_idx.append(np.arange(cut, e, dtype=np.int64))
-    return np.concatenate(a_idx), np.concatenate(b_idx)
+    lengths = np.diff(part.starts, append=n + 1)
+    a_len = np.minimum(lengths, part.part_a_width)
+    return _runs(part.starts, a_len), _runs(part.starts + a_len, lengths - a_len)
 
 
 def _padded_len(part: Partition, n: int) -> int:
@@ -138,11 +138,9 @@ def _pad_fns(fns: np.ndarray, n_pad: int) -> np.ndarray:
     return np.concatenate([fns, pad])
 
 
-def _rows_of(fns: np.ndarray, part: Partition, w: int) -> np.ndarray:
-    out = np.empty((part.p, w), np.uint8)
-    for r, s in enumerate(part.starts):
-        out[r] = fns[s - 1 : s - 1 + w]
-    return out
+def _row_cols(part: Partition) -> np.ndarray:
+    """(p, w) 0-based rounds of each block's Part A."""
+    return part.starts[:, None] - 1 + np.arange(part.part_a_width)
 
 
 def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
@@ -193,8 +191,8 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
         # vertical Part A, appended one-bit descriptions for Part B
         tail = describe_functions(pf[b_idx - 1], FnDescMode.ONE_BIT_ADDITIVE)
         res = run_vertical_exchange(
-            _rows_of(pf, part, w),
-            _rows_of(pg, part_bob, w),
+            pf[_row_cols(part)],
+            pg[_row_cols(part_bob)],
             np.zeros(part.p, np.uint8),
             code,
             ch,
@@ -202,52 +200,36 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
             alice_tail=tail,
         )
 
-        # Bob: run every Part B stretch offline from his final vertical column
-        f_tail_bob = functions_from_bits(res.bob_tail, FnDescMode.ONE_BIT_ADDITIVE)
-        bob_ends = np.append(part_bob.starts[1:], n_pad + 1)
-        bob_pb_a = np.empty(b_idx_bob.size, np.uint8)
-        bob_pb_b = np.empty(b_idx_bob.size, np.uint8)
-        done = 0
-        for r, (s, e) in enumerate(zip(part_bob.starts, bob_ends)):
-            seg = np.arange(s + w, e)
-            if seg.size == 0:
-                continue
-            tr = offline_simulate(
-                f_tail_bob[done : done + seg.size],
-                pg[seg - 1],
-                int(res.bob_b[r, w - 1]),
-            )
-            bob_pb_a[done : done + seg.size] = tr.a
-            bob_pb_b[done : done + seg.size] = tr.b
-            done += seg.size
+        # Bob: run every Part B stretch offline from his final vertical
+        # column, as one chain with a stuck round in front of each stretch
+        # that replays that column's bit
+        seg_bob = np.diff(part_bob.starts, append=n_pad + 1) - w
+        lead = np.arange(part.p) + np.cumsum(seg_bob) - seg_bob
+        body = np.ones(part.p + b_idx_bob.size, bool)
+        body[lead] = False
+        f_chain = np.empty(body.size, np.uint8)
+        g_chain = np.ones(body.size, np.uint8)
+        f_chain[lead] = 3 + res.bob_b[:, w - 1]
+        f_chain[body] = functions_from_bits(res.bob_tail, FnDescMode.ONE_BIT_ADDITIVE)
+        g_chain[body] = pg[b_idx_bob - 1]
+        tr = offline_simulate(f_chain, g_chain, 0)
+        bob_pb_a, bob_pb_b = tr.a[body], tr.b[body]
 
         got = send(ch, code, ledger, bob_pb_b, Direction.B_TO_A, "part_b")
 
         # Alice: rebuild her Part B view from her own functions and the reply
-        alice_pb_a = np.empty(b_idx.size, np.uint8)
-        ends = np.append(part.starts[1:], n_pad + 1)
-        done = 0
-        for r, (s, e) in enumerate(zip(part.starts, ends)):
-            seg = np.arange(s + w, e)
-            if seg.size == 0:
-                continue
-            chunk = got[done : done + seg.size]
-            prev = np.concatenate(
-                [[res.alice_b[r, w - 1]], chunk[:-1]]
-            )
-            alice_pb_a[done : done + seg.size] = eval_fn_array(pf[seg - 1], prev)
-            done += seg.size
+        seg = np.diff(part.starts, append=n_pad + 1) - w
+        first = (np.cumsum(seg) - seg)[seg > 0]
+        prev = np.concatenate([[np.uint8(0)], got[:-1]])
+        prev[first] = res.alice_b[seg > 0, w - 1]
+        alice_pb_a = eval_fn_array(pf[b_idx - 1], prev)
 
-        for r, s in enumerate(part.starts):
-            cols = np.arange(s - 1, s - 1 + w)
-            alice_a[cols] = res.alice_a[r]
-            alice_b[cols] = res.alice_b[r]
+        alice_a[_row_cols(part)] = res.alice_a
+        alice_b[_row_cols(part)] = res.alice_b
         alice_a[b_idx - 1] = alice_pb_a
         alice_b[b_idx - 1] = got
-        for r, s in enumerate(part_bob.starts):
-            cols = np.arange(s - 1, s - 1 + w)
-            bob_a[cols] = res.bob_a[r]
-            bob_b[cols] = res.bob_b[r]
+        bob_a[_row_cols(part_bob)] = res.bob_a
+        bob_b[_row_cols(part_bob)] = res.bob_b
         bob_a[b_idx_bob - 1] = bob_pb_a
         bob_b[b_idx_bob - 1] = bob_pb_b
     else:

@@ -22,6 +22,7 @@ import enum
 
 import numpy as np
 
+from . import _kernels
 from .bits import bits_to_ints, ints_to_bits, xor_reduce
 from .channel import ChannelPair, Direction, UsageLedger
 from .coding import CodeSpec
@@ -95,6 +96,21 @@ def predict_last(
     return v_b ^ p_b ^ xor_reduce(a_off[min(s, m):])
 
 
+def _last_stuck(rows: np.ndarray) -> np.ndarray:
+    """1-based index of the last stuck function in each row, 0 if none."""
+    rev = rows[:, ::-1] >= 3
+    return np.where(rev.any(axis=1), rows.shape[1] - rev.argmax(axis=1), 0)
+
+
+def _suffix_xor(rows: np.ndarray) -> np.ndarray:
+    """(blocks, m+1) array whose column j is the XOR of the additive offsets
+    of rounds j+1..m of each row; stuck rounds contribute 0."""
+    off = np.where(rows <= 2, rows - 1, 0).astype(np.uint8)
+    suf = np.zeros((rows.shape[0], rows.shape[1] + 1), np.uint8)
+    suf[:, :-1] = np.bitwise_xor.accumulate(off[:, ::-1], axis=1)[:, ::-1]
+    return suf
+
+
 def predictor_exchange(
     p: Protocol, m: int, code: CodeSpec, ch: ChannelPair, ledger: UsageLedger
 ) -> np.ndarray:
@@ -103,7 +119,8 @@ def predictor_exchange(
     Returns Alice's predicted closing B bit of every block.  Requires m to
     divide the protocol length.  Decoded values are used as received;
     corrupt fields shift predictions and surface later as transcript
-    mismatch.
+    mismatch.  Each step computes, for every block at once, what
+    summarize_block_*, parity_bob and predict_last compute for one.
     """
     n = p.n
     if n % m:
@@ -112,36 +129,42 @@ def predictor_exchange(
     width = m.bit_length()
     f_rows = p.f.reshape(blocks, m)
     g_rows = p.g.reshape(blocks, m)
+    r = np.arange(blocks)
 
-    summaries = [summarize_block_bob(g_rows[i]) for i in range(blocks)]
-    s_bob = np.array([s for s, _ in summaries], np.int64)
-    round1 = ints_to_bits(s_bob, width)
-    got = send(ch, code, ledger, round1, Direction.B_TO_A, "predictor_s_bob")
+    s_bob = _last_stuck(g_rows)
+    v_bob = np.where(s_bob > 0, g_rows[r, s_bob - 1] - 3, 0).astype(np.uint8)
+    got = send(ch, code, ledger, ints_to_bits(s_bob, width), Direction.B_TO_A, "predictor_s_bob")
     s_bob_hat = bits_to_ints(got, width)
 
-    s_alice = np.array([summarize_block_alice(f_rows[i]) for i in range(blocks)], np.int64)
-    round2 = ints_to_bits(s_alice, width)
-    got = send(ch, code, ledger, round2, Direction.A_TO_B, "predictor_s_alice")
+    s_alice = _last_stuck(f_rows)
+    got = send(ch, code, ledger, ints_to_bits(s_alice, width), Direction.A_TO_B, "predictor_s_alice")
     s_alice_hat = bits_to_ints(got, width)
 
-    sigma = np.empty(blocks, np.uint8)
-    for i in range(blocks):
-        s_b, v_b = summaries[i]
-        if s_alice_hat[i] > s_b:
-            sigma[i] = parity_bob(g_rows[i], int(s_alice_hat[i]), ParityBranch.AT_ALICE)
-        else:
-            sigma[i] = v_b ^ parity_bob(g_rows[i], s_b, ParityBranch.AT_BOB_OR_NONE)
+    # decoded indices past m leave an empty, clipped parity range
+    g_suf = _suffix_xor(g_rows)
+    at_alice = s_alice_hat > s_bob
+    sigma = np.where(
+        at_alice,
+        g_suf[r, np.clip(s_alice_hat - 1, 0, m)],
+        v_bob ^ g_suf[r, s_bob],
+    ).astype(np.uint8)
     sigma_hat = send(ch, code, ledger, sigma, Direction.B_TO_A, "predictor_parity")
 
-    ends = np.empty(blocks, np.uint8)
-    prev = 0
-    for i in range(blocks):
-        # sigma already carries v_b in the branches that need it
-        prev = predict_last(
-            prev, f_rows[i], int(s_alice[i]), int(s_bob_hat[i]), 0, int(sigma_hat[i])
-        )
-        ends[i] = prev
-
+    # Each block maps its entering B bit to its closing one: stuck at `const`
+    # when either side has a stuck function in it, else XOR with `offset`.
+    # sigma already carries v_b in the branches that need it.  The block ends
+    # are then the chain of those maps, the pointer-jumping game run by
+    # markov_chain with g = identity.
+    f_suf = _suffix_xor(f_rows)
+    alice_last = f_rows[r, s_alice - 1] - 3  # read only where s_alice > 0
+    const = np.where(
+        s_alice > s_bob_hat,
+        alice_last ^ f_suf[r, s_alice],
+        f_suf[r, np.minimum(s_bob_hat, m)],
+    ) ^ sigma_hat
+    offset = f_suf[:, 0] ^ sigma_hat
+    codes = np.where(np.maximum(s_alice, s_bob_hat) > 0, 3 + const, 1 + offset)
+    _, ends = _kernels.markov_chain(codes, np.ones(blocks, np.uint8), 0)
     return ends
 
 
