@@ -214,12 +214,13 @@ class ExponentQuery:
             raise ValueError("epsilon must lie in [0, 0.5)")
 
 
-def gallager_e0(rho: float, eps: float) -> float:
-    """E0(rho) for the BSC with a uniform input, in bits."""
-    if not 0 <= rho <= 1:
+def gallager_e0(rho, eps: float):
+    """E0(rho) for the BSC with a uniform input, in bits; rho may be an array."""
+    r = np.asarray(rho)
+    if not np.all((r >= 0) & (r <= 1)):
         raise ValueError("rho must lie in [0, 1]")
     inner = eps ** (1.0 / (1.0 + rho)) + (1.0 - eps) ** (1.0 / (1.0 + rho))
-    return rho - (1.0 + rho) * math.log2(inner)
+    return rho - (1.0 + rho) * np.log2(inner)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -231,8 +232,7 @@ def _exponent(rate: float, eps: float) -> float:
     best = 0.0
     for npts in (513, 65, 65, 65):
         rho = np.linspace(lo, hi, npts)
-        inner = eps ** (1.0 / (1.0 + rho)) + (1.0 - eps) ** (1.0 / (1.0 + rho))
-        vals = rho - (1.0 + rho) * np.log2(inner) - rho * rate
+        vals = gallager_e0(rho, eps) - rho * rate
         i = int(np.argmax(vals))
         best = float(vals[i])
         step = (hi - lo) / (npts - 1)

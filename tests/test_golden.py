@@ -13,6 +13,10 @@ One ``--protocol-file`` run is pinned as well.  To rewrite the files under
 module as a script:
 
     PYTHONPATH=src python tests/test_golden.py
+
+With ``--check`` it writes nothing: it recomputes every record, prints the
+id of each cell whose records differ from the files (with which of them
+differ), and exits with status 1 if any do.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -157,5 +162,25 @@ def regenerate() -> None:
     TRIALS_FILE.write_text(json.dumps(trials, indent=1, sort_keys=True) + "\n")
 
 
+def check() -> int:
+    got = {CLI_FILE: {"protocol-file": protocol_file_record()}, TRIALS_FILE: {}}
+    for c in CELLS:
+        got[CLI_FILE][cell_id(c)] = cli_record(c)
+        got[TRIALS_FILE][cell_id(c)] = trials_record(c)
+    differ = {}
+    for path, records in got.items():
+        want = json.loads(path.read_text())
+        for key, record in records.items():
+            if record != want.get(key):
+                differ.setdefault(key, []).append(path.stem)
+    for key, files in differ.items():
+        print(f"{key}: {' '.join(files)}")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: test_golden.py [--check]")
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     regenerate()

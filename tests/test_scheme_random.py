@@ -7,6 +7,14 @@ import markovsim as ms
 from markovsim import scheme_random as sr
 from markovsim.bits import ints_to_bits
 from markovsim.protocol import TransmitFn as Mu
+from markovsim.protocol import eval_fn_array
+from markovsim.vertical import (
+    FnDescMode,
+    functions_from_bits,
+    offline_simulate,
+    run_vertical_exchange,
+    send,
+)
 
 
 def fns_with_stuck_at(n, positions, rng):
@@ -128,6 +136,105 @@ def test_split_parts_covers_every_round_once():
         a_idx, b_idx = sr.split_parts(part, n_pad)
         merged = np.sort(np.concatenate([a_idx, b_idx]))
         assert merged.tolist() == list(range(1, n_pad + 1))
+
+
+def test_partition_decode_rejects_starts_closer_than_sqrt_n():
+    # n = 16: Part A width 4, so starts 1 and 4 would overlap Part A
+    close = np.concatenate([ints_to_bits([2], 4), ints_to_bits([0, 3], 4)])
+    with pytest.raises(ValueError):
+        sr.decode_partition(close, 16)
+    ok = np.concatenate([ints_to_bits([2], 4), ints_to_bits([0, 4], 4)])
+    assert sr.decode_partition(ok, 16).starts.tolist() == [1, 5]
+
+
+def test_bob_partition_uses_only_the_decode_and_message_sizes():
+    n, w = 64, 8
+    decoded = sr.Partition(np.array([1, 12, 30]), w)
+    bits = sr.encode_partition(decoded, n)
+    # a well-formed decode that fits p and n_pad is taken as it is, even
+    # where Alice's own starts differ
+    assert sr._bob_partition(bits, n, 3, 64).starts.tolist() == [1, 12, 30]
+    # one that disagrees with p or n_pad, or is rejected, gives even starts
+    assert sr._bob_partition(bits, n, 4, 64).starts.tolist() == [1, 9, 17, 25]
+    assert sr._bob_partition(bits, n, 3, 65).starts.tolist() == [1, 9, 17]
+    assert sr._bob_partition(np.zeros(bits.size, np.uint8), n, 2, 64).starts.tolist() == [1, 9]
+
+
+def test_scheme1_misdecoded_partition_does_not_raise():
+    # rep3 at eps 0.05: the partition decodes with two starts closer than
+    # ceil(sqrt(n)), which once broke Bob's Part B layout
+    p = ms.gen_uniform_protocol(100, 1)
+    rep = sr.run_scheme1(p, ms.ChannelPair(0.05, 1001), ms.Repetition(3))
+    assert any(ev.stage == "partition" for ev in rep.decode_log)
+    assert rep.bob.a.size == 100 and not rep.ok
+
+
+def test_part_b_matches_per_segment_reference(monkeypatch):
+    """Both parties' Part B, computed per block with offline_simulate and
+    eval_fn_array from what run_scheme1 exchanged, under noise too."""
+    sent, columns = {}, []
+
+    def recording_send(ch, code, ledger, payload, direction, stage, index=1):
+        got = send(ch, code, ledger, payload, direction, stage, index)
+        sent[stage] = (payload.copy(), got)
+        return got
+
+    def recording_exchange(*args, **kwargs):
+        columns.append(run_vertical_exchange(*args, **kwargs))
+        return columns[-1]
+
+    monkeypatch.setattr(sr, "send", recording_send)
+    monkeypatch.setattr(sr, "run_vertical_exchange", recording_exchange)
+    rng = np.random.default_rng(11)
+    protos = [ms.gen_uniform_protocol(n, s) for n in (50, 64, 100, 257) for s in range(6)]
+    # all stuck: every Part B segment is empty; stuck at 9 and 14 of 16:
+    # the last block is padded past n
+    protos.append(ms.Protocol(np.full(64, 3, np.uint8), rng.integers(1, 5, 64)))
+    protos.append(ms.Protocol(fns_with_stuck_at(16, [5, 9, 14], rng), rng.integers(1, 5, 16)))
+    seen = {"empty": 0, "padded": 0, "bob_moved": 0}
+    for i, p in enumerate(protos * 2):
+        eps, code = ((0.0, ms.Identity()), (0.05, ms.Repetition(3)))[i // len(protos)]
+        sent.clear(), columns.clear()
+        rep = sr.run_scheme1(p, ms.ChannelPair(eps, i), code)
+        if not columns:
+            continue  # description branch: no Part B exchange
+        res, n, w = columns[0], p.n, sr.ceil_isqrt(p.n)
+        part = sr.find_partition(p.f)
+        n_pad = sr._padded_len(part, n)
+        pad = np.full(n_pad - n, 3, np.uint8)
+        pf, pg = np.concatenate([p.f, pad]), np.concatenate([p.g, pad])
+        part_bob = sr._bob_partition(sent["partition"][1], n, part.p, n_pad)
+        reply, reply_got = sent["part_b"]
+
+        f_tail = functions_from_bits(res.bob_tail, FnDescMode.ONE_BIT_ADDITIVE)
+        bob_a, bob_b, done = [], [], 0
+        for r, s in enumerate(part_bob.starts):
+            seg = np.arange(s + w, np.append(part_bob.starts, n_pad + 1)[r + 1])
+            tr = offline_simulate(f_tail[done : done + seg.size], pg[seg - 1],
+                                  int(res.bob_b[r, w - 1]))
+            bob_a.append(tr.a), bob_b.append(tr.b)
+            done += seg.size
+            seen["empty"] += seg.size == 0
+        assert reply.tolist() == np.concatenate(bob_b).tolist()
+        _, b_idx_bob = sr.split_parts(part_bob, n_pad)
+        kept = b_idx_bob <= n
+        assert np.array_equal(rep.bob.a[b_idx_bob[kept] - 1], np.concatenate(bob_a)[kept])
+        assert np.array_equal(rep.bob.b[b_idx_bob[kept] - 1], reply[kept])
+
+        alice_a, done = [], 0
+        for r, s in enumerate(part.starts):
+            seg = np.arange(s + w, np.append(part.starts, n_pad + 1)[r + 1])
+            chunk = reply_got[done : done + seg.size]
+            prev = np.concatenate([[res.alice_b[r, w - 1]], chunk[:-1]])
+            alice_a.append(eval_fn_array(pf[seg - 1], prev))
+            done += seg.size
+        _, b_idx = sr.split_parts(part, n_pad)
+        kept = b_idx <= n
+        assert np.array_equal(rep.alice.a[b_idx[kept] - 1], np.concatenate(alice_a)[kept])
+        assert np.array_equal(rep.alice.b[b_idx[kept] - 1], reply_got[kept])
+        seen["padded"] += n_pad > n
+        seen["bob_moved"] += part_bob.starts.tolist() != part.starts.tolist()
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import pytest
 
 import markovsim as ms
 from markovsim import scheme_regular as sg
+from markovsim.bits import bits_to_ints, ints_to_bits
+from markovsim.channel import Direction
 from markovsim.protocol import TransmitFn as Mu
 from markovsim.scheme_regular import ParityBranch
-from markovsim.vertical import offline_simulate
+from markovsim.vertical import offline_simulate, send
 
 
 class RecordingChannel(ms.ChannelPair):
@@ -155,6 +157,56 @@ def test_predictor_requires_divisible_length():
             ms.gen_uniform_protocol(10, 0), 4, ms.Identity(), ms.ChannelPair(0.0, 0),
             ms.UsageLedger(),
         )
+
+
+def predictor_reference(p, m, code, ch, ledger):
+    """The predictor rounds block by block, built from summarize_block_*,
+    parity_bob and predict_last.  Returns the block ends and the number of
+    blocks whose decoded Alice field lies beyond m."""
+    blocks, width = p.n // m, m.bit_length()
+    f_rows, g_rows = p.f.reshape(blocks, m), p.g.reshape(blocks, m)
+    summaries = [sg.summarize_block_bob(g) for g in g_rows]
+    bits = ints_to_bits([s for s, _ in summaries], width)
+    got = send(ch, code, ledger, bits, Direction.B_TO_A, "predictor_s_bob")
+    s_bob_hat = bits_to_ints(got, width)
+    s_alice = [sg.summarize_block_alice(f) for f in f_rows]
+    got = send(ch, code, ledger, ints_to_bits(s_alice, width), Direction.A_TO_B,
+               "predictor_s_alice")
+    s_alice_hat = bits_to_ints(got, width)
+    sigma = []
+    for g, (s_b, v_b), s_a in zip(g_rows, summaries, s_alice_hat):
+        if s_a > s_b:
+            sigma.append(sg.parity_bob(g, int(s_a), ParityBranch.AT_ALICE))
+        else:
+            sigma.append(v_b ^ sg.parity_bob(g, s_b, ParityBranch.AT_BOB_OR_NONE))
+    got = send(ch, code, ledger, np.array(sigma, np.uint8), Direction.B_TO_A,
+               "predictor_parity")
+    ends, prev = [], 0
+    for f, s_a, s_b, p_b in zip(f_rows, s_alice, s_bob_hat, got):
+        prev = sg.predict_last(prev, f, s_a, int(s_b), 0, int(p_b))
+        ends.append(prev)
+    return ends, int(np.sum(s_alice_hat > m) + np.sum(s_bob_hat > m))
+
+
+def test_predictor_exchange_matches_per_block_reference():
+    rng = np.random.default_rng(22)
+    beyond_m = noisy = 0
+    shapes = [(1, 1), (5, 1), (7, 7), (64, 64), (64, 2), (96, 3), (64, 8)]
+    shapes += [(int(n), int(rng.choice([d for d in range(1, n + 1) if n % d == 0])))
+               for n in rng.integers(1, 300, 60)]
+    for case, (n, m) in enumerate(shapes * 3):
+        p = ms.gen_uniform_protocol(n, int(rng.integers(1 << 30)))
+        eps = (0.0, 0.05, 0.2)[case // len(shapes)]
+        code = (ms.Identity(), ms.Repetition(3), ms.RandomLinear(3, Fraction(1, 2), 5))[case % 3]
+        led, led_ref = ms.UsageLedger(), ms.UsageLedger()
+        ends = sg.predictor_exchange(p, m, code, ms.ChannelPair(eps, case), led)
+        want, past_m = predictor_reference(p, m, code, ms.ChannelPair(eps, case), led_ref)
+        assert ends.tolist() == want, (n, m, eps)
+        assert led == led_ref, (n, m, eps)
+        beyond_m += past_m
+        noisy += bool(led.decode_log)
+    # the noisy cases do reach the corrupt fields, past m among them
+    assert noisy > len(shapes) // 2 and beyond_m > 10
 
 
 # ---------------------------------------------------------------------------
