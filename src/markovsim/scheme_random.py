@@ -204,7 +204,7 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
         lead = np.cumsum(seg_bob) - seg_bob
         f_tail_bob = functions_from_bits(res.bob_tail, FnDescMode.ONE_BIT_ADDITIVE)
         tr = offline_simulate(
-            np.insert(f_tail_bob, lead, 3 + res.bob_b[:, w - 1]),
+            np.insert(f_tail_bob, lead, int(TransmitFn.MU3) + res.bob_b[:, w - 1]),
             np.insert(pg[b_idx_bob - 1], lead, int(TransmitFn.MU1)),
             0,
         )

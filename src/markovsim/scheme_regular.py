@@ -10,6 +10,12 @@ any block content is exchanged.  Those predictions make the blocks
 independent rows, and the content itself then runs as a vertical column
 exchange.
 
+Each block maps its entering B bit to its closing one as a constant (a stuck
+function on either side) or as an XOR with a known offset, so the block ends
+are the binary pointer-jumping chain over blocks, which one
+``_kernels.markov_chain`` call evaluates.  summarize_block_*, parity_bob and
+predict_last are the per-block reference of predictor_exchange's array code.
+
 Budget: with field width w = ceil(log2(m+1)) the predictor spends
 (n/m)(2w+1) info bits.  The parity round absorbs Bob's stuck value: he sends
 p_b XOR v_b when the deciding stuck is his, plain p_b when it is Alice's, so
@@ -119,8 +125,7 @@ def predictor_exchange(
     Returns Alice's predicted closing B bit of every block.  Requires m to
     divide the protocol length.  Decoded values are used as received;
     corrupt fields shift predictions and surface later as transcript
-    mismatch.  Each step computes, for every block at once, what
-    summarize_block_*, parity_bob and predict_last compute for one.
+    mismatch.
     """
     n = p.n
     if n % m:
@@ -133,28 +138,23 @@ def predictor_exchange(
 
     s_bob = _last_stuck(g_rows)
     v_bob = np.where(s_bob > 0, g_rows[r, s_bob - 1] - 3, 0).astype(np.uint8)
-    got = send(ch, code, ledger, ints_to_bits(s_bob, width), Direction.B_TO_A, "predictor_s_bob")
+    round1 = ints_to_bits(s_bob, width)
+    got = send(ch, code, ledger, round1, Direction.B_TO_A, "predictor_s_bob")
     s_bob_hat = bits_to_ints(got, width)
 
     s_alice = _last_stuck(f_rows)
-    got = send(ch, code, ledger, ints_to_bits(s_alice, width), Direction.A_TO_B, "predictor_s_alice")
+    round2 = ints_to_bits(s_alice, width)
+    got = send(ch, code, ledger, round2, Direction.A_TO_B, "predictor_s_alice")
     s_alice_hat = bits_to_ints(got, width)
 
     # decoded indices past m leave an empty, clipped parity range
     g_suf = _suffix_xor(g_rows)
-    at_alice = s_alice_hat > s_bob
-    sigma = np.where(
-        at_alice,
-        g_suf[r, np.clip(s_alice_hat - 1, 0, m)],
-        v_bob ^ g_suf[r, s_bob],
-    ).astype(np.uint8)
+    parity_at_alice = g_suf[r, np.clip(s_alice_hat - 1, 0, m)]
+    sigma = np.where(s_alice_hat > s_bob, parity_at_alice, v_bob ^ g_suf[r, s_bob])
     sigma_hat = send(ch, code, ledger, sigma, Direction.B_TO_A, "predictor_parity")
 
-    # Each block maps its entering B bit to its closing one: stuck at `const`
-    # when either side has a stuck function in it, else XOR with `offset`.
-    # sigma already carries v_b in the branches that need it.  The block ends
-    # are then the chain of those maps, the pointer-jumping game run by
-    # markov_chain with g = identity.
+    # each block's map: stuck at `const` if either side is stuck in it, else
+    # XOR with `offset` (sigma carries v_b where needed); chained, g = identity
     f_suf = _suffix_xor(f_rows)
     alice_last = f_rows[r, s_alice - 1] - 3  # read only where s_alice > 0
     const = np.where(

@@ -36,7 +36,8 @@ def layout_uses(scheme: str, p: ms.Protocol, code, m: int | None) -> tuple[int, 
     if scheme == "scheme2":
         m = m or sr.ceil_isqrt(n)
         blocks, width = -(-n // m), m.bit_length()
-        return C(blocks * width) + m * C(blocks), C(blocks * width) + C(blocks) + m * C(blocks)
+        column = m * C(blocks)
+        return C(blocks * width) + column, C(blocks * width) + C(blocks) + column
     w = sr.ceil_isqrt(n)
     starts = sr.find_partition(p.f).starts
     q = starts.size

@@ -157,12 +157,13 @@ def test_bob_partition_uses_only_the_decode_and_message_sizes():
     # one that disagrees with p or n_pad, or is rejected, gives even starts
     assert sr._bob_partition(bits, n, 4, 64).starts.tolist() == [1, 9, 17, 25]
     assert sr._bob_partition(bits, n, 3, 65).starts.tolist() == [1, 9, 17]
-    assert sr._bob_partition(np.zeros(bits.size, np.uint8), n, 2, 64).starts.tolist() == [1, 9]
+    rejected = np.zeros(bits.size, np.uint8)  # block count 0
+    assert sr._bob_partition(rejected, n, 2, 64).starts.tolist() == [1, 9]
 
 
 def test_scheme1_misdecoded_partition_does_not_raise():
     # rep3 at eps 0.05: the partition decodes with two starts closer than
-    # ceil(sqrt(n)), which once broke Bob's Part B layout
+    # ceil(sqrt(n)); Bob must fall back to a layout that fits the wire
     p = ms.gen_uniform_protocol(100, 1)
     rep = sr.run_scheme1(p, ms.ChannelPair(0.05, 1001), ms.Repetition(3))
     assert any(ev.stage == "partition" for ev in rep.decode_log)
@@ -187,10 +188,11 @@ def test_part_b_matches_per_segment_reference(monkeypatch):
     monkeypatch.setattr(sr, "run_vertical_exchange", recording_exchange)
     rng = np.random.default_rng(11)
     protos = [ms.gen_uniform_protocol(n, s) for n in (50, 64, 100, 257) for s in range(6)]
-    # all stuck: every Part B segment is empty; stuck at 9 and 14 of 16:
+    # all stuck: every Part B segment is empty; stuck at 5, 9 and 14 of 16:
     # the last block is padded past n
     protos.append(ms.Protocol(np.full(64, 3, np.uint8), rng.integers(1, 5, 64)))
-    protos.append(ms.Protocol(fns_with_stuck_at(16, [5, 9, 14], rng), rng.integers(1, 5, 16)))
+    f = fns_with_stuck_at(16, [5, 9, 14], rng)
+    protos.append(ms.Protocol(f, rng.integers(1, 5, 16)))
     seen = {"empty": 0, "padded": 0, "bob_moved": 0}
     for i, p in enumerate(protos * 2):
         eps, code = ((0.0, ms.Identity()), (0.05, ms.Repetition(3)))[i // len(protos)]

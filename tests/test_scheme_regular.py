@@ -188,6 +188,9 @@ def predictor_reference(p, m, code, ch, ledger):
     return ends, int(np.sum(s_alice_hat > m) + np.sum(s_bob_hat > m))
 
 
+CODES = (ms.Identity(), ms.Repetition(3), ms.RandomLinear(3, Fraction(1, 2), 5))
+
+
 def test_predictor_exchange_matches_per_block_reference():
     rng = np.random.default_rng(22)
     beyond_m = noisy = 0
@@ -197,7 +200,7 @@ def test_predictor_exchange_matches_per_block_reference():
     for case, (n, m) in enumerate(shapes * 3):
         p = ms.gen_uniform_protocol(n, int(rng.integers(1 << 30)))
         eps = (0.0, 0.05, 0.2)[case // len(shapes)]
-        code = (ms.Identity(), ms.Repetition(3), ms.RandomLinear(3, Fraction(1, 2), 5))[case % 3]
+        code = CODES[case % 3]
         led, led_ref = ms.UsageLedger(), ms.UsageLedger()
         ends = sg.predictor_exchange(p, m, code, ms.ChannelPair(eps, case), led)
         want, past_m = predictor_reference(p, m, code, ms.ChannelPair(eps, case), led_ref)
