@@ -1,5 +1,11 @@
 """The two hot loops, in numpy: chain evaluation and packed ML search.
 
+``markov_chain`` computes every view that is a whole chain: the noiseless
+reference, Bob's view in the baseline and in scheme1 (whose Part A rounds
+enter as stuck codes that replay the bits he decoded), and scheme2's block
+ends.  Views that are read off received bits, such as Alice's, need no chain:
+each A bit is one ``eval_fn_array`` of the B bit before it.
+
 The ML search takes every received sub-block of a message at once and works
 through them in chunks of bounded size, so a message costs one call whatever
 its length.
@@ -17,7 +23,8 @@ import numpy as np
 #
 # Transmission functions are stored as uint8 codes 1..4:
 #   1 -> y, 2 -> y^1, 3 -> 0, 4 -> 1.
-# A code c applied to bit y is (y ^ (c-1)) for c<=2 and (c-3) otherwise.
+# Every code c carries one bit x = (c-1) & 1: the XOR offset when c <= 2, the
+# output when c >= 3.  So c applied to y is x ^ (y & (c <= 2)).
 
 
 def markov_chain(f: np.ndarray, g: np.ndarray, b0: int = 0):
@@ -26,36 +33,24 @@ def markov_chain(f: np.ndarray, g: np.ndarray, b0: int = 0):
     f, g: uint8 function codes, b0: Bob's bit entering round 1.
     Returns (a, b) uint8 arrays of the same length.
 
-    Each round composes into a single map on Bob's previous bit: stuck if
-    either half is stuck, additive otherwise.  Downstream of the latest stuck
-    round the chain is an XOR of additive offsets, so a prefix XOR plus the
-    index of the last stuck round gives every B bit at once.
+    Round i composes into one map B_{i-1} -> B_i that is stuck when f_i or g_i
+    is, and whose bit is x_g ^ (x_f & (g <= 2)).  Counting b0 as a stuck round
+    0, B_i is the bit of the latest stuck round XOR the bits of the additive
+    rounds after it: one prefix XOR and one running maximum give every B bit,
+    and every A bit then follows from its B_{i-1}.
     """
     f = np.asarray(f, dtype=np.uint8)
     g = np.asarray(g, dtype=np.uint8)
     n = f.size
-    a = np.empty(n, np.uint8)
-    b = np.empty(n, np.uint8)
-    if n == 0:
-        return a, b
-    f_stuck = f >= 3
-    g_stuck = g >= 3
-    f_add = np.where(f_stuck, 0, f - 1).astype(np.uint8)
-    f_val = np.where(f_stuck, f - 3, 0).astype(np.uint8)
-    g_add = np.where(g_stuck, 0, g - 1).astype(np.uint8)
-    g_val = np.where(g_stuck, g - 3, 0).astype(np.uint8)
-    h_stuck = f_stuck | g_stuck
-    h_val = np.where(g_stuck, g_val, f_val ^ g_add)
-    h_add = np.where(h_stuck, 0, f_add ^ g_add)
-    pref = np.bitwise_xor.accumulate(h_add)
-    last = np.maximum.accumulate(np.where(h_stuck, np.arange(1, n + 1), 0))
-    li = np.maximum(last - 1, 0)
-    pl = np.where(last > 0, pref[li], 0).astype(np.uint8)
-    sv = np.where(last > 0, h_val[li], np.uint8(b0)).astype(np.uint8)
-    b[:] = sv ^ pref ^ pl
-    b_prev = np.concatenate(([np.uint8(b0)], b[:-1]))
-    a[:] = np.where(f_stuck, f_val, b_prev ^ f_add)
-    return a, b
+    xf = (f - 1) & 1
+    h = np.empty(n + 1, np.uint8)
+    h[0] = b0
+    h[1:] = ((g - 1) & 1) ^ (xf & (g <= 2))
+    stuck = np.concatenate(([True], (f >= 3) | (g >= 3)))
+    last = np.maximum.accumulate(np.arange(n + 1) * stuck)
+    pref = np.bitwise_xor.accumulate(h)
+    b = pref ^ pref[last] ^ h[last]  # b[i] is B_i, with b[0] = b0
+    return xf ^ (b[:-1] & (f <= 2)), b[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_bits(seq) -> np.ndarray:
-    """Coerce to a uint8 bit array, rejecting values other than 0 and 1."""
-    arr = np.asarray(seq)
-    if arr.dtype != np.uint8:
-        arr = arr.astype(np.uint8, casting="unsafe")
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit array may only contain 0 and 1")
-    return arr
-
-
 def ints_to_bits(values, width: int) -> np.ndarray:
     """Concatenated fixed-width fields for a vector of nonnegative ints."""
     values = np.asarray(values, dtype=np.int64)

@@ -36,12 +36,14 @@ def eval_fn(fn: int, bit: int) -> int:
 
 
 def eval_fn_array(codes: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Vectorized eval_fn over parallel arrays of codes and input bits."""
+    """Vectorized eval_fn over parallel arrays of codes and input bits.
+
+    Each code carries one bit, (code - 1) & 1: the XOR offset of an additive
+    function and the output of a stuck one.
+    """
     codes = np.asarray(codes, dtype=np.uint8)
     inputs = np.asarray(inputs, dtype=np.uint8)
-    return np.where(codes <= 2, (inputs ^ (codes - 1)) & 1, (codes - 3) & 1).astype(
-        np.uint8
-    )
+    return ((codes - 1) & 1) ^ (inputs & (codes <= 2))
 
 
 def _as_fn_codes(seq) -> np.ndarray:

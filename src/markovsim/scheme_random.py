@@ -179,10 +179,8 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
     a_idx, b_idx = split_parts(part, n_pad)
     a_idx_bob, b_idx_bob = split_parts(part_bob, n_pad)
 
-    alice_a = np.empty(n_pad, np.uint8)
+    f_bob = np.empty(n_pad, np.uint8)  # Bob's estimate of Alice's functions
     alice_b = np.empty(n_pad, np.uint8)
-    bob_a = np.empty(n_pad, np.uint8)
-    bob_b = np.empty(n_pad, np.uint8)
 
     if part.p > _ceil_root4(n):
         # vertical Part A, appended one-bit descriptions for Part B
@@ -196,34 +194,14 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
             ledger,
             alice_tail=tail,
         )
-
-        # Bob: run every Part B stretch offline from his final vertical
-        # column, as one chain with a stuck round in front of each stretch
-        # that replays that column's bit
-        seg_bob = np.diff(part_bob.starts, append=n_pad + 1) - w
-        lead = np.cumsum(seg_bob) - seg_bob
-        f_tail_bob = functions_from_bits(res.bob_tail, FnDescMode.ONE_BIT_ADDITIVE)
-        tr = offline_simulate(
-            np.insert(f_tail_bob, lead, int(TransmitFn.MU3) + res.bob_b[:, w - 1]),
-            np.insert(pg[b_idx_bob - 1], lead, int(TransmitFn.MU1)),
-            0,
+        # stuck codes replay the Part A bits Bob decoded, so his one chain
+        # below enters each Part B stretch from his last vertical column
+        f_bob[a_idx_bob - 1] = int(TransmitFn.MU3) + res.bob_a.ravel()
+        f_bob[b_idx_bob - 1] = functions_from_bits(
+            res.bob_tail, FnDescMode.ONE_BIT_ADDITIVE
         )
-        in_chain = lead + np.arange(part.p)  # where the stuck rounds landed
-        bob_pb_a, bob_pb_b = np.delete(tr.a, in_chain), np.delete(tr.b, in_chain)
-
-        got = send(ch, code, ledger, bob_pb_b, Direction.B_TO_A, "part_b")
-
-        # Alice: rebuild her Part B view from her own functions and the reply
-        seg = np.diff(part.starts, append=n_pad + 1) - w
-        first = (np.cumsum(seg) - seg)[seg > 0]
-        prev = np.concatenate([[np.uint8(0)], got[:-1]])
-        prev[first] = res.alice_b[seg > 0, w - 1]
-        alice_pb_a = eval_fn_array(pf[b_idx - 1], prev)
-
-        alice_a[a_idx - 1], alice_a[b_idx - 1] = res.alice_a.ravel(), alice_pb_a
-        alice_b[a_idx - 1], alice_b[b_idx - 1] = res.alice_b.ravel(), got
-        bob_a[a_idx_bob - 1], bob_a[b_idx_bob - 1] = res.bob_a.ravel(), bob_pb_a
-        bob_b[a_idx_bob - 1], bob_b[b_idx_bob - 1] = res.bob_b.ravel(), bob_pb_b
+        alice_b[a_idx - 1] = res.alice_b.ravel()
+        reply_bob, reply_alice, stage = b_idx_bob - 1, b_idx - 1, "part_b"
     else:
         # too few blocks: ship all function descriptions and simulate offline
         desc = np.concatenate(
@@ -233,27 +211,24 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
             ]
         )
         got = send(ch, code, ledger, desc, Direction.A_TO_B, "descriptions")
-        f_hat = np.empty(n_pad, np.uint8)
-        f_hat[a_idx_bob - 1] = functions_from_bits(
+        f_bob[a_idx_bob - 1] = functions_from_bits(
             got[: 2 * a_idx_bob.size], FnDescMode.TWO_BIT
         )
-        f_hat[b_idx_bob - 1] = functions_from_bits(
+        f_bob[b_idx_bob - 1] = functions_from_bits(
             got[2 * a_idx_bob.size :], FnDescMode.ONE_BIT_ADDITIVE
         )
+        reply_bob, reply_alice, stage = slice(None), slice(None), "transcript_b"
 
-        bob_tr = offline_simulate(f_hat, pg, 0)
-        bob_a[:] = bob_tr.a
-        bob_b[:] = bob_tr.b
-
-        b_hat = send(ch, code, ledger, bob_b, Direction.B_TO_A, "transcript_b")
-        alice_b[:] = b_hat
-        prev_b = np.concatenate([[np.uint8(0)], b_hat[:-1]])
-        alice_a[:] = eval_fn_array(pf, prev_b)
+    bob = offline_simulate(f_bob, pg, 0)
+    alice_b[reply_alice] = send(
+        ch, code, ledger, bob.b[reply_bob], Direction.B_TO_A, stage
+    )
+    alice_a = eval_fn_array(pf, np.concatenate([[np.uint8(0)], alice_b[:-1]]))
 
     return finish_report(
         "scheme1",
         p,
         Transcript(alice_a[:n], alice_b[:n]),
-        Transcript(bob_a[:n], bob_b[:n]),
+        Transcript(bob.a[:n], bob.b[:n]),
         ledger,
     )

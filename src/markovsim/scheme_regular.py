@@ -32,9 +32,9 @@ from . import _kernels
 from .bits import bits_to_ints, ints_to_bits, xor_reduce
 from .channel import ChannelPair, Direction, UsageLedger
 from .coding import CodeSpec
-from .protocol import Protocol, Transcript, TransmitFn
+from .protocol import Protocol, Transcript
 from .report import SimulationReport
-from .scheme_random import ceil_isqrt
+from .scheme_random import _pad_fns, ceil_isqrt
 from .vertical import finish_report, run_vertical_exchange, send
 
 
@@ -182,11 +182,7 @@ def run_scheme2(
     if m < 1:
         raise ValueError("block length must be positive")
     n_pad = m * (-(-n // m))
-    if n_pad > n:
-        pad = np.full(n_pad - n, int(TransmitFn.MU3), np.uint8)
-        padded = Protocol(np.concatenate([p.f, pad]), np.concatenate([p.g, pad]))
-    else:
-        padded = p
+    padded = Protocol(_pad_fns(p.f, n_pad), _pad_fns(p.g, n_pad))
     blocks = n_pad // m
 
     ledger = UsageLedger()

@@ -21,11 +21,23 @@ def _brute_chain(f, g, b0):
 
 def test_numpy_chain_matches_bruteforce():
     rng = np.random.default_rng(11)
+    cases = []
     for _ in range(300):
         n = int(rng.integers(1, 60))
         f = rng.integers(1, 5, n).astype(np.uint8)
         g = rng.integers(1, 5, n).astype(np.uint8)
-        b0 = int(rng.integers(0, 2))
+        cases.append((f, g, int(rng.integers(0, 2))))
+    for n in (1, 2, 3, 64, 1000, 5000):
+        # uniform codes; codes 1-2 only, so b0 reaches the last round; and
+        # one stuck round, in f or in g, at the first or the last round
+        free = rng.integers(1, 3, (2, n)).astype(np.uint8)
+        chains = [rng.integers(1, 5, (2, n)).astype(np.uint8), free]
+        for i in (0, n - 1):
+            for side in (0, 1):
+                chains.append(free.copy())
+                chains[-1][side, i] = rng.integers(3, 5)
+        cases += [(f, g, b0) for f, g in chains for b0 in (0, 1)]
+    for f, g, b0 in cases:
         a1, b1 = _kernels.markov_chain(f, g, b0)
         a2, b2 = _brute_chain(f, g, b0)
         assert np.array_equal(a1, a2) and np.array_equal(b1, b2)

@@ -172,7 +172,8 @@ def test_scheme1_misdecoded_partition_does_not_raise():
 
 def test_part_b_matches_per_segment_reference(monkeypatch):
     """Both parties' Part B, computed per block with offline_simulate and
-    eval_fn_array from what run_scheme1 exchanged, under noise too."""
+    eval_fn_array from what run_scheme1 exchanged, under noise too; and
+    both parties' Part A, as the vertical exchange recorded it."""
     sent, columns = {}, []
 
     def recording_send(ch, code, ledger, payload, direction, stage, index=1):
@@ -208,6 +209,16 @@ def test_part_b_matches_per_segment_reference(monkeypatch):
         part_bob = sr._bob_partition(sent["partition"][1], n, part.p, n_pad)
         reply, reply_got = sent["part_b"]
 
+        a_idx, b_idx = sr.split_parts(part, n_pad)
+        a_idx_bob, b_idx_bob = sr.split_parts(part_bob, n_pad)
+        for view, a, b, idx in (
+            (rep.alice, res.alice_a, res.alice_b, a_idx),
+            (rep.bob, res.bob_a, res.bob_b, a_idx_bob),
+        ):
+            kept = idx <= n
+            assert np.array_equal(view.a[idx[kept] - 1], a.ravel()[kept])
+            assert np.array_equal(view.b[idx[kept] - 1], b.ravel()[kept])
+
         f_tail = functions_from_bits(res.bob_tail, FnDescMode.ONE_BIT_ADDITIVE)
         bob_a, bob_b, done = [], [], 0
         for r, s in enumerate(part_bob.starts):
@@ -218,7 +229,6 @@ def test_part_b_matches_per_segment_reference(monkeypatch):
             done += seg.size
             seen["empty"] += seg.size == 0
         assert reply.tolist() == np.concatenate(bob_b).tolist()
-        _, b_idx_bob = sr.split_parts(part_bob, n_pad)
         kept = b_idx_bob <= n
         assert np.array_equal(rep.bob.a[b_idx_bob[kept] - 1], np.concatenate(bob_a)[kept])
         assert np.array_equal(rep.bob.b[b_idx_bob[kept] - 1], reply[kept])
@@ -230,7 +240,6 @@ def test_part_b_matches_per_segment_reference(monkeypatch):
             prev = np.concatenate([[res.alice_b[r, w - 1]], chunk[:-1]])
             alice_a.append(eval_fn_array(pf[seg - 1], prev))
             done += seg.size
-        _, b_idx = sr.split_parts(part, n_pad)
         kept = b_idx <= n
         assert np.array_equal(rep.alice.a[b_idx[kept] - 1], np.concatenate(alice_a)[kept])
         assert np.array_equal(rep.alice.b[b_idx[kept] - 1], reply_got[kept])
