@@ -5,6 +5,11 @@ flip stream of each direction is generated block-wise from a counter-based
 Philox generator keyed by seed, direction and block index.  Chunking the same
 bits into different transmit() calls therefore cannot change the noise, which
 keeps whole runs bit-reproducible.
+
+A channel pair may carry a batch of trials at once: it then holds one noise
+seed per row, and each transmit() sends a ``(T, L)`` array whose row t sees
+exactly the noise that a lone pair seeded with seed t would add.  All rows
+advance together, so a message charges its L uses to the ledger once.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-_BLOCK = 4096
+_BLOCK = 4096  # flips per generator, keyed by (seed, direction, block)
+_DRAW = 1024  # flips drawn from a block's generators at a time
 
 
 class Direction(enum.IntEnum):
@@ -40,7 +46,10 @@ class DecodeEvent:
 class UsageLedger:
     """A run's wire record.  Channel uses per direction, which the rate is
     computed from; the info-bit size of every coded block sent, which the
-    union-bound accounting consumes; and every decode that missed."""
+    union-bound accounting consumes; and every decode that missed.
+
+    The trials of a batch send messages of the same sizes, so they share the
+    counts and the profile; their decode_log holds one list per trial."""
 
     uses_ab: int = 0
     uses_ba: int = 0
@@ -85,55 +94,72 @@ class ChannelPair:
 
     transmit() flips each bit independently with probability epsilon and
     charges the use count to the ledger.  Positions advance per direction;
-    the noise consumed depends only on the cumulative position.
+    the noise consumed depends only on the cumulative position.  noise_seed
+    is one seed, or a sequence of seeds with one per row of a batch.
     """
 
-    def __init__(self, epsilon: float, noise_seed: int):
+    def __init__(self, epsilon: float, noise_seed):
         if not 0 <= epsilon < 0.5:
             raise ValueError("epsilon must lie in [0, 0.5)")
         self.epsilon = float(epsilon)
-        self.noise_seed = int(noise_seed)
+        if isinstance(noise_seed, (int, np.integer)):
+            noise_seed = (noise_seed,)
+        self.noise_seeds = tuple(int(s) for s in noise_seed)
+        # per direction: the position, the block being read, its generators
+        # (one per row) and the flips drawn from them so far
         self._pos = [0, 0]
-        self._cached_block = [-1, -1]
-        self._cached_flips = [None, None]
+        self._block = [-1, -1]
+        self._streams = [None, None]
+        self._flips = [None, None]
 
-    def _flip_block(self, direction: int, block: int) -> np.ndarray:
-        if self._cached_block[direction] != block:
-            ss = np.random.SeedSequence(
-                entropy=(self.noise_seed, int(direction), block)
-            )
-            rng = np.random.Generator(np.random.Philox(ss))
-            self._cached_flips[direction] = (
-                rng.random(_BLOCK) < self.epsilon
-            ).astype(np.uint8)
-            self._cached_block[direction] = block
-        return self._cached_flips[direction]
+    def _flips_upto(self, direction: int, block: int, end: int) -> np.ndarray:
+        """(rows, >= end) flips from the start of one block of the direction's
+        stream.  A block's generators give its flips in order, so flips are
+        drawn a _DRAW at a time, as far as the messages reach."""
+        if self._block[direction] != block:
+            self._block[direction] = block
+            self._streams[direction] = [
+                np.random.Generator(
+                    np.random.Philox(np.random.SeedSequence(entropy=(seed, direction, block)))
+                )
+                for seed in self.noise_seeds
+            ]
+            self._flips[direction] = np.empty((len(self.noise_seeds), 0), np.uint8)
+        flips = self._flips[direction]
+        have = flips.shape[1]
+        if have < end:
+            flips = np.empty((len(flips), min(_BLOCK, max(end, have + _DRAW))), np.uint8)
+            flips[:, :have] = self._flips[direction]
+            for row, rng in zip(flips, self._streams[direction]):
+                row[have:] = rng.random(len(row) - have) < self.epsilon
+            self._flips[direction] = flips
+        return flips
 
     def _noise(self, direction: int, count: int) -> np.ndarray:
-        start = self._pos[direction]
-        self._pos[direction] = start + count
-        out = np.empty(count, np.uint8)
-        filled = 0
-        while filled < count:
-            pos = start + filled
+        """(rows, count) flips for the next count positions."""
+        pos = self._pos[direction]
+        self._pos[direction] = pos + count
+        pieces = []
+        while count:
             block, off = divmod(pos, _BLOCK)
-            take = min(_BLOCK - off, count - filled)
-            out[filled : filled + take] = self._flip_block(direction, block)[
-                off : off + take
-            ]
-            filled += take
-        return out
+            take = min(_BLOCK - off, count)
+            pieces.append(self._flips_upto(direction, block, off + take)[:, off : off + take])
+            pos += take
+            count -= take
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
     def transmit(
         self, direction: Direction, bits: np.ndarray, ledger: UsageLedger
     ) -> np.ndarray:
+        """Carry ``bits``, one message of L bits or a ``(T, L)`` batch with
+        one row per noise seed, and charge L uses."""
         bits = np.asarray(bits, dtype=np.uint8)
-        count = bits.size
+        count = bits.shape[-1]
         if direction == Direction.A_TO_B:
             ledger.uses_ab += count
         else:
             ledger.uses_ba += count
-        if self.epsilon == 0.0:
+        if self.epsilon == 0.0 or count == 0:
             self._pos[int(direction)] += count
             return bits.copy()
-        return bits ^ self._noise(int(direction), count)
+        return bits ^ self._noise(int(direction), count).reshape(bits.shape)

@@ -8,8 +8,12 @@ are split into consecutive sub-blocks, and the union-bound accounting treats
 the sub-blocks as additional independent blocks.
 
 A random-linear code is held as its packed codebook, every codeword in
-info-word order.  Encoding looks the sub-blocks' codewords up in it; decoding
-searches it for all sub-blocks of a message in one batched kernel call.
+info-word order, built once per code object.  A spec whose seed is a tuple
+holds one drawn code per trial of a batch, as one stacked codebook.  Payloads
+carry a leading trial axis, ``(T, L)``, and row t is coded with code t.
+Encoding looks the sub-blocks' codewords up in the codebooks; decoding
+searches them for all sub-blocks of a message, over all trials, in one
+batched kernel call.
 
 Exponent conventions: rates and gallager_e0 / gallager_exponent values are in
 bits.  The block-error bound for l independently coded blocks of b info bits
@@ -52,13 +56,14 @@ class RandomLinear:
     """Rate-``rate`` code over info blocks of ``k`` bits.
 
     The generator matrix is Bernoulli(1/2), drawn from ``code_seed``; a seed
-    of None marks a spec whose matrix is to be drawn per run.  Decoding is
-    exact ML with ties broken toward the lexicographically smallest info word.
+    of None marks a spec whose matrix is to be drawn per run, and a tuple of
+    seeds holds one matrix per trial of a batch.  Decoding is exact ML with
+    ties broken toward the lexicographically smallest info word.
     """
 
     k: int
     rate: Fraction
-    code_seed: Optional[int] = None
+    code_seed: Union[None, int, tuple[int, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "rate", Fraction(self.rate))
@@ -67,9 +72,27 @@ class RandomLinear:
         if not 0 < self.rate <= 1:
             raise ValueError("code rate must lie in (0, 1]")
 
-    @property
+    @functools.cached_property
     def nc(self) -> int:
         return -(-self.k * self.rate.denominator // self.rate.numerator)
+
+    @functools.cached_property
+    def codebooks(self) -> np.ndarray:
+        """``(codes, 2**k, words)`` packed codebooks, one per seed.  Row i of a
+        codebook is the codeword of the info word i read MSB-first.  Built on
+        first use and kept with this spec."""
+        if self.code_seed is None:
+            raise ValueError("random linear code needs a concrete seed before use")
+        seeds = self.code_seed
+        if not isinstance(seeds, tuple):
+            seeds = (seeds,)
+        gp = np.stack([_kernels.pack_bits(_rlc_matrix(self.k, self.nc, s)) for s in seeds])
+        # built by doubling from the least significant index bit upward
+        cb = np.zeros((len(seeds), 1, gp.shape[2]), dtype=np.uint64)
+        for s in range(self.k):
+            cb = np.concatenate([cb, cb ^ gp[:, self.k - 1 - s, None]], axis=1)
+        cb.flags.writeable = False
+        return cb
 
 
 CodeSpec = Union[Identity, Repetition, RandomLinear]
@@ -83,72 +106,65 @@ def nominal_rate(code: CodeSpec) -> Fraction:
     return code.rate
 
 
-def _require_seed(code: RandomLinear) -> int:
-    if code.code_seed is None:
-        raise ValueError("random linear code needs a concrete seed before use")
-    return code.code_seed
-
-
 def _rlc_matrix(k: int, nc: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=(k, nc), dtype=np.uint8)
 
 
-# The harness draws a fresh code seed per trial, so a codebook is never needed
-# again once its trial ends, and one at k = ML_SEARCH_CAP takes 8 MB or more.
-# Two entries keep the running trial's code hot for all its messages.
-@functools.lru_cache(maxsize=2)
-def _rlc_codebook(k: int, nc: int, seed: int) -> np.ndarray:
-    # row index equals the info word read MSB-first; built by doubling from
-    # the least significant index bit upward
-    gp = np.atleast_2d(_kernels.pack_bits(_rlc_matrix(k, nc, seed)))
-    cb = np.zeros((1, gp.shape[1]), dtype=np.uint64)
-    for s in range(k):
-        cb = np.concatenate([cb, cb ^ gp[k - 1 - s]], axis=0)
-    cb.flags.writeable = False
-    return cb
+def _rlc_books(code: RandomLinear, payload: np.ndarray) -> np.ndarray:
+    """The code's codebook stack, checked against a payload: one codebook
+    per row of a batch, or one shared by all rows."""
+    books = code.codebooks
+    if len(books) not in (1, len(payload) if payload.ndim > 1 else 1):
+        raise ValueError(f"{len(books)} codes for a payload of shape {payload.shape}")
+    return books
 
 
 def _rlc_encode(code: RandomLinear, bits: np.ndarray) -> np.ndarray:
-    """Codewords of consecutive k-bit info blocks, concatenated."""
-    cb = _rlc_codebook(code.k, code.nc, _require_seed(code))
-    words = cb[bits_to_ints(bits, code.k)]
-    return np.unpackbits(
-        words.view(np.uint8), axis=1, count=code.nc, bitorder="little"
-    ).reshape(-1)
+    """Codewords of consecutive k-bit info blocks, concatenated per row."""
+    info = bits_to_ints(bits, code.k)
+    books = _rlc_books(code, bits)
+    if len(books) == 1:
+        words = books[0][info]
+    else:
+        words = books[np.arange(len(books))[:, None], info]
+    coded = np.unpackbits(words.view(np.uint8), axis=-1, count=code.nc, bitorder="little")
+    return coded.reshape(bits.shape[:-1] + (-1,))
 
 
 def _rlc_decode(code: RandomLinear, received: np.ndarray) -> np.ndarray:
-    """ML info blocks of consecutive nc-bit received blocks, concatenated."""
-    cb = _rlc_codebook(code.k, code.nc, _require_seed(code))
+    """ML info blocks of consecutive nc-bit received blocks, concatenated per
+    row."""
     packed = _kernels.pack_bits(received.reshape(-1, code.nc))
-    return ints_to_bits(_kernels.ml_decode_index(cb, packed), code.k)
+    packed = packed.reshape(received.shape[:-1] + (-1, packed.shape[-1]))
+    return ints_to_bits(_kernels.ml_decode_index(_rlc_books(code, received), packed), code.k)
 
 
 def encode(code: CodeSpec, info) -> np.ndarray:
-    """Codeword for a single info block (for RandomLinear, exactly k bits)."""
+    """Codeword for a single info block (for RandomLinear, exactly k bits),
+    or for the one block of each row of a batch."""
     info = np.asarray(info, dtype=np.uint8)
     if isinstance(code, Identity):
         return info.copy()
     if isinstance(code, Repetition):
-        return np.repeat(info, code.r)
-    if info.size != code.k:
+        return np.repeat(info, code.r, axis=-1)
+    if info.shape[-1] != code.k:
         raise ValueError(f"info block must be exactly {code.k} bits")
     return _rlc_encode(code, info)
 
 
 def decode(code: CodeSpec, received) -> np.ndarray:
-    """Info estimate from one received codeword."""
+    """Info estimate from one received codeword (per row of a batch)."""
     received = np.asarray(received, dtype=np.uint8)
     if isinstance(code, Identity):
         return received.copy()
     if isinstance(code, Repetition):
-        if received.size % code.r:
+        if received.shape[-1] % code.r:
             raise ValueError("received length is not a multiple of r")
-        return (
-            received.reshape(-1, code.r).sum(axis=1) > code.r // 2
-        ).astype(np.uint8)
-    if received.size != code.nc:
+        votes = received.reshape(received.shape[:-1] + (-1, code.r))
+        votes = votes.sum(axis=-1, dtype=np.min_scalar_type(code.r))
+        return (votes > code.r // 2).astype(np.uint8)
+    if received.shape[-1] != code.nc:
         raise ValueError(f"received block must be exactly {code.nc} bits")
     return _rlc_decode(code, received)
 
@@ -171,31 +187,33 @@ def coded_length(code: CodeSpec, info_len: int) -> int:
 
 
 def encode_payload(code: CodeSpec, bits) -> np.ndarray:
-    """Encode an arbitrary-length payload, splitting and zero-padding
-    RandomLinear info blocks as needed."""
+    """Encode an arbitrary-length payload, or each row of a ``(T, L)`` batch,
+    splitting and zero-padding RandomLinear info blocks as needed."""
     bits = np.asarray(bits, dtype=np.uint8)
     if not isinstance(code, RandomLinear):
         return encode(code, bits)
-    if bits.size == 0:
+    length = bits.shape[-1]
+    if length == 0:
         return bits.copy()
-    pad = (-bits.size) % code.k
+    pad = (-length) % code.k
     if pad:
-        bits = np.concatenate([bits, np.zeros(pad, np.uint8)])
+        bits = np.concatenate([bits, np.zeros(bits.shape[:-1] + (pad,), np.uint8)], -1)
     return _rlc_encode(code, bits)
 
 
 def decode_payload(code: CodeSpec, received, info_len: int) -> np.ndarray:
-    """Decode a payload produced by encode_payload back to info_len bits."""
+    """Decode a payload produced by encode_payload back to info_len bits
+    (per row of a batch)."""
     received = np.asarray(received, dtype=np.uint8)
-    if received.size != coded_length(code, info_len):
+    if received.shape[-1] != coded_length(code, info_len):
         raise ValueError("received length does not match the payload layout")
     if isinstance(code, Identity):
         return received.copy()
     if isinstance(code, Repetition):
         return decode(code, received)
     if info_len == 0:
-        return np.empty(0, np.uint8)
-    return _rlc_decode(code, received)[:info_len]
+        return np.empty(received.shape[:-1] + (0,), np.uint8)
+    return _rlc_decode(code, received)[..., :info_len]
 
 
 # ---------------------------------------------------------------------------

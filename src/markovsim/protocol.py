@@ -6,6 +6,9 @@ the convention B_0 = 0.  Every f_i and g_i is one of four functions of a bit:
 identity, negation, constant 0, constant 1.  The two constant functions are
 "stuck": their output ignores the input, which is what the simulation schemes
 exploit.  The other two are "additive", output = input XOR offset.
+
+Protocols and transcripts may carry a leading axis: ``(T, n)`` arrays hold a
+batch of T protocols of one length, which the schemes run side by side.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ def eval_fn_array(codes: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 
 def _as_fn_codes(seq) -> np.ndarray:
     arr = np.asarray(seq, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("function sequence must be one dimensional")
+    if arr.ndim not in (1, 2):
+        raise ValueError("function sequence must be one row or a batch of rows")
     if arr.size == 0:
         raise ValueError("protocol length must be at least 1")
     if arr.min() < 1 or arr.max() > 4:
@@ -63,8 +66,9 @@ def _as_fn_codes(seq) -> np.ndarray:
 class Protocol:
     """Alice's functions ``f`` and Bob's functions ``g``, one pair per round.
 
-    Arrays are uint8 codes 1..4 and are frozen after construction, so a
-    Protocol can be shared across trials and threads.
+    Arrays are uint8 codes 1..4, of shape (n,), or (T, n) for a batch, and
+    are frozen after construction, so a Protocol can be shared across trials
+    and threads.
     """
 
     f: np.ndarray
@@ -73,17 +77,18 @@ class Protocol:
     def __post_init__(self):
         object.__setattr__(self, "f", _as_fn_codes(self.f))
         object.__setattr__(self, "g", _as_fn_codes(self.g))
-        if self.f.size != self.g.size:
+        if self.f.shape != self.g.shape:
             raise ValueError("f and g must have the same length")
 
     @property
     def n(self) -> int:
-        return self.f.size
+        return self.f.shape[-1]
 
 
 @dataclass(frozen=True)
 class Transcript:
-    """The 2n exchanged bits, split into Alice's messages and Bob's."""
+    """The 2n exchanged bits, split into Alice's messages and Bob's (per
+    row of a batch)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -91,8 +96,8 @@ class Transcript:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=np.uint8).copy()
         b = np.asarray(self.b, dtype=np.uint8).copy()
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("transcript halves must be 1-d and equally long")
+        if a.shape != b.shape or a.ndim not in (1, 2):
+            raise ValueError("transcript halves must be rows of equal length")
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -100,11 +105,11 @@ class Transcript:
 
     @property
     def n(self) -> int:
-        return self.a.size
+        return self.a.shape[-1]
 
 
 def simulate_reference(p: Protocol) -> Transcript:
-    """Noiseless transcript of ``p`` from B_0 = 0.
+    """Noiseless transcript of ``p`` (of each protocol of a batch) from B_0 = 0.
 
     This is the ground truth every scheme run is compared against.
     """

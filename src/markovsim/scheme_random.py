@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bits_to_ints, ints_to_bits
+from .bits import bits_to_ints, delayed, ints_to_bits
 from .channel import ChannelPair, Direction, UsageLedger
 from .coding import CodeSpec
 from .protocol import Protocol, Transcript, TransmitFn, eval_fn_array
@@ -148,10 +148,11 @@ def _padded_len(part: Partition, n: int) -> int:
 
 
 def _pad_fns(fns: np.ndarray, n_pad: int) -> np.ndarray:
-    if fns.size == n_pad:
+    """Each row of ``fns`` padded with stuck rounds to n_pad rounds."""
+    if fns.shape[-1] == n_pad:
         return fns
-    pad = np.full(n_pad - fns.size, int(TransmitFn.MU3), np.uint8)
-    return np.concatenate([fns, pad])
+    pad = np.full(fns.shape[:-1] + (n_pad - fns.shape[-1],), int(TransmitFn.MU3), np.uint8)
+    return np.concatenate([fns, pad], axis=-1)
 
 
 def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
@@ -223,7 +224,7 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
     alice_b[reply_alice] = send(
         ch, code, ledger, bob.b[reply_bob], Direction.B_TO_A, stage
     )
-    alice_a = eval_fn_array(pf, np.concatenate([[np.uint8(0)], alice_b[:-1]]))
+    alice_a = eval_fn_array(pf, delayed(alice_b))
 
     return finish_report(
         "scheme1",

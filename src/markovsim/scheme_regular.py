@@ -16,6 +16,9 @@ are the binary pointer-jumping chain over blocks, which one
 ``_kernels.markov_chain`` call evaluates.  summarize_block_*, parity_bob and
 predict_last are the per-block reference of predictor_exchange's array code.
 
+Message sizes depend only on (n, m, code), so a batch of protocols of one
+length runs as one: every array below may carry a leading trial axis.
+
 Budget: with field width w = ceil(log2(m+1)) the predictor spends
 (n/m)(2w+1) info bits.  The parity round absorbs Bob's stuck value: he sends
 p_b XOR v_b when the deciding stuck is his, plain p_b when it is Alice's, so
@@ -29,13 +32,13 @@ import enum
 import numpy as np
 
 from . import _kernels
-from .bits import bits_to_ints, ints_to_bits, xor_reduce
+from .bits import bits_to_ints, delayed, ints_to_bits, xor_reduce
 from .channel import ChannelPair, Direction, UsageLedger
 from .coding import CodeSpec
 from .protocol import Protocol, Transcript
 from .report import SimulationReport
 from .scheme_random import _pad_fns, ceil_isqrt
-from .vertical import finish_report, run_vertical_exchange, send
+from .vertical import finish_report, new_ledger, run_vertical_exchange, send
 
 
 def summarize_block_bob(g_slice) -> tuple[int, int]:
@@ -104,17 +107,22 @@ def predict_last(
 
 def _last_stuck(rows: np.ndarray) -> np.ndarray:
     """1-based index of the last stuck function in each row, 0 if none."""
-    rev = rows[:, ::-1] >= 3
-    return np.where(rev.any(axis=1), rows.shape[1] - rev.argmax(axis=1), 0)
+    rev = rows[..., ::-1] >= 3
+    return np.where(rev.any(axis=-1), rows.shape[-1] - rev.argmax(axis=-1), 0)
 
 
 def _suffix_xor(rows: np.ndarray) -> np.ndarray:
-    """(blocks, m+1) array whose column j is the XOR of the additive offsets
-    of rounds j+1..m of each row; stuck rounds contribute 0."""
+    """(..., blocks, m+1) array whose column j is the XOR of the additive
+    offsets of rounds j+1..m of each row; stuck rounds contribute 0."""
     off = np.where(rows <= 2, rows - 1, 0).astype(np.uint8)
-    suf = np.zeros((rows.shape[0], rows.shape[1] + 1), np.uint8)
-    suf[:, :-1] = np.bitwise_xor.accumulate(off[:, ::-1], axis=1)[:, ::-1]
+    suf = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,), np.uint8)
+    suf[..., :-1] = np.bitwise_xor.accumulate(off[..., ::-1], axis=-1)[..., ::-1]
     return suf
+
+
+def _at(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """rows[..., r, index[..., r]]: one entry of each row."""
+    return np.take_along_axis(rows, index[..., None], axis=-1)[..., 0]
 
 
 def predictor_exchange(
@@ -122,22 +130,20 @@ def predictor_exchange(
 ) -> np.ndarray:
     """Run the three predictor rounds for all n/m blocks of ``p`` at once.
 
-    Returns Alice's predicted closing B bit of every block.  Requires m to
-    divide the protocol length.  Decoded values are used as received;
-    corrupt fields shift predictions and surface later as transcript
-    mismatch.
+    Returns Alice's predicted closing B bit of every block (per row of a
+    batched ``p``).  Requires m to divide the protocol length.  Decoded
+    values are used as received; corrupt fields shift predictions and
+    surface later as transcript mismatch.
     """
     n = p.n
     if n % m:
         raise ValueError("block length must divide the protocol length")
-    blocks = n // m
     width = m.bit_length()
-    f_rows = p.f.reshape(blocks, m)
-    g_rows = p.g.reshape(blocks, m)
-    r = np.arange(blocks)
+    f_rows = p.f.reshape(p.f.shape[:-1] + (n // m, m))
+    g_rows = p.g.reshape(f_rows.shape)
 
     s_bob = _last_stuck(g_rows)
-    v_bob = np.where(s_bob > 0, g_rows[r, s_bob - 1] - 3, 0).astype(np.uint8)
+    v_bob = np.where(s_bob > 0, _at(g_rows, s_bob - 1) - 3, 0).astype(np.uint8)
     round1 = ints_to_bits(s_bob, width)
     got = send(ch, code, ledger, round1, Direction.B_TO_A, "predictor_s_bob")
     s_bob_hat = bits_to_ints(got, width)
@@ -149,32 +155,33 @@ def predictor_exchange(
 
     # decoded indices past m leave an empty, clipped parity range
     g_suf = _suffix_xor(g_rows)
-    parity_at_alice = g_suf[r, np.clip(s_alice_hat - 1, 0, m)]
-    sigma = np.where(s_alice_hat > s_bob, parity_at_alice, v_bob ^ g_suf[r, s_bob])
+    parity_at_alice = _at(g_suf, np.clip(s_alice_hat - 1, 0, m))
+    sigma = np.where(s_alice_hat > s_bob, parity_at_alice, v_bob ^ _at(g_suf, s_bob))
     sigma_hat = send(ch, code, ledger, sigma, Direction.B_TO_A, "predictor_parity")
 
     # each block's map: stuck at `const` if either side is stuck in it, else
     # XOR with `offset` (sigma carries v_b where needed); chained, g = identity
     f_suf = _suffix_xor(f_rows)
-    alice_last = f_rows[r, s_alice - 1] - 3  # read only where s_alice > 0
+    alice_last = _at(f_rows, s_alice - 1) - 3  # read only where s_alice > 0
     const = np.where(
         s_alice > s_bob_hat,
-        alice_last ^ f_suf[r, s_alice],
-        f_suf[r, np.minimum(s_bob_hat, m)],
+        alice_last ^ _at(f_suf, s_alice),
+        _at(f_suf, np.minimum(s_bob_hat, m)),
     ) ^ sigma_hat
-    offset = f_suf[:, 0] ^ sigma_hat
+    offset = f_suf[..., 0] ^ sigma_hat
     codes = np.where(np.maximum(s_alice, s_bob_hat) > 0, 3 + const, 1 + offset)
-    _, ends = _kernels.markov_chain(codes, np.ones(blocks, np.uint8), 0)
+    _, ends = _kernels.markov_chain(codes, np.ones_like(codes), 0)
     return ends
 
 
 def run_scheme2(
     p: Protocol, ch: ChannelPair, code: CodeSpec, m: int | None = None
-) -> SimulationReport:
+) -> SimulationReport | list[SimulationReport]:
     """Simulate ``p`` over ``ch`` with the equal-block predictor scheme.
 
     m defaults to ceil(sqrt(n)); the protocol is padded with stuck rounds to
     a multiple of m and the padding is stripped from the reported views.
+    A batched ``p`` gives one report per row.
     """
     n = p.n
     if m is None:
@@ -183,22 +190,18 @@ def run_scheme2(
         raise ValueError("block length must be positive")
     n_pad = m * (-(-n // m))
     padded = Protocol(_pad_fns(p.f, n_pad), _pad_fns(p.g, n_pad))
-    blocks = n_pad // m
+    lead = p.f.shape[:-1]
 
-    ledger = UsageLedger()
+    ledger = new_ledger(p)
     ends = predictor_exchange(padded, m, code, ch, ledger)
+    rows = lead + (n_pad // m, m)
     res = run_vertical_exchange(
-        padded.f.reshape(blocks, m),
-        padded.g.reshape(blocks, m),
-        np.concatenate([[np.uint8(0)], ends[:-1]]),
-        code,
-        ch,
-        ledger,
+        padded.f.reshape(rows), padded.g.reshape(rows), delayed(ends), code, ch, ledger
     )
+
+    def view(a, b):
+        return Transcript(a.reshape(lead + (-1,))[..., :n], b.reshape(lead + (-1,))[..., :n])
+
     return finish_report(
-        "scheme2",
-        p,
-        Transcript(res.alice_a.reshape(-1)[:n], res.alice_b.reshape(-1)[:n]),
-        Transcript(res.bob_a.reshape(-1)[:n], res.bob_b.reshape(-1)[:n]),
-        ledger,
+        "scheme2", p, view(res.alice_a, res.alice_b), view(res.bob_a, res.bob_b), ledger
     )

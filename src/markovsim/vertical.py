@@ -12,6 +12,11 @@ Also home to ``send``, the one path every coded message of every scheme
 takes; the transmission-function descriptions (the 2-bit encoding of
 arbitrary functions and the 1-bit encoding of additive ones); the offline
 chain evaluator; and the non-interactive baseline scheme built from them.
+
+Everything here takes an optional leading trial axis.  A batch of T trials
+whose messages have the same sizes runs as one: each message is a ``(T, L)``
+array that crosses the channel in one ``send``, row t coded with trial t's
+code and hit by trial t's noise.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .bits import bits_to_ints, ints_to_bits
+from .bits import delayed, ints_to_bits
 from .channel import ChannelPair, DecodeEvent, Direction, UsageLedger, rate_of
 from .coding import CodeSpec, decode_payload, encode_payload, payload_blocks
 from .protocol import Protocol, Transcript, eval_fn_array, simulate_reference
@@ -54,16 +59,19 @@ def functions_from_bits(bits, mode: FnDescMode) -> np.ndarray:
     """Inverse of describe_functions; total on any bit pattern."""
     bits = np.asarray(bits, dtype=np.uint8)
     if mode is FnDescMode.TWO_BIT:
-        return (bits_to_ints(bits, 2) + 1).astype(np.uint8)
+        return ((bits[..., 0::2] << 1) | bits[..., 1::2]) + 1
     return (bits + 1).astype(np.uint8)
 
 
 def offline_simulate(f, g, b0: int) -> Transcript:
     """Evaluate a chain segment locally (no channel) from input bit b0."""
-    a, b = _kernels.markov_chain(
-        np.asarray(f, dtype=np.uint8), np.asarray(g, dtype=np.uint8), b0
-    )
+    a, b = _kernels.markov_chain(f, g, b0)
     return Transcript(a, b)
+
+
+def new_ledger(p: Protocol) -> UsageLedger:
+    """An empty ledger for one protocol, or for each row of a batch."""
+    return UsageLedger(decode_log=[[] for _ in range(len(p.f))] if p.f.ndim > 1 else [])
 
 
 def send(
@@ -77,21 +85,28 @@ def send(
 ) -> np.ndarray:
     """Carry one message: encode, transmit, decode at the far end.
 
-    The ledger records the channel uses and the coded blocks, and a
-    DecodeEvent(stage, index, direction) when the decode differs from the
-    payload.  Returns what the receiver decoded; wrong bits are not fixed.
+    payload is one message, or a ``(T, L)`` batch with one row per trial.
+    The ledger records the channel uses and the coded blocks once, and a
+    DecodeEvent(stage, index, direction) for each row whose decode differs
+    from its payload.  Returns what the receiver decoded; wrong bits are not
+    fixed.
     """
-    ledger.block_profile += payload_blocks(code, payload.size)
+    length = payload.shape[-1]
+    ledger.block_profile += payload_blocks(code, length)
     sent = ch.transmit(direction, encode_payload(code, payload), ledger)
-    got = decode_payload(code, sent, payload.size)
-    if not np.array_equal(got, payload):
-        ledger.decode_log.append(DecodeEvent(stage, index, direction))
+    got = decode_payload(code, sent, length)
+    wrong = got != payload
+    if wrong.any():
+        logs = ledger.decode_log if payload.ndim > 1 else [ledger.decode_log]
+        for row in np.flatnonzero(wrong.any(axis=-1)):
+            logs[row].append(DecodeEvent(stage, index, direction))
     return got
 
 
 @dataclass
 class VerticalResult:
-    """Each party's belief about the region, as (rows, width) A and B bits."""
+    """Each party's belief about the region, as (..., rows, width) A and B
+    bits."""
 
     alice_a: np.ndarray
     alice_b: np.ndarray
@@ -111,12 +126,12 @@ def run_vertical_exchange(
 ) -> VerticalResult:
     """Interactively evaluate all rows, one coded column at a time.
 
-    f_rows, g_rows: (rows, width) function codes.  start_bits: the input bit
-    of each row's first Alice function; rows that begin at a stuck function
-    ignore it.  Column t of A bits is computed from the previously decoded B
-    column (start_bits for t = 1), coded, transmitted; Bob answers with his B
-    column the same way.  Decode failures are logged and the wrong bits
-    propagate; nothing aborts.
+    f_rows, g_rows: (rows, width) function codes, or (T, rows, width) for a
+    batch.  start_bits: the input bit of each row's first Alice function;
+    rows that begin at a stuck function ignore it.  Column t of A bits is
+    computed from the previously decoded B column (start_bits for t = 1),
+    coded, transmitted; Bob answers with his B column the same way.  Decode
+    failures are logged and the wrong bits propagate; nothing aborts.
 
     alice_tail, if given, rides along as extra payload inside Alice's final
     column block; Bob's decode of it is returned as bob_tail.
@@ -124,31 +139,31 @@ def run_vertical_exchange(
     f_rows = np.asarray(f_rows, dtype=np.uint8)
     g_rows = np.asarray(g_rows, dtype=np.uint8)
     start_bits = np.asarray(start_bits, dtype=np.uint8)
-    if f_rows.ndim != 2 or g_rows.shape != f_rows.shape or 0 in f_rows.shape:
+    if f_rows.ndim < 2 or g_rows.shape != f_rows.shape or 0 in f_rows.shape:
         raise ValueError("function matrices must share one non-empty (rows, width) shape")
-    rows, width = f_rows.shape
-    if start_bits.shape != (rows,):
+    rows, width = f_rows.shape[-2:]
+    if start_bits.shape != f_rows.shape[:-1]:
         raise ValueError("start_bits must hold one bit per row")
 
-    res = VerticalResult(*(np.empty((rows, width), np.uint8) for _ in range(4)))
+    res = VerticalResult(*(np.empty(f_rows.shape, np.uint8) for _ in range(4)))
     prev_b_alice = start_bits
     for t in range(width):
-        a_col = eval_fn_array(f_rows[:, t], prev_b_alice)
-        res.alice_a[:, t] = a_col
+        a_col = eval_fn_array(f_rows[..., t], prev_b_alice)
+        res.alice_a[..., t] = a_col
         payload = a_col
         if alice_tail is not None and t == width - 1:
-            payload = np.concatenate([a_col, np.asarray(alice_tail, np.uint8)])
+            payload = np.concatenate([a_col, np.asarray(alice_tail, np.uint8)], -1)
         got = send(ch, code, ledger, payload, Direction.A_TO_B, "vertical_a", t + 1)
-        res.bob_a[:, t] = got[:rows]
+        res.bob_a[..., t] = got[..., :rows]
         if alice_tail is not None and t == width - 1:
-            res.bob_tail = got[rows:]
+            res.bob_tail = got[..., rows:]
 
-        b_col = eval_fn_array(g_rows[:, t], res.bob_a[:, t])
-        res.bob_b[:, t] = b_col
-        res.alice_b[:, t] = send(
+        b_col = eval_fn_array(g_rows[..., t], res.bob_a[..., t])
+        res.bob_b[..., t] = b_col
+        res.alice_b[..., t] = send(
             ch, code, ledger, b_col, Direction.B_TO_A, "vertical_b", t + 1
         )
-        prev_b_alice = res.alice_b[:, t]
+        prev_b_alice = res.alice_b[..., t]
 
     return res
 
@@ -159,32 +174,44 @@ def finish_report(
     alice_view: Transcript,
     bob_view: Transcript,
     ledger: UsageLedger,
-) -> SimulationReport:
-    """Compare both views against the noiseless reference and wrap up."""
+) -> SimulationReport | list[SimulationReport]:
+    """Compare both views against the noiseless reference and wrap up.
+
+    Returns one SimulationReport, or for a batch a list of one per row; the
+    reports of a batch share its uses and its block profile."""
     ref = simulate_reference(p)
-    alice_ok = np.array_equal(alice_view.a, ref.a) and np.array_equal(
-        alice_view.b, ref.b
-    )
-    bob_ok = np.array_equal(bob_view.a, ref.a) and np.array_equal(bob_view.b, ref.b)
-    return SimulationReport(
-        scheme=scheme,
-        n=p.n,
-        alice=alice_view,
-        bob=bob_view,
-        alice_ok=alice_ok,
-        bob_ok=bob_ok,
-        ledger=ledger,
-        rate=rate_of(ledger, p.n),
-    )
+    alice_ok = ((alice_view.a == ref.a) & (alice_view.b == ref.b)).all(axis=-1)
+    bob_ok = ((bob_view.a == ref.a) & (bob_view.b == ref.b)).all(axis=-1)
+    rate = rate_of(ledger, p.n)
+    if p.f.ndim == 1:
+        return SimulationReport(
+            scheme, p.n, alice_view, bob_view, bool(alice_ok), bool(bob_ok), ledger, rate
+        )
+    return [
+        SimulationReport(
+            scheme,
+            p.n,
+            Transcript(alice_view.a[t], alice_view.b[t]),
+            Transcript(bob_view.a[t], bob_view.b[t]),
+            bool(alice_ok[t]),
+            bool(bob_ok[t]),
+            UsageLedger(ledger.uses_ab, ledger.uses_ba, ledger.block_profile, log),
+            rate,
+        )
+        for t, log in enumerate(ledger.decode_log)
+    ]
 
 
-def run_baseline(p: Protocol, ch: ChannelPair, code: CodeSpec) -> SimulationReport:
+def run_baseline(
+    p: Protocol, ch: ChannelPair, code: CodeSpec
+) -> SimulationReport | list[SimulationReport]:
     """Non-interactive simulation: Alice ships all her functions, Bob runs
     the whole chain alone and ships back his half of the transcript.
 
     Costs 2n + n coded info bits, hence rate 2/3 with the identity code.
+    A batched ``p`` gives one report per row.
     """
-    ledger = UsageLedger()
+    ledger = new_ledger(p)
     desc = describe_functions(p.f, FnDescMode.TWO_BIT)
     got = send(ch, code, ledger, desc, Direction.A_TO_B, "descriptions")
     f_hat = functions_from_bits(got, FnDescMode.TWO_BIT)
@@ -192,6 +219,5 @@ def run_baseline(p: Protocol, ch: ChannelPair, code: CodeSpec) -> SimulationRepo
     bob_view = offline_simulate(f_hat, p.g, 0)
     b_hat = send(ch, code, ledger, bob_view.b, Direction.B_TO_A, "transcript_b")
 
-    prev_b = np.concatenate([[np.uint8(0)], b_hat[:-1]])
-    alice_view = Transcript(eval_fn_array(p.f, prev_b), b_hat)
+    alice_view = Transcript(eval_fn_array(p.f, delayed(b_hat)), b_hat)
     return finish_report("baseline", p, alice_view, bob_view, ledger)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import markovsim as ms
 from markovsim import (
     ChannelPair,
     Direction,
@@ -50,6 +51,32 @@ def test_noise_independent_of_chunking():
     for size in (1, 7, 130, 999, 3000, 5863):
         parts.append(ch.transmit(Direction.A_TO_B, np.zeros(size, np.uint8), led))
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_batched_rows_see_their_lone_noise():
+    # row t of a batch gets what a lone pair seeded with seed t adds, across
+    # 4096-bit block boundaries, however either side chunks the stream; the
+    # batch charges each message's length once
+    seeds = [3, 77, 2**63 + 5, 0]
+    rng = np.random.default_rng(1)
+    bits = rng.integers(0, 2, (len(seeds), 10_000)).astype(np.uint8)
+    for direction in ms.Direction:
+        for sizes in ((10_000,), (1, 7, 130, 999, 3000, 5863), (4095, 2, 4095, 3808)):
+            ch, led = ChannelPair(0.2, seeds), UsageLedger()
+            cuts = np.cumsum((0,) + sizes)
+            got = np.concatenate(
+                [ch.transmit(direction, bits[:, lo:hi], led) for lo, hi in zip(cuts, cuts[1:])],
+                axis=1,
+            )
+            assert led.total == 10_000
+            for t, seed in enumerate(seeds):
+                lone = ChannelPair(0.2, seed)
+                want = np.concatenate(
+                    [lone.transmit(direction, bits[t, lo : lo + 2500], UsageLedger())
+                     for lo in range(0, 10_000, 2500)]
+                )
+                assert np.array_equal(got[t], want)
+            assert 1500 < int((got != bits).sum(axis=1).min())
 
 
 def test_noise_reproducible_and_keyed_by_direction():

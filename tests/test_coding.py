@@ -166,21 +166,57 @@ def test_rlc_payload_matches_per_block_reference(code, lengths):
     assert ties > 0
 
 
+def _decode_peak(code, bits):
+    """Peak traced memory of decoding encode_payload(code, bits), whose
+    codebooks the encode builds and the code object keeps."""
+    coded = ms.encode_payload(code, bits)
+    tracemalloc.start()
+    try:
+        out = ms.decode_payload(code, coded, bits.shape[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, bits)
+    return peak
+
+
 def test_rlc_decode_memory_stays_bounded():
     # The batched search works through sub-blocks in chunks.  At 16
     # sub-blocks a chunk the peak is about 0.6 MB; at 64 a chunk it is
     # 2.5 MB, which showed as an 8 % rise of the benchmark's peak RSS.
     code = ms.RandomLinear(12, Fraction(1, 4), 9)
     bits = np.random.default_rng(9).integers(0, 2, 8192).astype(np.uint8)
-    coded = ms.encode_payload(code, bits)  # builds and caches the codebook
-    tracemalloc.start()
-    try:
-        out = ms.decode_payload(code, coded, bits.size)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(out, bits)
-    assert peak < 2 * 2**20
+    assert _decode_peak(code, bits) < 2 * 2**20
+
+
+def test_rlc_batch_decode_memory_stays_bounded():
+    # a batch of 8 trials, each with its own code, chunks over trials and
+    # sub-blocks alike and stays within the same bound
+    code = ms.RandomLinear(12, Fraction(1, 4), tuple(range(9, 17)))
+    bits = np.random.default_rng(9).integers(0, 2, (8, 8192)).astype(np.uint8)
+    assert _decode_peak(code, bits) < 2 * 2**20
+
+
+def test_rlc_batch_rows_use_their_own_codes():
+    # a spec with a tuple of seeds codes row t with seed t's code; one seed
+    # is one codebook shared by every row
+    rng = np.random.default_rng(10)
+    seeds = (5, 6, 7)
+    stacked = ms.RandomLinear(6, Fraction(1, 3), seeds)
+    shared = ms.RandomLinear(6, Fraction(1, 3), 5)
+    assert stacked.codebooks.shape[0] == 3 and shared.codebooks.shape[0] == 1
+    for length in (0, 1, 6, 13, 200):
+        bits = rng.integers(0, 2, (3, length)).astype(np.uint8)
+        for code, specs in ((stacked, seeds), (shared, (5, 5, 5))):
+            coded = ms.encode_payload(code, bits)
+            noisy = coded ^ (rng.random(coded.shape) < 0.1).astype(np.uint8)
+            got = ms.decode_payload(code, noisy, length)
+            for t, seed in enumerate(specs):
+                lone = ms.RandomLinear(6, Fraction(1, 3), seed)
+                assert np.array_equal(coded[t], ms.encode_payload(lone, bits[t]))
+                assert np.array_equal(got[t], ms.decode_payload(lone, noisy[t], length))
+    with pytest.raises(ValueError):
+        ms.encode_payload(stacked, np.zeros((2, 6), np.uint8))
 
 
 def test_repetition_reliability_matches_binomial_and_is_monotone():

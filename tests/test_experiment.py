@@ -1,19 +1,23 @@
 import csv
 import io
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import markovsim as ms
-from markovsim import cli
+from markovsim import cli, experiment
 from markovsim.experiment import (
     CSV_COLUMNS,
     ErrorEstimate,
     ExperimentConfig,
     emit,
+    run_batch,
     run_experiment,
+    run_trial,
     validate_config,
     wilson_interval,
 )
@@ -212,3 +216,58 @@ def test_cli_m_override(capsys):
     assert rc == 0
     row = list(csv.DictReader(io.StringIO(out)))[0]
     assert float(row["mean_rate"]) == pytest.approx(32 / 60)
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+def _record(rep):
+    return (
+        [v.tolist() for v in (rep.alice.a, rep.alice.b, rep.bob.a, rep.bob.b)],
+        (rep.alice_ok, rep.bob_ok, rep.ok),
+        (rep.ledger.uses_ab, rep.ledger.uses_ba),
+        list(rep.block_profile),
+        list(rep.decode_log),
+        rep.rate,
+    )
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
+@pytest.mark.parametrize("code_text", ["rep3", "rlc:k=4,rate=1/4"])
+def test_batched_cell_equals_lone_trials(monkeypatch, scheme, code_text):
+    # a batch holds 3 trials here, so 8 trials run as batches of 3, 3 and 2
+    # (scheme1 runs one trial per batch); every record must equal the one
+    # run_trial gives the trial alone, seeded as the harness seeds it
+    n, eps, trials, seed = 40, 0.05, 8, 17
+    code = ms.parse_code_spec(code_text)
+    rows = max(n, 1 << code.k if isinstance(code, ms.RandomLinear) else 0)
+    monkeypatch.setattr(experiment, "_BATCH_ROUNDS", 3 * rows + 2)
+    sizes = []
+
+    def recording_batch(scheme, protocols, *args):
+        sizes.append(len(protocols))
+        return run_batch(scheme, protocols, *args)
+
+    monkeypatch.setattr(experiment, "run_batch", recording_batch)
+    cfg = ExperimentConfig((n,), (eps,), scheme, code_text, trials, seed=seed)
+    batched = list(experiment.cell_reports(cfg, code, n, eps, 0))
+    row = run_experiment(cfg)[0]
+    # both cell_reports and run_experiment ran the cell
+    assert sizes == ([1] * 8 if scheme == "scheme1" else [3, 3, 2]) * 2
+
+    lone = []
+    for t in range(trials):
+        ss = np.random.SeedSequence(entropy=(seed, 0, t))
+        p_seed, noise_seed, code_seed = (int(x) for x in ss.generate_state(3, np.uint64))
+        spec = replace(code, code_seed=code_seed) if code_text != "rep3" else code
+        lone.append(run_trial(scheme, ms.gen_uniform_protocol(n, p_seed), eps, spec,
+                              noise_seed))
+    assert [_record(r) for r in batched] == [_record(r) for r in lone]
+    assert any(r.decode_log for r in lone)  # the noise did reach the decodes
+
+    rb = ms.nominal_rate(code)
+    assert row.failures == sum(not r.ok for r in lone)
+    assert row.mean_rate == math.fsum(float(r.rate) for r in lone) / trials
+    bounds = [ms.union_bound_profile(r.block_profile, rb, eps) for r in lone]
+    assert row.lemma1_bound == math.fsum(bounds) / trials

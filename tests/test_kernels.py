@@ -19,7 +19,9 @@ def _brute_chain(f, g, b0):
     return np.array(a, np.uint8), np.array(b, np.uint8)
 
 
-def test_numpy_chain_matches_bruteforce():
+def _chain_cases():
+    """(f, g, b0) inputs: short random chains, and for long chains uniform
+    codes, stuck-free codes, and a lone stuck round at either end."""
     rng = np.random.default_rng(11)
     cases = []
     for _ in range(300):
@@ -37,10 +39,30 @@ def test_numpy_chain_matches_bruteforce():
                 chains.append(free.copy())
                 chains[-1][side, i] = rng.integers(3, 5)
         cases += [(f, g, b0) for f, g in chains for b0 in (0, 1)]
-    for f, g, b0 in cases:
+    return cases
+
+
+def test_numpy_chain_matches_bruteforce():
+    for f, g, b0 in _chain_cases():
         a1, b1 = _kernels.markov_chain(f, g, b0)
         a2, b2 = _brute_chain(f, g, b0)
         assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
+
+
+def test_batched_chain_equals_row_by_row():
+    # every case of one length becomes a row of one (T, n) call, each row
+    # with its own b0
+    by_length = {}
+    for f, g, b0 in _chain_cases():
+        by_length.setdefault(f.size, []).append((f, g, b0))
+    assert len(by_length[5000]) == 12  # the long and stuck-edge inputs
+    for rows in by_length.values():
+        f, g, b0 = (np.array(x) for x in zip(*rows))
+        a, b = _kernels.markov_chain(f, g, b0)
+        assert a.shape == b.shape == f.shape
+        for t, (ft, gt, b0t) in enumerate(rows):
+            at, bt = _kernels.markov_chain(ft, gt, b0t)
+            assert np.array_equal(a[t], at) and np.array_equal(b[t], bt)
 
 
 def test_chain_empty_input():
@@ -116,3 +138,30 @@ def test_ml_decode_index_matches_bruteforce():
         ties += int(((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
     assert ties >= 50  # the tie rule was exercised, in several batches
 
+
+
+def test_ml_decode_stacked_codebooks_equal_per_trial_calls():
+    rng = np.random.default_rng(15)
+    # (trials, codebook rows, bits per row, blocks per trial): chunks of
+    # several trials whose boundary falls between trials (3000 rows x 7
+    # blocks give 3 trials a chunk), a trial split over chunks (5000 rows
+    # give 13 blocks a chunk), multi-word rows, and one sub-block per trial
+    cases = [(8, 3000, 48, 7), (3, 5000, 40, 20), (5, 700, 130, 9), (9, 2000, 72, 1)]
+    ties = 0
+    for trials, rows, nbits, blocks in cases:
+        pool = rng.integers(0, 2, (trials, max(1, rows // 3), nbits)).astype(np.uint8)
+        cb_bits = np.stack([p[rng.integers(0, len(p), rows)] for p in pool])
+        rx_bits = np.stack([c[rng.integers(0, rows, blocks)] for c in cb_bits])
+        rx_bits ^= (rng.random(rx_bits.shape) < 0.1).astype(np.uint8)
+        books = np.stack([_kernels.pack_bits(c) for c in cb_bits])
+        rx = np.stack([_kernels.pack_bits(r) for r in rx_bits])
+        got = _kernels.ml_decode_index(books, rx)
+        shared = _kernels.ml_decode_index(books[:1], rx)
+        assert got.shape == shared.shape == (trials, blocks)
+        for t in range(trials):
+            assert np.array_equal(got[t], _kernels.ml_decode_index(books[t], rx[t]))
+            assert np.array_equal(got[t], _brute_ml(cb_bits[t], rx_bits[t]))
+            assert np.array_equal(shared[t], _kernels.ml_decode_index(books[0], rx[t]))
+            d = (cb_bits[t][None] != rx_bits[t][:, None]).sum(axis=2)
+            ties += int(((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert ties >= 20
