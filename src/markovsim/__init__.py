@@ -24,9 +24,7 @@ from .coding import (
     ML_SEARCH_CAP,
     RandomLinear,
     Repetition,
-    decode,
     decode_payload,
-    encode,
     encode_payload,
     gallager_e0,
     gallager_exponent,
@@ -101,12 +99,10 @@ __all__ = [
     "TransmitFn",
     "UsageLedger",
     "binary_entropy",
-    "decode",
     "decode_partition",
     "decode_payload",
     "describe_functions",
     "emit",
-    "encode",
     "encode_partition",
     "encode_payload",
     "eval_fn",

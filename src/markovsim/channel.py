@@ -64,7 +64,7 @@ class UsageLedger:
 def binary_entropy(q):
     """Entropy of a Bernoulli(q) bit, in bits.  Accepts scalars or arrays."""
     q = np.asarray(q, dtype=np.float64)
-    if np.any(q < 0) or np.any(q > 1):
+    if not np.all((q >= 0) & (q <= 1)):
         raise ValueError("entropy argument must lie in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -np.where(q > 0, q * np.log2(np.where(q > 0, q, 1)), 0.0) - np.where(
@@ -76,7 +76,7 @@ def binary_entropy(q):
 def shannon_capacity(eps):
     """1 - h(eps), the information limit per use of a BSC(eps)."""
     eps = np.asarray(eps, dtype=np.float64)
-    if np.any(eps < 0) or np.any(eps > 0.5):
+    if not np.all((eps >= 0) & (eps <= 0.5)):
         raise ValueError("crossover probability must lie in [0, 0.5]")
     c = 1.0 - binary_entropy(eps)
     return float(c) if np.ndim(c) == 0 else c

@@ -1,11 +1,12 @@
 """Block codes for the noisy links plus random-coding error exponents.
 
-Three code families share one interface: identity (no protection), odd-length
-repetition with majority decoding, and seeded random linear codes with exact
-maximum-likelihood decoding.  ML search is exhaustive over the codebook, so
-random-linear info blocks are capped at ML_SEARCH_CAP bits; longer payloads
-are split into consecutive sub-blocks, and the union-bound accounting treats
-the sub-blocks as additional independent blocks.
+Three code families share one encoder, encode_payload, and one decoder,
+decode_payload: identity (no protection), odd-length repetition with majority
+decoding, and seeded random linear codes with exact maximum-likelihood
+decoding.  ML search is exhaustive over the codebook, so random-linear info
+blocks are capped at ML_SEARCH_CAP bits; longer payloads are split into
+consecutive sub-blocks, and the union-bound accounting treats the sub-blocks
+as additional independent blocks.
 
 A random-linear code is held as its packed codebook, every codeword in
 info-word order, built once per code object.  A spec whose seed is a tuple
@@ -27,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -120,55 +121,6 @@ def _rlc_books(code: RandomLinear, payload: np.ndarray) -> np.ndarray:
     return books
 
 
-def _rlc_encode(code: RandomLinear, bits: np.ndarray) -> np.ndarray:
-    """Codewords of consecutive k-bit info blocks, concatenated per row."""
-    info = bits_to_ints(bits, code.k)
-    books = _rlc_books(code, bits)
-    if len(books) == 1:
-        words = books[0][info]
-    else:
-        words = books[np.arange(len(books))[:, None], info]
-    coded = np.unpackbits(words.view(np.uint8), axis=-1, count=code.nc, bitorder="little")
-    return coded.reshape(bits.shape[:-1] + (-1,))
-
-
-def _rlc_decode(code: RandomLinear, received: np.ndarray) -> np.ndarray:
-    """ML info blocks of consecutive nc-bit received blocks, concatenated per
-    row."""
-    packed = _kernels.pack_bits(received.reshape(-1, code.nc))
-    packed = packed.reshape(received.shape[:-1] + (-1, packed.shape[-1]))
-    return ints_to_bits(_kernels.ml_decode_index(_rlc_books(code, received), packed), code.k)
-
-
-def encode(code: CodeSpec, info) -> np.ndarray:
-    """Codeword for a single info block (for RandomLinear, exactly k bits),
-    or for the one block of each row of a batch."""
-    info = np.asarray(info, dtype=np.uint8)
-    if isinstance(code, Identity):
-        return info.copy()
-    if isinstance(code, Repetition):
-        return np.repeat(info, code.r, axis=-1)
-    if info.shape[-1] != code.k:
-        raise ValueError(f"info block must be exactly {code.k} bits")
-    return _rlc_encode(code, info)
-
-
-def decode(code: CodeSpec, received) -> np.ndarray:
-    """Info estimate from one received codeword (per row of a batch)."""
-    received = np.asarray(received, dtype=np.uint8)
-    if isinstance(code, Identity):
-        return received.copy()
-    if isinstance(code, Repetition):
-        if received.shape[-1] % code.r:
-            raise ValueError("received length is not a multiple of r")
-        votes = received.reshape(received.shape[:-1] + (-1, code.r))
-        votes = votes.sum(axis=-1, dtype=np.min_scalar_type(code.r))
-        return (votes > code.r // 2).astype(np.uint8)
-    if received.shape[-1] != code.nc:
-        raise ValueError(f"received block must be exactly {code.nc} bits")
-    return _rlc_decode(code, received)
-
-
 def payload_blocks(code: CodeSpec, info_len: int) -> list[int]:
     """Info-bit sizes of the coded blocks a payload of info_len bits becomes."""
     if info_len == 0:
@@ -187,33 +139,45 @@ def coded_length(code: CodeSpec, info_len: int) -> int:
 
 
 def encode_payload(code: CodeSpec, bits) -> np.ndarray:
-    """Encode an arbitrary-length payload, or each row of a ``(T, L)`` batch,
-    splitting and zero-padding RandomLinear info blocks as needed."""
+    """The one encoder: encode an arbitrary-length payload, or each row of a
+    ``(T, L)`` batch, splitting and zero-padding RandomLinear info blocks as
+    needed."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if not isinstance(code, RandomLinear):
-        return encode(code, bits)
+    if isinstance(code, Identity):
+        return bits.copy()
+    if isinstance(code, Repetition):
+        return np.repeat(bits, code.r, axis=-1)
     length = bits.shape[-1]
     if length == 0:
         return bits.copy()
     pad = (-length) % code.k
     if pad:
         bits = np.concatenate([bits, np.zeros(bits.shape[:-1] + (pad,), np.uint8)], -1)
-    return _rlc_encode(code, bits)
+    books = _rlc_books(code, bits)
+    # row t looks up its info words in book t, or all rows in one shared book
+    words = books[np.arange(len(books))[:, None], bits_to_ints(bits, code.k)]
+    coded = np.unpackbits(words.view(np.uint8), axis=-1, count=code.nc, bitorder="little")
+    return coded.reshape(bits.shape[:-1] + (-1,))
 
 
 def decode_payload(code: CodeSpec, received, info_len: int) -> np.ndarray:
-    """Decode a payload produced by encode_payload back to info_len bits
-    (per row of a batch)."""
+    """The one decoder: decode a payload produced by encode_payload back to
+    info_len bits (per row of a batch)."""
     received = np.asarray(received, dtype=np.uint8)
     if received.shape[-1] != coded_length(code, info_len):
         raise ValueError("received length does not match the payload layout")
     if isinstance(code, Identity):
         return received.copy()
     if isinstance(code, Repetition):
-        return decode(code, received)
+        votes = received.reshape(received.shape[:-1] + (-1, code.r))
+        votes = votes.sum(axis=-1, dtype=np.min_scalar_type(code.r))
+        return (votes > code.r // 2).astype(np.uint8)
     if info_len == 0:
         return np.empty(received.shape[:-1] + (0,), np.uint8)
-    return _rlc_decode(code, received)[..., :info_len]
+    packed = _kernels.pack_bits(received.reshape(-1, code.nc))
+    packed = packed.reshape(received.shape[:-1] + (-1, packed.shape[-1]))
+    info = _kernels.ml_decode_index(_rlc_books(code, received), packed)
+    return ints_to_bits(info, code.k)[..., :info_len]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -98,20 +98,7 @@ class ErrorEstimate:
     lemma1_bound: float
 
 
-CSV_COLUMNS = (
-    "n",
-    "epsilon",
-    "scheme",
-    "code",
-    "trials",
-    "failures",
-    "p_hat",
-    "wilson_lo",
-    "wilson_hi",
-    "mean_rate",
-    "capacity",
-    "lemma1_bound",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ErrorEstimate))
 
 
 def validate_config(cfg: ExperimentConfig) -> CodeSpec:
@@ -235,18 +222,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ErrorEstimate]:
     return rows
 
 
-def _row_dict(row: ErrorEstimate) -> dict:
-    return {c: getattr(row, c) for c in CSV_COLUMNS}
-
-
 def emit(rows: Sequence[ErrorEstimate], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([_row_dict(r) for r in rows], indent=2) + "\n"
+        return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
     if fmt != "csv":
         raise ValueError("format must be csv or json")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow([_row_dict(r)[c] for c in CSV_COLUMNS])
+    writer.writerows(astuple(r) for r in rows)
     return buf.getvalue()

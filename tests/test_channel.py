@@ -131,6 +131,10 @@ def test_binary_entropy_values():
     assert np.allclose(arr, [0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         binary_entropy(1.2)
+    with pytest.raises(ValueError):
+        binary_entropy(float("nan"))
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([0.1, np.nan]))
 
 
 def test_shannon_capacity_endpoints_and_monotone():
@@ -141,6 +145,10 @@ def test_shannon_capacity_endpoints_and_monotone():
     assert np.all(np.diff(caps) < 0)
     with pytest.raises(ValueError):
         shannon_capacity(0.51)
+    with pytest.raises(ValueError):
+        shannon_capacity(float("nan"))
+    with pytest.raises(ValueError):
+        shannon_capacity(np.array([0.1, np.nan]))
 
 
 def test_rate_of():

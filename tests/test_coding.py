@@ -12,18 +12,19 @@ from markovsim import coding
 
 def test_identity_round_trip():
     bits = np.array([1, 0, 1, 1], np.uint8)
-    assert np.array_equal(ms.encode(ms.Identity(), bits), bits)
-    assert np.array_equal(ms.decode(ms.Identity(), bits), bits)
+    assert np.array_equal(ms.encode_payload(ms.Identity(), bits), bits)
+    assert np.array_equal(ms.decode_payload(ms.Identity(), bits, 4), bits)
 
 
 def test_repetition_encode_decode():
-    assert ms.encode(ms.Repetition(3), [1, 0, 1]).tolist() == [1, 1, 1, 0, 0, 0, 1, 1, 1]
-    assert ms.decode(ms.Repetition(3), [1, 1, 0]).tolist() == [1]
-    assert ms.decode(ms.Repetition(3), [0, 1, 0, 1, 1, 1]).tolist() == [0, 1]
+    rep3 = ms.Repetition(3)
+    assert ms.encode_payload(rep3, [1, 0, 1]).tolist() == [1, 1, 1, 0, 0, 0, 1, 1, 1]
+    assert ms.decode_payload(rep3, [1, 1, 0], 1).tolist() == [1]
+    assert ms.decode_payload(rep3, [0, 1, 0, 1, 1, 1], 2).tolist() == [0, 1]
     with pytest.raises(ValueError):
         ms.Repetition(4)
     with pytest.raises(ValueError):
-        ms.decode(ms.Repetition(3), [1, 1])
+        ms.decode_payload(rep3, [1, 1], 1)
 
 
 def test_rlc_encode_is_matrix_product():
@@ -31,7 +32,7 @@ def test_rlc_encode_is_matrix_product():
     G = np.random.default_rng(3).integers(0, 2, (4, 8), dtype=np.uint8)
     for word in range(16):
         info = np.array([(word >> (3 - t)) & 1 for t in range(4)], np.uint8)
-        assert np.array_equal(ms.encode(code, info), (info @ G) % 2)
+        assert np.array_equal(ms.encode_payload(code, info), (info @ G) % 2)
 
 
 def test_rlc_codeword_length():
@@ -44,7 +45,7 @@ def test_rlc_round_trip_exhaustive():
     code = ms.RandomLinear(4, Fraction(1, 2), 3)
     for word in range(16):
         info = np.array([(word >> (3 - t)) & 1 for t in range(4)], np.uint8)
-        assert np.array_equal(ms.decode(code, ms.encode(code, info)), info)
+        assert np.array_equal(ms.decode_payload(code, ms.encode_payload(code, info), 4), info)
 
 
 def test_rlc_corrects_single_flips():
@@ -52,19 +53,19 @@ def test_rlc_corrects_single_flips():
     code = ms.RandomLinear(4, Fraction(1, 2), 7)
     for word in range(16):
         info = np.array([(word >> (3 - t)) & 1 for t in range(4)], np.uint8)
-        cw = ms.encode(code, info)
+        cw = ms.encode_payload(code, info)
         for pos in range(8):
             dented = cw.copy()
             dented[pos] ^= 1
-            assert np.array_equal(ms.decode(code, dented), info)
+            assert np.array_equal(ms.decode_payload(code, dented, 4), info)
 
 
 def test_rlc_tie_breaks_to_smallest_info_word():
     # seed 1 draws G = [[1, 1]] for k=1, nc=2: received 01 is distance 1
     # from both codewords, so the all-zero info word must win
     code = ms.RandomLinear(1, Fraction(1, 2), 1)
-    assert ms.encode(code, [1]).tolist() == [1, 1]
-    assert ms.decode(code, np.array([0, 1], np.uint8)).tolist() == [0]
+    assert ms.encode_payload(code, [1]).tolist() == [1, 1]
+    assert ms.decode_payload(code, np.array([0, 1], np.uint8), 1).tolist() == [0]
 
 
 def test_rlc_info_block_cap():
@@ -75,7 +76,7 @@ def test_rlc_info_block_cap():
 
 def test_rlc_needs_seed_before_use():
     with pytest.raises(ValueError):
-        ms.encode(ms.RandomLinear(4, Fraction(1, 2), None), [0, 0, 0, 0])
+        ms.encode_payload(ms.RandomLinear(4, Fraction(1, 2), None), [0, 0, 0, 0])
 
 
 def test_payload_split_accounting():
@@ -201,19 +202,21 @@ def test_rlc_batch_rows_use_their_own_codes():
     # a spec with a tuple of seeds codes row t with seed t's code; one seed
     # is one codebook shared by every row
     rng = np.random.default_rng(10)
-    seeds = (5, 6, 7)
-    stacked = ms.RandomLinear(6, Fraction(1, 3), seeds)
-    shared = ms.RandomLinear(6, Fraction(1, 3), 5)
+    k, seeds = 6, (5, 6, 7)
+    stacked = ms.RandomLinear(k, Fraction(1, 3), seeds)
+    shared = ms.RandomLinear(k, Fraction(1, 3), 5)
     assert stacked.codebooks.shape[0] == 3 and shared.codebooks.shape[0] == 1
-    for length in (0, 1, 6, 13, 200):
+    for length in (0, 1, k - 1, k, 2 * k + 1, 3 * k + 1, 200):
         bits = rng.integers(0, 2, (3, length)).astype(np.uint8)
         for code, specs in ((stacked, seeds), (shared, (5, 5, 5))):
             coded = ms.encode_payload(code, bits)
+            assert np.array_equal(ms.decode_payload(code, coded, length), bits)
             noisy = coded ^ (rng.random(coded.shape) < 0.1).astype(np.uint8)
             got = ms.decode_payload(code, noisy, length)
             for t, seed in enumerate(specs):
-                lone = ms.RandomLinear(6, Fraction(1, 3), seed)
+                lone = ms.RandomLinear(k, Fraction(1, 3), seed)
                 assert np.array_equal(coded[t], ms.encode_payload(lone, bits[t]))
+                assert np.array_equal(ms.decode_payload(lone, coded[t], length), bits[t])
                 assert np.array_equal(got[t], ms.decode_payload(lone, noisy[t], length))
     with pytest.raises(ValueError):
         ms.encode_payload(stacked, np.zeros((2, 6), np.uint8))
@@ -246,7 +249,8 @@ def test_rlc_reliability_improves_with_block_length():
         for _ in range(trials):
             c = ms.RandomLinear(k, Fraction(1, 2), int(rng.integers(1 << 32)))
             info = rng.integers(0, 2, k).astype(np.uint8)
-            out = ms.decode(c, ch.transmit(ms.Direction.A_TO_B, ms.encode(c, info), led))
+            sent = ms.encode_payload(c, info)
+            out = ms.decode_payload(c, ch.transmit(ms.Direction.A_TO_B, sent, led), k)
             fails += not np.array_equal(out, info)
         return fails / trials
 

@@ -186,6 +186,15 @@ def test_cli_rejects_rate_above_capacity(capsys):
     assert rc == 2 and "0.029049" in err
 
 
+def test_cli_rejects_nan_epsilon_before_any_cell(monkeypatch, capsys):
+    cells = []
+    monkeypatch.setattr(experiment, "cell_reports", lambda *args: cells.append(args))
+    rc, out, err = run_cli(["--eps", "nan", "--code", "rep3", "--trials", "1"], capsys)
+    assert rc == 2 and out == ""
+    assert "crossover probability must lie in [0, 0.5]" in err
+    assert cells == []
+
+
 def test_cli_missing_protocol_file(capsys):
     rc, _, err = run_cli(["--protocol-file", "/nonexistent/xyz"], capsys)
     assert rc == 2
