@@ -52,31 +52,9 @@ from .protocol import (
     simulate_reference,
 )
 from .report import SimulationReport
-from .scheme_random import (
-    Partition,
-    decode_partition,
-    encode_partition,
-    find_partition,
-    run_scheme1,
-    split_parts,
-)
-from .scheme_regular import (
-    ParityBranch,
-    parity_bob,
-    predict_last,
-    predictor_exchange,
-    run_scheme2,
-    summarize_block_alice,
-    summarize_block_bob,
-)
-from .vertical import (
-    FnDescMode,
-    describe_functions,
-    functions_from_bits,
-    offline_simulate,
-    run_baseline,
-    run_vertical_exchange,
-)
+from .scheme_random import run_scheme1
+from .scheme_regular import run_scheme2
+from .vertical import run_baseline
 
 __all__ = [
     "ChannelPair",
@@ -86,11 +64,8 @@ __all__ = [
     "ErrorEstimate",
     "ExperimentConfig",
     "ExponentQuery",
-    "FnDescMode",
     "Identity",
     "ML_SEARCH_CAP",
-    "ParityBranch",
-    "Partition",
     "Protocol",
     "RandomLinear",
     "Repetition",
@@ -99,39 +74,26 @@ __all__ = [
     "TransmitFn",
     "UsageLedger",
     "binary_entropy",
-    "decode_partition",
     "decode_payload",
-    "describe_functions",
     "emit",
-    "encode_partition",
     "encode_payload",
     "eval_fn",
-    "find_partition",
-    "functions_from_bits",
     "gallager_e0",
     "gallager_exponent",
     "gen_uniform_protocol",
     "lemma1_bound",
     "nominal_rate",
-    "offline_simulate",
-    "parity_bob",
     "parse_code_spec",
     "parse_protocol",
-    "predict_last",
-    "predictor_exchange",
     "rate_of",
     "run_baseline",
     "run_experiment",
     "run_scheme1",
     "run_scheme2",
     "run_trial",
-    "run_vertical_exchange",
     "serialize_protocol",
     "shannon_capacity",
     "simulate_reference",
-    "split_parts",
-    "summarize_block_alice",
-    "summarize_block_bob",
     "union_bound_profile",
     "wilson_interval",
 ]

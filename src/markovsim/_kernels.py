@@ -66,17 +66,13 @@ def markov_chain(f: np.ndarray, g: np.ndarray, b0=0):
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 array (or a 2-d batch of rows) into little-endian uint64 words."""
+    """Pack each row of a 2-d 0/1 batch into little-endian uint64 words."""
     bits = np.asarray(bits, dtype=np.uint8)
-    squeeze = bits.ndim == 1
-    if squeeze:
-        bits = bits[None, :]
     rows, n = bits.shape
     pad = (-n) % 64
     if pad:
         bits = np.concatenate([bits, np.zeros((rows, pad), np.uint8)], axis=1)
-    words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-    return words[0] if squeeze else words
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
 
 
 # Sub-blocks searched per chunk, over all trials of a batch: enough that one

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiment import ExperimentConfig, emit, run_experiment
+from .experiment import SCHEMES, ExperimentConfig, emit, run_experiment
 from .protocol import parse_protocol
 
 
@@ -27,8 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated protocol lengths (default 256)")
     ap.add_argument("--eps", type=_float_list, default=(0.0,),
                     help="comma-separated crossover probabilities (default 0.0)")
-    ap.add_argument("--scheme", choices=("baseline", "scheme1", "scheme2"),
-                    default="baseline")
+    ap.add_argument("--scheme", choices=SCHEMES, default="baseline")
     ap.add_argument("--code", default="identity",
                     help="identity | repR | rlc:k=K,rate=R[,seed=S]")
     ap.add_argument("--trials", type=int, default=100)
@@ -65,14 +64,14 @@ def main(argv=None) -> int:
             protocols=protocols,
         )
         text = emit(run_experiment(cfg), args.format)
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except (ValueError, OSError) as exc:
         print(f"markovsim: {exc}", file=sys.stderr)
         return 2
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
     return 0
 
 

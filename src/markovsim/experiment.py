@@ -80,6 +80,8 @@ class ExperimentConfig:
             if len(lengths) != 1:
                 raise ValueError("fixed protocols must all share one length")
             object.__setattr__(self, "n_values", (lengths.pop(),))
+        if min(self.n_values) < 1:
+            raise ValueError("protocol lengths must be at least 1")
 
 
 @dataclass(frozen=True)

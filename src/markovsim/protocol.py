@@ -88,24 +88,14 @@ class Protocol:
 @dataclass(frozen=True)
 class Transcript:
     """The 2n exchanged bits, split into Alice's messages and Bob's (per
-    row of a batch)."""
+    row of a batch).
+
+    ``a`` and ``b`` are the uint8 arrays the schemes computed, held as they
+    are, not copied; the reports of a batch hold row views of its arrays.
+    """
 
     a: np.ndarray
     b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.uint8).copy()
-        b = np.asarray(self.b, dtype=np.uint8).copy()
-        if a.shape != b.shape or a.ndim not in (1, 2):
-            raise ValueError("transcript halves must be rows of equal length")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[-1]
 
 
 def simulate_reference(p: Protocol) -> Transcript:

@@ -55,11 +55,6 @@ class Partition:
     starts: np.ndarray
     part_a_width: int
 
-    def __post_init__(self):
-        starts = np.asarray(self.starts, dtype=np.int64).copy()
-        starts.flags.writeable = False
-        object.__setattr__(self, "starts", starts)
-
     @property
     def p(self) -> int:
         return self.starts.size

@@ -336,6 +336,11 @@ def test_lemma1_bound_rejects_rates_at_capacity():
         ms.lemma1_bound(1, 64, Fraction(1, 3), 0.4)  # 1/3 > 1 - h(0.4)
     with pytest.raises(ValueError):
         ms.lemma1_bound(1, 64, 1.0, 0.05)
+    # no blocks, empty blocks, and rates outside (0, 1] are rejected too
+    for l, b, rate in ((0, 64, 0.25), (1, 0, 0.25), (1, 64, 0.0), (1, 64, -0.5),
+                       (1, 64, Fraction(3, 2))):
+        with pytest.raises(ValueError):
+            ms.lemma1_bound(l, b, rate, 0.05)
     assert ms.lemma1_bound(1, 64, 1.0, 0.0) == 0.0  # noiseless carve-out
 
 
@@ -368,7 +373,10 @@ def test_parse_code_spec():
 
 @pytest.mark.parametrize(
     "text",
-    ["rep4", "repx", "rlc:k=4", "rlc:rate=1/2", "rlc:k=4,rate=1/2,zz=3", "foo", "rlc:"],
+    [
+        "rep4", "repx", "rlc:k=4", "rlc:rate=1/2", "rlc:k=4,rate=1/2,zz=3", "foo", "rlc:",
+        "rlc:k=8,rate=3/2",
+    ],
 )
 def test_parse_code_spec_rejects(text):
     with pytest.raises(ValueError):

@@ -195,9 +195,35 @@ def test_cli_rejects_nan_epsilon_before_any_cell(monkeypatch, capsys):
     assert cells == []
 
 
+@pytest.mark.parametrize("n", ["0", "4,0", "-3"])
+def test_cli_rejects_short_protocols_before_any_cell(monkeypatch, capsys, n):
+    cells = []
+    monkeypatch.setattr(experiment, "cell_reports", lambda *args: cells.append(args))
+    rc, out, err = run_cli(["--n", n, "--scheme", "scheme2", "--code", "rep3"], capsys)
+    assert rc == 2 and out == ""
+    assert "protocol lengths must be at least 1" in err
+    assert cells == []
+
+
 def test_cli_missing_protocol_file(capsys):
     rc, _, err = run_cli(["--protocol-file", "/nonexistent/xyz"], capsys)
     assert rc == 2
+
+
+def test_cli_empty_protocol_file(tmp_path, capsys):
+    src = tmp_path / "empty.txt"
+    src.write_text("\n  \n")
+    rc, out, err = run_cli(["--protocol-file", str(src)], capsys)
+    assert rc == 2 and out == ""
+    assert "protocol file is empty" in err
+
+
+def test_cli_unwritable_out_path(tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "rows.csv"
+    rc, out, err = run_cli(["--n", "8", "--trials", "1", "--out", str(target)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("markovsim:")
+    assert not target.exists()
 
 
 def test_cli_protocol_file(tmp_path, capsys):

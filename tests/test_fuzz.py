@@ -6,6 +6,7 @@ scheme2, a random block length.  identity and rep1 run above capacity on
 purpose: a run may fail there, but it may never raise.  Every run must
 
 - return a report without raising;
+- hold each party's transcript halves as uint8 arrays of shape (n,);
 - be ok whenever its decode log is empty;
 - spend exactly the channel uses its message layout sets, per direction.
 
@@ -74,6 +75,8 @@ def test_noisy_fuzz_every_scheme_and_code():
         p = ms.gen_uniform_protocol(n, int(rng.integers(1 << 30)))
         where = (case, scheme, code, eps, n, m)
         rep = ms.run_trial(scheme, p, eps, code, int(rng.integers(1 << 30)), m)
+        for half in (rep.alice.a, rep.alice.b, rep.bob.a, rep.bob.b):
+            assert half.dtype == np.uint8 and half.shape == (n,), where
         if not rep.decode_log:
             assert rep.ok, where
         decode_failures += bool(rep.decode_log)

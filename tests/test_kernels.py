@@ -74,11 +74,11 @@ def test_pack_bits_round_trip():
     rng = np.random.default_rng(13)
     for n in (1, 63, 64, 65, 130, 1000):
         bits = rng.integers(0, 2, n).astype(np.uint8)
-        words = _kernels.pack_bits(bits)
+        words = _kernels.pack_bits(bits[None])
         assert words.dtype == np.uint64
-        assert words.size == -(-n // 64)
+        assert words.shape == (1, -(-n // 64))
         back = np.unpackbits(
-            words.view(np.uint8), bitorder="little"
+            words[0].view(np.uint8), bitorder="little"
         )[:n]
         assert np.array_equal(back, bits)
 
@@ -88,7 +88,7 @@ def test_pack_bits_batch_matches_rows():
     mat = rng.integers(0, 2, (5, 90)).astype(np.uint8)
     batch = _kernels.pack_bits(mat)
     for i in range(5):
-        assert np.array_equal(batch[i], _kernels.pack_bits(mat[i]))
+        assert np.array_equal(batch[i : i + 1], _kernels.pack_bits(mat[i : i + 1]))
 
 
 def _brute_ml(cb_bits, rx_bits):

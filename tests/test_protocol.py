@@ -99,6 +99,10 @@ def test_protocol_validation():
         Protocol([0, 1], [1, 1])
     with pytest.raises(ValueError):
         Protocol([1, 5], [1, 1])
+    with pytest.raises(ValueError):
+        Protocol(np.ones((2, 2, 2), np.uint8), np.ones((2, 2, 2), np.uint8))
+    with pytest.raises(ValueError):
+        Protocol([], [])
 
 
 def test_protocol_arrays_frozen():

@@ -45,6 +45,11 @@ def test_find_partition_examples():
     part = sr.find_partition(rng.integers(3, 5, 16).astype(np.uint8))
     assert part.starts.tolist() == [1, 5, 9, 13]
 
+    # n must be the number of functions
+    for n in (15, 17):
+        with pytest.raises(ValueError):
+            sr.find_partition(f, n)
+
 
 def test_find_partition_invariants():
     rng = np.random.default_rng(1)
@@ -89,6 +94,10 @@ def test_partition_message_lengths():
     f = np.full(256, int(Mu.MU3), np.uint8)
     enc = sr.encode_partition(sr.find_partition(f), 256)
     assert enc.size == 136  # 8-bit fields, one count + sixteen starts
+
+    # a last start beyond n does not describe a partition of 1..n
+    with pytest.raises(ValueError):
+        sr.encode_partition(sr.Partition(np.array([1, 5, 17]), 4), 16)
 
 
 def test_partition_codec_round_trip():
