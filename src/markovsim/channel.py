@@ -9,7 +9,9 @@ keeps whole runs bit-reproducible.
 A channel pair may carry a batch of trials at once: it then holds one noise
 seed per row, and each transmit() sends a ``(T, L)`` array whose row t sees
 exactly the noise that a lone pair seeded with seed t would add.  All rows
-advance together, so a message charges its L uses to the ledger once.
+advance together, so a message charges its L uses to the ledger once; a
+ragged message, which is the last a batch sends in its direction, charges
+each row its own count.
 """
 
 from __future__ import annotations
@@ -48,8 +50,10 @@ class UsageLedger:
     computed from; the info-bit size of every coded block sent, which the
     union-bound accounting consumes; and every decode that missed.
 
-    The trials of a batch send messages of the same sizes, so they share the
-    counts and the profile; their decode_log holds one list per trial."""
+    A batch's decode_log holds one list per trial.  While the trials send
+    messages of the same sizes they share the counts and the profile; after
+    split_rows (for a ragged message) the counts are int64 arrays and the
+    profile is a list of lists, one entry per trial."""
 
     uses_ab: int = 0
     uses_ba: int = 0
@@ -59,6 +63,27 @@ class UsageLedger:
     @property
     def total(self) -> int:
         return self.uses_ab + self.uses_ba
+
+    @property
+    def per_row(self) -> bool:
+        return isinstance(self.uses_ab, np.ndarray)
+
+    def split_rows(self) -> None:
+        """Give each trial of a batch its own counts and profile, starting
+        from the shared ones."""
+        if not self.per_row:
+            rows = len(self.decode_log)
+            self.uses_ab = np.full(rows, self.uses_ab, np.int64)
+            self.uses_ba = np.full(rows, self.uses_ba, np.int64)
+            self.block_profile = [list(self.block_profile) for _ in range(rows)]
+
+    def row(self, t: int) -> UsageLedger:
+        """Trial t's own ledger, with plain int counts."""
+        if not self.per_row:
+            return UsageLedger(self.uses_ab, self.uses_ba, self.block_profile, self.decode_log[t])
+        return UsageLedger(
+            int(self.uses_ab[t]), int(self.uses_ba[t]), self.block_profile[t], self.decode_log[t]
+        )
 
 
 def binary_entropy(q):
@@ -149,16 +174,17 @@ class ChannelPair:
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
     def transmit(
-        self, direction: Direction, bits: np.ndarray, ledger: UsageLedger
+        self, direction: Direction, bits: np.ndarray, ledger: UsageLedger, uses=None
     ) -> np.ndarray:
         """Carry ``bits``, one message of L bits or a ``(T, L)`` batch with
-        one row per noise seed, and charge L uses."""
+        one row per noise seed, and charge L uses, or ``uses``: one count per
+        row of a ragged message whose rows end before L."""
         bits = np.asarray(bits, dtype=np.uint8)
         count = bits.shape[-1]
         if direction == Direction.A_TO_B:
-            ledger.uses_ab += count
+            ledger.uses_ab += count if uses is None else uses
         else:
-            ledger.uses_ba += count
+            ledger.uses_ba += count if uses is None else uses
         if self.epsilon == 0.0 or count == 0:
             self._pos[int(direction)] += count
             return bits.copy()

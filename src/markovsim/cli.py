@@ -35,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
     ap.add_argument("--out", default="-", help="output path, - for stdout")
     ap.add_argument("--m-override", type=int, default=None,
-                    help="block length for scheme2 (default ceil(sqrt(n)))")
+                    help="block length for scheme2 (default ceil(sqrt(n))); "
+                         "the other schemes reject it")
     ap.add_argument("--protocol-file", default=None,
                     help="run the serialized protocols in this file (one per "
                          "line, cycled over trials) instead of random ones; "

@@ -130,12 +130,14 @@ def payload_blocks(code: CodeSpec, info_len: int) -> list[int]:
     return [info_len]
 
 
-def coded_length(code: CodeSpec, info_len: int) -> int:
+def coded_length(code: CodeSpec, info_len):
+    """Channel uses of a payload of info_len bits, or of each of an array of
+    lengths."""
     if isinstance(code, Identity):
         return info_len
     if isinstance(code, Repetition):
         return info_len * code.r
-    return len(payload_blocks(code, info_len)) * code.nc
+    return -(-info_len // code.k) * code.nc
 
 
 def encode_payload(code: CodeSpec, bits) -> np.ndarray:

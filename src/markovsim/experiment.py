@@ -5,11 +5,11 @@ noise seed and code-matrix seed from (master seed, cell index, trial index),
 so any cell of any run can be reproduced bit-exactly in isolation, and the
 whole result table is a pure function of the config.
 
-A cell's trials run in batches: each message of a batch carries every
-trial's payload at once, with each trial's own noise and code, so a trial
-gets exactly the result ``run_trial`` gives it alone (a batch of one).  The
-baseline and scheme2 batch up to ``_BATCH_ROUNDS`` rounds; scheme1's message
-sizes depend on each protocol's partition, so it runs one trial per batch.
+A cell's trials run in batches of up to ``_BATCH_ROUNDS`` rounds: each
+message of a batch carries every trial's payload at once, with each trial's
+own noise and code, so a trial gets exactly the result ``run_trial`` gives it
+alone (a batch of one).  scheme1's message sizes depend on each protocol's
+block count p, so its window of trials runs as one batch per p.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .coding import (
 )
 from .protocol import Protocol, gen_uniform_protocol
 from .report import SimulationReport
-from .scheme_random import run_scheme1
+from .scheme_random import find_partition, run_scheme1
 from .scheme_regular import run_scheme2
 from .vertical import run_baseline
 
@@ -82,6 +82,9 @@ class ExperimentConfig:
             object.__setattr__(self, "n_values", (lengths.pop(),))
         if min(self.n_values) < 1:
             raise ValueError("protocol lengths must be at least 1")
+        if self.m_override is not None and self.scheme != "scheme2":
+            raise ValueError("--m-override sets scheme2's block length; "
+                             f"{self.scheme} has none")
 
 
 @dataclass(frozen=True)
@@ -134,14 +137,14 @@ def run_batch(
 ) -> list[SimulationReport]:
     """Run trials of one length together: trial t on protocols[t] with noise
     seed noise_seeds[t], and with code t when the code's seed is a tuple.
-    Returns one report per trial.  scheme1 takes batches of one."""
-    if scheme == "scheme1":
-        (protocol,), (noise_seed,) = protocols, noise_seeds
-        return [run_scheme1(protocol, ChannelPair(eps, noise_seed), code)]
+    Returns one report per trial.  scheme1's protocols must share one block
+    count."""
     p = Protocol(np.stack([q.f for q in protocols]), np.stack([q.g for q in protocols]))
     ch = ChannelPair(eps, noise_seeds)
     if scheme == "baseline":
         return run_baseline(p, ch, code)
+    if scheme == "scheme1":
+        return run_scheme1(p, ch, code)
     return run_scheme2(p, ch, code, m=m_override)
 
 
@@ -160,10 +163,11 @@ def run_trial(
 def cell_reports(
     cfg: ExperimentConfig, code: CodeSpec, n: int, eps: float, cell: int
 ) -> Iterator[SimulationReport]:
-    """The reports of one cell's trials, in trial order, run in batches."""
+    """The reports of one cell's trials, in trial order, run in batches:
+    one per window of trials, or for scheme1 one per block count in it."""
     drawn = isinstance(code, RandomLinear) and code.code_seed is None
     rows = max(n, 1 << code.k if drawn else 0)
-    size = 1 if cfg.scheme == "scheme1" else max(1, _BATCH_ROUNDS // rows)
+    size = max(1, _BATCH_ROUNDS // rows)
     for lo in range(0, cfg.trials, size):
         trials = range(lo, min(lo + size, cfg.trials))
         seeds = [
@@ -175,13 +179,20 @@ def cell_reports(
             protocols = [cfg.protocols[t % len(cfg.protocols)] for t in trials]
         else:
             protocols = [gen_uniform_protocol(n, p_seed) for p_seed, _, _ in seeds]
-        batch_code = code
-        if drawn:
-            batch_code = replace(code, code_seed=tuple(c for _, _, c in seeds))
-        noise_seeds = [noise_seed for _, noise_seed, _ in seeds]
-        yield from run_batch(
-            cfg.scheme, protocols, eps, batch_code, noise_seeds, cfg.m_override
-        )
+        keys = [0] * len(protocols)
+        if cfg.scheme == "scheme1":
+            keys = [q.p for q in find_partition(np.stack([q.f for q in protocols]))]
+        reports = [None] * len(protocols)
+        for key in dict.fromkeys(keys):
+            group = [i for i, k in enumerate(keys) if k == key]
+            batch_code = code
+            if drawn:
+                batch_code = replace(code, code_seed=tuple(seeds[i][2] for i in group))
+            batch = run_batch(cfg.scheme, [protocols[i] for i in group], eps, batch_code,
+                              [seeds[i][1] for i in group], cfg.m_override)
+            for i, report in zip(group, batch):
+                reports[i] = report
+        yield from reports
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ErrorEstimate]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import bits_to_ints, delayed, ints_to_bits
-from .channel import ChannelPair, Direction, UsageLedger
+from .channel import ChannelPair, Direction
 from .coding import CodeSpec
 from .protocol import Protocol, Transcript, TransmitFn, eval_fn_array
 from .vertical import (
@@ -31,6 +31,7 @@ from .vertical import (
     describe_functions,
     finish_report,
     functions_from_bits,
+    new_ledger,
     offline_simulate,
     run_vertical_exchange,
     send,
@@ -50,32 +51,40 @@ def _ceil_root4(n: int) -> int:
 @dataclass(frozen=True)
 class Partition:
     """Block start indices (1-based, strictly increasing, starts[0] = 1) and
-    the Part A width ceil(sqrt(n))."""
+    the Part A width ceil(sqrt(n)).  starts is ``(p,)``, or ``(T, p)`` for a
+    batch of partitions with one block count."""
 
     starts: np.ndarray
     part_a_width: int
 
     @property
     def p(self) -> int:
-        return self.starts.size
+        return self.starts.shape[-1]
 
 
-def find_partition(f, n: int | None = None) -> Partition:
-    """Greedy partition of 1..n driven by the stuck positions of ``f``."""
+def find_partition(f, n: int | None = None) -> Partition | list[Partition]:
+    """Greedy partition of 1..n driven by the stuck positions of ``f``.
+
+    f is one protocol's functions, or a ``(T, n)`` batch, which gives one
+    Partition per row.  Every row takes its greedy hops together: nxt maps a
+    round to the first stuck round at or after it."""
     f = np.asarray(f, dtype=np.uint8)
     if n is None:
-        n = f.size
-    if n != f.size or n < 1:
+        n = f.shape[-1]
+    if n != f.shape[-1] or n < 1:
         raise ValueError("n must equal the number of functions and be positive")
     w = ceil_isqrt(n)
-    stuck = np.flatnonzero(f >= 3) + 1
-    starts = [1]
-    while True:
-        i = np.searchsorted(stuck, starts[-1] + w)
-        if i == stuck.size:
-            break
-        starts.append(int(stuck[i]))
-    return Partition(np.array(starts, np.int64), w)
+    rows = f.reshape(-1, n)
+    nxt = np.full((len(rows), n + w + 2), n + 1, np.int32)
+    nxt[:, 1 : n + 1] = np.where(rows >= 3, np.arange(1, n + 1, dtype=np.int32), n + 1)
+    nxt = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1]
+    each = np.arange(len(rows))
+    hops = [np.ones(len(rows), np.int32)]
+    while (hops[-1] <= n).any():  # a row past n has ended and stays there
+        hops.append(nxt[each, hops[-1] + w])
+    starts = np.stack(hops, axis=1)
+    parts = [Partition(row[row <= n].astype(np.int64), w) for row in starts]
+    return parts if f.ndim > 1 else parts[0]
 
 
 def _field_width(n: int) -> int:
@@ -83,13 +92,13 @@ def _field_width(n: int) -> int:
 
 
 def encode_partition(part: Partition, n: int) -> np.ndarray:
-    """Fixed-width binary message: the block count, then each start - 1."""
+    """Fixed-width binary message: the block count, then each start - 1
+    (one message per row of a batched partition)."""
     w = _field_width(n)
-    if part.p >= (1 << w) or part.starts[-1] > n:
+    if part.p >= (1 << w) or part.starts[..., -1].max() > n:
         raise ValueError("partition does not fit the field width for this n")
-    return np.concatenate(
-        [ints_to_bits([part.p], w), ints_to_bits(part.starts - 1, w)]
-    )
+    count = np.full(part.starts.shape[:-1] + (1,), part.p)
+    return ints_to_bits(np.concatenate([count, part.starts - 1], -1), w)
 
 
 def decode_partition(bits, n: int) -> Partition:
@@ -131,15 +140,22 @@ def _runs(lo: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def split_parts(part: Partition, n: int):
-    """1-based index arrays (part_a, part_b); blocks shorter than the Part A
-    width contribute all their indices to Part A."""
-    lengths = np.diff(part.starts, append=n + 1)
+    """1-based index arrays (part_a, part_b), one row each per row of a
+    batched partition; blocks shorter than the Part A width contribute all
+    their indices to Part A.  In a batch every row's Part A must be equally
+    long, as it is when no block is short."""
+    starts = part.starts
+    ends = np.full(starts.shape[:-1] + (1,), n + 1)
+    lengths = np.diff(starts, axis=-1, append=ends)
     a_len = np.minimum(lengths, part.part_a_width)
-    return _runs(part.starts, a_len), _runs(part.starts + a_len, lengths - a_len)
+    lead = starts.shape[:-1] + (-1,)
+    a_idx = _runs(starts.ravel(), a_len.ravel()).reshape(lead)
+    return a_idx, _runs((starts + a_len).ravel(), (lengths - a_len).ravel()).reshape(lead)
 
 
-def _padded_len(part: Partition, n: int) -> int:
-    return max(n, int(part.starts[-1]) + part.part_a_width - 1)
+def _padded_len(part: Partition, n: int):
+    """Rounds after padding the last block to full Part A width (per row)."""
+    return np.maximum(n, part.starts[..., -1] + part.part_a_width - 1)
 
 
 def _pad_fns(fns: np.ndarray, n_pad: int) -> np.ndarray:
@@ -158,73 +174,97 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
     else and stripped from the reported transcripts.  Decode failures are
     logged and their wrong bits propagate, so a misdecoded partition shows
     up as a wrong transcript on Bob's side.
+
+    A batched ``p`` gives one report per row.  Its rows must share one block
+    count p, which sets the size of every message but the last in each
+    direction; those depend on each row's padded length and are sent ragged.
     """
+    if p.f.ndim == 1:
+        return run_scheme1(Protocol(p.f[None], p.g[None]), ch, code)[0]
     n = p.n
     w = ceil_isqrt(n)
-    ledger = UsageLedger()
+    ledger = new_ledger(p)
 
-    part = find_partition(p.f, n)
+    parts = find_partition(p.f, n)
+    if len({q.p for q in parts}) != 1:
+        raise ValueError("the protocols of a batch must share one block count")
+    part = Partition(np.stack([q.starts for q in parts]), w)
     n_pad = _padded_len(part, n)
-    pf = _pad_fns(p.f, n_pad)
-    pg = _pad_fns(p.g, n_pad)
+    # every row is laid out over the batch's longest padded length: its last
+    # Part B runs on past its own n_pad, into padding that no message carries
+    width = int(n_pad.max())
+    pf = _pad_fns(p.f, width)
+    pg = _pad_fns(p.g, width)
 
-    enc = encode_partition(part, n)
-    got = send(ch, code, ledger, enc, Direction.A_TO_B, "partition")
-    part_bob = _bob_partition(got, n, part.p, n_pad)
+    got = send(ch, code, ledger, encode_partition(part, n), Direction.A_TO_B, "partition")
+    part_bob = Partition(
+        np.stack([_bob_partition(bits, n, part.p, size).starts for bits, size in zip(got, n_pad)]),
+        w,
+    )
 
-    a_idx, b_idx = split_parts(part, n_pad)
-    a_idx_bob, b_idx_bob = split_parts(part_bob, n_pad)
+    a_idx, b_idx = split_parts(part, width)
+    a_idx_bob, b_idx_bob = split_parts(part_bob, width)
+    row = np.arange(len(n_pad))[:, None]
+    b_len = n_pad - part.p * w  # each row's own Part B
+    # Alice's Part B functions; past a row's b_len lies stuck padding, which
+    # has no one-bit description, so MU1 stands in there (send zeroes it)
+    pf_b = np.where(
+        np.arange(b_idx.shape[1]) < b_len[:, None], pf[row, b_idx - 1], int(TransmitFn.MU1)
+    )
 
-    f_bob = np.empty(n_pad, np.uint8)  # Bob's estimate of Alice's functions
-    alice_b = np.empty(n_pad, np.uint8)
+    f_bob = np.empty(pf.shape, np.uint8)  # Bob's estimate of Alice's functions
+    alice_b = np.empty(pf.shape, np.uint8)
 
     if part.p > _ceil_root4(n):
         # vertical Part A, appended one-bit descriptions for Part B
-        tail = describe_functions(pf[b_idx - 1], FnDescMode.ONE_BIT_ADDITIVE)
         res = run_vertical_exchange(
-            pf[a_idx - 1].reshape(part.p, w),
-            pg[a_idx_bob - 1].reshape(part.p, w),
-            np.zeros(part.p, np.uint8),
+            pf[row, a_idx - 1].reshape(-1, part.p, w),
+            pg[row, a_idx_bob - 1].reshape(-1, part.p, w),
+            np.zeros((len(row), part.p), np.uint8),
             code,
             ch,
             ledger,
-            alice_tail=tail,
+            alice_tail=describe_functions(pf_b, FnDescMode.ONE_BIT_ADDITIVE),
+            tail_lengths=b_len,
         )
         # stuck codes replay the Part A bits Bob decoded, so his one chain
         # below enters each Part B stretch from his last vertical column
-        f_bob[a_idx_bob - 1] = int(TransmitFn.MU3) + res.bob_a.ravel()
-        f_bob[b_idx_bob - 1] = functions_from_bits(
+        f_bob[row, a_idx_bob - 1] = int(TransmitFn.MU3) + res.bob_a.reshape(len(row), -1)
+        f_bob[row, b_idx_bob - 1] = functions_from_bits(
             res.bob_tail, FnDescMode.ONE_BIT_ADDITIVE
         )
-        alice_b[a_idx - 1] = res.alice_b.ravel()
-        reply_bob, reply_alice, stage = b_idx_bob - 1, b_idx - 1, "part_b"
+        alice_b[row, a_idx - 1] = res.alice_b.reshape(len(row), -1)
+        reply_bob, reply_alice, reply_len, stage = b_idx_bob - 1, b_idx - 1, b_len, "part_b"
     else:
         # too few blocks: ship all function descriptions and simulate offline
         desc = np.concatenate(
             [
-                describe_functions(pf[a_idx - 1], FnDescMode.TWO_BIT),
-                describe_functions(pf[b_idx - 1], FnDescMode.ONE_BIT_ADDITIVE),
-            ]
+                describe_functions(pf[row, a_idx - 1], FnDescMode.TWO_BIT),
+                describe_functions(pf_b, FnDescMode.ONE_BIT_ADDITIVE),
+            ],
+            -1,
         )
-        got = send(ch, code, ledger, desc, Direction.A_TO_B, "descriptions")
-        f_bob[a_idx_bob - 1] = functions_from_bits(
-            got[: 2 * a_idx_bob.size], FnDescMode.TWO_BIT
+        a_bits = 2 * a_idx.shape[1]
+        got = send(
+            ch, code, ledger, desc, Direction.A_TO_B, "descriptions", lengths=a_bits + b_len
         )
-        f_bob[b_idx_bob - 1] = functions_from_bits(
-            got[2 * a_idx_bob.size :], FnDescMode.ONE_BIT_ADDITIVE
+        f_bob[row, a_idx_bob - 1] = functions_from_bits(got[:, :a_bits], FnDescMode.TWO_BIT)
+        f_bob[row, b_idx_bob - 1] = functions_from_bits(
+            got[:, a_bits:], FnDescMode.ONE_BIT_ADDITIVE
         )
-        reply_bob, reply_alice, stage = slice(None), slice(None), "transcript_b"
+        reply_bob = reply_alice = np.arange(width)
+        reply_len, stage = n_pad, "transcript_b"
 
     bob = offline_simulate(f_bob, pg, 0)
-    alice_b[reply_alice] = send(
-        ch, code, ledger, bob.b[reply_bob], Direction.B_TO_A, stage
+    alice_b[row, reply_alice] = send(
+        ch, code, ledger, bob.b[row, reply_bob], Direction.B_TO_A, stage, lengths=reply_len
     )
     alice_a = eval_fn_array(pf, delayed(alice_b))
 
     return finish_report(
         "scheme1",
         p,
-        Transcript(alice_a[:n], alice_b[:n]),
-        Transcript(bob.a[:n], bob.b[:n]),
+        Transcript(alice_a[:, :n], alice_b[:, :n]),
+        Transcript(bob.a[:, :n], bob.b[:, :n]),
         ledger,
     )

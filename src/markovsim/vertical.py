@@ -14,9 +14,10 @@ arbitrary functions and the 1-bit encoding of additive ones); the offline
 chain evaluator; and the non-interactive baseline scheme built from them.
 
 Everything here takes an optional leading trial axis.  A batch of T trials
-whose messages have the same sizes runs as one: each message is a ``(T, L)``
-array that crosses the channel in one ``send``, row t coded with trial t's
-code and hit by trial t's noise.
+runs as one: each message is a ``(T, L)`` array that crosses the channel in
+one ``send``, row t coded with trial t's code and hit by trial t's noise.
+The last message in each direction may be ragged, one length per row, sent
+padded to the longest.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import _kernels
 from .bits import delayed, ints_to_bits
 from .channel import ChannelPair, DecodeEvent, Direction, UsageLedger, rate_of
-from .coding import CodeSpec, decode_payload, encode_payload, payload_blocks
+from .coding import CodeSpec, coded_length, decode_payload, encode_payload, payload_blocks
 from .protocol import Protocol, Transcript, eval_fn_array, simulate_reference
 from .report import SimulationReport
 
@@ -82,6 +83,7 @@ def send(
     direction: Direction,
     stage: str,
     index: int = 1,
+    lengths: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Carry one message: encode, transmit, decode at the far end.
 
@@ -90,12 +92,32 @@ def send(
     DecodeEvent(stage, index, direction) for each row whose decode differs
     from its payload.  Returns what the receiver decoded; wrong bits are not
     fixed.
+
+    lengths, one per row, makes the message ragged: row t is its first
+    lengths[t] bits, zero-padded to L.  Noise is keyed by position and a
+    ragged message is the last in its direction, so each row's prefix
+    crosses exactly as it would alone, and the zeros pad its last partial
+    block as encode_payload pads it.  Each row is charged its own uses and
+    blocks, and only a miss inside its prefix is logged.
     """
     length = payload.shape[-1]
-    ledger.block_profile += payload_blocks(code, length)
-    sent = ch.transmit(direction, encode_payload(code, payload), ledger)
+    uses = None
+    if lengths is not None:
+        inside = np.arange(length) < lengths[:, None]
+        payload = payload * inside
+        uses = coded_length(code, lengths)
+        ledger.split_rows()
+    if ledger.per_row:
+        sizes = [length] * len(ledger.block_profile) if lengths is None else lengths
+        for blocks, size in zip(ledger.block_profile, sizes):
+            blocks += payload_blocks(code, int(size))
+    else:
+        ledger.block_profile += payload_blocks(code, length)
+    sent = ch.transmit(direction, encode_payload(code, payload), ledger, uses)
     got = decode_payload(code, sent, length)
     wrong = got != payload
+    if lengths is not None:
+        wrong &= inside
     if wrong.any():
         logs = ledger.decode_log if payload.ndim > 1 else [ledger.decode_log]
         for row in np.flatnonzero(wrong.any(axis=-1)):
@@ -123,6 +145,7 @@ def run_vertical_exchange(
     ch: ChannelPair,
     ledger: UsageLedger,
     alice_tail: Optional[np.ndarray] = None,
+    tail_lengths: Optional[np.ndarray] = None,
 ) -> VerticalResult:
     """Interactively evaluate all rows, one coded column at a time.
 
@@ -134,7 +157,9 @@ def run_vertical_exchange(
     failures are logged and the wrong bits propagate; nothing aborts.
 
     alice_tail, if given, rides along as extra payload inside Alice's final
-    column block; Bob's decode of it is returned as bob_tail.
+    column block; Bob's decode of it is returned as bob_tail.  With
+    tail_lengths, each row's tail is its first tail_lengths[row] bits and
+    the final column is sent ragged (see send).
     """
     f_rows = np.asarray(f_rows, dtype=np.uint8)
     g_rows = np.asarray(g_rows, dtype=np.uint8)
@@ -150,10 +175,14 @@ def run_vertical_exchange(
     for t in range(width):
         a_col = eval_fn_array(f_rows[..., t], prev_b_alice)
         res.alice_a[..., t] = a_col
-        payload = a_col
+        payload, lengths = a_col, None
         if alice_tail is not None and t == width - 1:
             payload = np.concatenate([a_col, np.asarray(alice_tail, np.uint8)], -1)
-        got = send(ch, code, ledger, payload, Direction.A_TO_B, "vertical_a", t + 1)
+            if tail_lengths is not None:
+                lengths = rows + tail_lengths
+        got = send(
+            ch, code, ledger, payload, Direction.A_TO_B, "vertical_a", t + 1, lengths
+        )
         res.bob_a[..., t] = got[..., :rows]
         if alice_tail is not None and t == width - 1:
             res.bob_tail = got[..., rows:]
@@ -178,15 +207,17 @@ def finish_report(
     """Compare both views against the noiseless reference and wrap up.
 
     Returns one SimulationReport, or for a batch a list of one per row; the
-    reports of a batch share its uses and its block profile."""
+    reports of a batch share its uses and its block profile unless a ragged
+    message gave each row its own."""
     ref = simulate_reference(p)
     alice_ok = ((alice_view.a == ref.a) & (alice_view.b == ref.b)).all(axis=-1)
     bob_ok = ((bob_view.a == ref.a) & (bob_view.b == ref.b)).all(axis=-1)
-    rate = rate_of(ledger, p.n)
+    rate = None if ledger.per_row else rate_of(ledger, p.n)
     if p.f.ndim == 1:
         return SimulationReport(
             scheme, p.n, alice_view, bob_view, bool(alice_ok), bool(bob_ok), ledger, rate
         )
+    rows = [ledger.row(t) for t in range(len(ledger.decode_log))]
     return [
         SimulationReport(
             scheme,
@@ -195,10 +226,10 @@ def finish_report(
             Transcript(bob_view.a[t], bob_view.b[t]),
             bool(alice_ok[t]),
             bool(bob_ok[t]),
-            UsageLedger(ledger.uses_ab, ledger.uses_ba, ledger.block_profile, log),
-            rate,
+            row,
+            rate or rate_of(row, p.n),
         )
-        for t, log in enumerate(ledger.decode_log)
+        for t, row in enumerate(rows)
     ]
 
 

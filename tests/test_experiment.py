@@ -21,6 +21,7 @@ from markovsim.experiment import (
     validate_config,
     wilson_interval,
 )
+from markovsim.scheme_random import find_partition
 
 
 def test_wilson_interval_values():
@@ -243,6 +244,18 @@ def test_cli_protocol_file(tmp_path, capsys):
     assert row["n"] == "12" and row["failures"] == "0"
 
 
+@pytest.mark.parametrize("scheme", ["baseline", "scheme1"])
+def test_cli_rejects_m_override_outside_scheme2(monkeypatch, capsys, scheme):
+    cells = []
+    monkeypatch.setattr(experiment, "cell_reports", lambda *args: cells.append(args))
+    rc, out, err = run_cli(["--n", "16", "--scheme", scheme, "--m-override", "3"], capsys)
+    assert rc == 2 and out == ""
+    assert f"--m-override sets scheme2's block length; {scheme} has none" in err
+    assert cells == []
+    with pytest.raises(ValueError, match="m-override"):
+        ExperimentConfig((16,), (0.0,), scheme, "identity", 1, m_override=3)
+
+
 def test_cli_m_override(capsys):
     rc, out, _ = run_cli(
         ["--n", "16", "--scheme", "scheme2", "--m-override", "4", "--trials", "3"],
@@ -268,36 +281,59 @@ def _record(rep):
     )
 
 
+def lone_reports(scheme, code, n, eps, trials, seed):
+    """(protocols, reports) of a cell's trials, each run alone by run_trial
+    and seeded as the harness seeds it."""
+    protocols, reports = [], []
+    for t in range(trials):
+        ss = np.random.SeedSequence(entropy=(seed, 0, t))
+        p_seed, noise_seed, code_seed = (int(x) for x in ss.generate_state(3, np.uint64))
+        spec = code
+        if isinstance(code, ms.RandomLinear) and code.code_seed is None:
+            spec = replace(code, code_seed=code_seed)
+        protocols.append(ms.gen_uniform_protocol(n, p_seed))
+        reports.append(run_trial(scheme, protocols[-1], eps, spec, noise_seed))
+    return protocols, reports
+
+
+def recorded_batches(monkeypatch):
+    """Make experiment.run_batch note (scheme, protocols, code) of each call."""
+    calls = []
+
+    def recording_batch(scheme, protocols, eps, code, *args):
+        calls.append((scheme, protocols, code))
+        return run_batch(scheme, protocols, eps, code, *args)
+
+    monkeypatch.setattr(experiment, "run_batch", recording_batch)
+    return calls
+
+
 @pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
 @pytest.mark.parametrize("code_text", ["rep3", "rlc:k=4,rate=1/4"])
 def test_batched_cell_equals_lone_trials(monkeypatch, scheme, code_text):
-    # a batch holds 3 trials here, so 8 trials run as batches of 3, 3 and 2
-    # (scheme1 runs one trial per batch); every record must equal the one
+    # a window holds 3 trials here, so 8 trials run in windows of 3, 3 and 2;
+    # a window is one batch, but for scheme1 one batch per block count p in
+    # it, since p sets its message sizes.  Every record must equal the one
     # run_trial gives the trial alone, seeded as the harness seeds it
     n, eps, trials, seed = 40, 0.05, 8, 17
     code = ms.parse_code_spec(code_text)
     rows = max(n, 1 << code.k if isinstance(code, ms.RandomLinear) else 0)
     monkeypatch.setattr(experiment, "_BATCH_ROUNDS", 3 * rows + 2)
-    sizes = []
-
-    def recording_batch(scheme, protocols, *args):
-        sizes.append(len(protocols))
-        return run_batch(scheme, protocols, *args)
-
-    monkeypatch.setattr(experiment, "run_batch", recording_batch)
+    calls = recorded_batches(monkeypatch)
     cfg = ExperimentConfig((n,), (eps,), scheme, code_text, trials, seed=seed)
     batched = list(experiment.cell_reports(cfg, code, n, eps, 0))
     row = run_experiment(cfg)[0]
-    # both cell_reports and run_experiment ran the cell
-    assert sizes == ([1] * 8 if scheme == "scheme1" else [3, 3, 2]) * 2
+    seen = [len(protocols) for _, protocols, _ in calls]
+    protocols, lone = lone_reports(scheme, code, n, eps, trials, seed)
 
-    lone = []
-    for t in range(trials):
-        ss = np.random.SeedSequence(entropy=(seed, 0, t))
-        p_seed, noise_seed, code_seed = (int(x) for x in ss.generate_state(3, np.uint64))
-        spec = replace(code, code_seed=code_seed) if code_text != "rep3" else code
-        lone.append(run_trial(scheme, ms.gen_uniform_protocol(n, p_seed), eps, spec,
-                              noise_seed))
+    sizes = [3, 3, 2]
+    if scheme == "scheme1":
+        p_of = [find_partition(q.f).p for q in protocols]
+        windows = [p_of[0:3], p_of[3:6], p_of[6:8]]
+        sizes = [w.count(p) for w in windows for p in dict.fromkeys(w)]
+        assert len(sizes) > 3  # some window mixes block counts
+    # both cell_reports and run_experiment ran the cell
+    assert seen == sizes * 2
     assert [_record(r) for r in batched] == [_record(r) for r in lone]
     assert any(r.decode_log for r in lone)  # the noise did reach the decodes
 
@@ -306,3 +342,53 @@ def test_batched_cell_equals_lone_trials(monkeypatch, scheme, code_text):
     assert row.mean_rate == math.fsum(float(r.rate) for r in lone) / trials
     bounds = [ms.union_bound_profile(r.block_profile, rb, eps) for r in lone]
     assert row.lemma1_bound == math.fsum(bounds) / trials
+
+
+@pytest.mark.parametrize("code_text", ["rep3", "rlc:k=4,rate=1/4"])
+def test_scheme1_cell_mixes_both_branches(code_text):
+    # n = 9: w = 3 and the few-block threshold ceil(9**0.25) = 2, so p = 1, 2
+    # ship descriptions and p = 3 runs the vertical exchange, in one window
+    n, eps, trials, seed = 9, 0.1, 60, 23
+    code = ms.parse_code_spec(code_text)
+    cfg = ExperimentConfig((n,), (eps,), "scheme1", code_text, trials, seed=seed)
+    batched = list(experiment.cell_reports(cfg, code, n, eps, 0))
+    protocols, lone = lone_reports("scheme1", code, n, eps, trials, seed)
+    assert {find_partition(q.f).p for q in protocols} == {1, 2, 3}
+    assert [_record(r) for r in batched] == [_record(r) for r in lone]
+    stages = {e.stage for r in lone for e in r.decode_log}
+    assert {"descriptions", "vertical_a"} <= stages
+
+
+def test_scheme1_batch_with_misdecoded_partitions():
+    # uncoded at eps 0.25 the partition message rarely arrives whole; a batch
+    # of one block count, whose rows pad to different lengths, must still
+    # give each row what it gets alone
+    n, eps = 64, 0.25
+    protocols = [q for q in (ms.gen_uniform_protocol(n, s) for s in range(60))
+                 if find_partition(q.f).p == 8]
+    n_pad = {max(n, int(find_partition(q.f).starts[-1]) + 7) for q in protocols}
+    assert len(protocols) > 10 and len(n_pad) > 1
+    seeds = list(range(100, 100 + len(protocols)))
+    batch = run_batch("scheme1", protocols, eps, ms.Identity(), seeds)
+    lone = [run_trial("scheme1", q, eps, ms.Identity(), s) for q, s in zip(protocols, seeds)]
+    assert [_record(r) for r in batch] == [_record(r) for r in lone]
+    assert sum(any(e.stage == "partition" for e in r.decode_log) for r in lone) > 3
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
+@pytest.mark.parametrize("code_text, n", [("rep3", 5000), ("rlc:k=12,rate=1/4", 8)])
+def test_cell_batches_stay_within_the_round_cap(monkeypatch, scheme, code_text, n):
+    # a batch holds at most _BATCH_ROUNDS rounds and, with a drawn code, at
+    # most _BATCH_ROUNDS codebook rows: at n = 5000 that is 6 trials, with a
+    # drawn k = 12 code 8 trials
+    calls = recorded_batches(monkeypatch)
+    cfg = ExperimentConfig((n,), (0.05,), scheme, code_text, 13, seed=3)
+    run_experiment(cfg)
+    cap = experiment._BATCH_ROUNDS
+    assert sum(len(protocols) for _, protocols, _ in calls) == 13
+    for _, protocols, code in calls:
+        assert len(protocols) * n <= cap
+        if isinstance(code, ms.RandomLinear):
+            assert len(code.code_seed) == len(protocols)
+            assert len(protocols) << code.k <= cap
+    assert max(len(protocols) for _, protocols, _ in calls) > 1

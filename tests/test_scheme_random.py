@@ -10,6 +10,7 @@ from markovsim.protocol import TransmitFn as Mu
 from markovsim.protocol import eval_fn_array
 from markovsim.vertical import (
     FnDescMode,
+    VerticalResult,
     functions_from_bits,
     offline_simulate,
     run_vertical_exchange,
@@ -83,6 +84,77 @@ def test_find_partition_invariants():
             # greedy: no stuck position was skippable before cur
             assert not any(prev + w <= q < cur for q in stuck)
         assert not any(q >= starts[-1] + w for q in stuck)
+
+
+def greedy_starts(f):
+    """Row-by-row reference: the greedy hops over one protocol's stuck
+    rounds, each to the first stuck round at least ceil(sqrt(n)) on."""
+    w = sr.ceil_isqrt(f.size)
+    stuck = np.flatnonzero(f >= 3) + 1
+    starts = [1]
+    while True:
+        i = np.searchsorted(stuck, starts[-1] + w)
+        if i == stuck.size:
+            return starts
+        starts.append(int(stuck[i]))
+
+
+@pytest.mark.parametrize("n", [1, 9, 256, 4096])
+def test_find_partition_batch_equals_rows(n):
+    rng = np.random.default_rng(n)
+    stuck = rng.integers(3, 5, (2, 400, n), dtype=np.uint8)
+    additive = rng.integers(1, 3, (2, 400, n), dtype=np.uint8)
+    share = rng.random((2, 400, n), dtype=np.float32)
+    batches = {
+        "uniform": rng.integers(1, 5, (2000, n), dtype=np.uint8),
+        "sparse": np.where(share[0] < 0.02, stuck[0], additive[0]),
+        "dense": np.where(share[1] < 0.9, stuck[1], additive[1]),
+    }
+    counts = set()
+    for name, batch in batches.items():
+        for lo in range(0, len(batch), 250):
+            chunk = batch[lo : lo + 250]
+            parts = sr.find_partition(chunk)
+            assert len(parts) == len(chunk)
+            for f, part in zip(chunk, parts):
+                assert part.starts.tolist() == greedy_starts(f), name
+                assert part.part_a_width == sr.ceil_isqrt(n)
+                counts.add(part.p)
+        # a lone protocol gives one Partition, the one its batch row gets
+        for f in batch[::25]:
+            lone = sr.find_partition(f)
+            assert isinstance(lone, sr.Partition)
+            assert lone.starts.tolist() == greedy_starts(f)
+    assert len(counts) > (n > 1)  # the batches mix block counts
+
+
+def test_partition_steps_take_a_batch():
+    # a batch of partitions with one block count: the message, the layout
+    # and the padded length of each row are those of the row alone
+    n, w = 64, 8
+    parts = [q for q in sr.find_partition(
+        np.random.default_rng(14).integers(1, 5, (300, n), dtype=np.uint8)) if q.p == 8]
+    batch = sr.Partition(np.stack([q.starts for q in parts]), w)
+    n_pad = sr._padded_len(batch, n)
+    assert len(set(n_pad.tolist())) > 1
+    width = int(n_pad.max())
+    enc = sr.encode_partition(batch, n)
+    a_idx, b_idx = sr.split_parts(batch, width)
+    for t, q in enumerate(parts):
+        assert enc[t].tolist() == sr.encode_partition(q, n).tolist()
+        assert n_pad[t] == sr._padded_len(q, n)
+        a_row, b_row = sr.split_parts(q, width)
+        assert a_idx[t].tolist() == a_row.tolist() and b_idx[t].tolist() == b_row.tolist()
+        # laid out over the batch's width, a row's own Part B comes first
+        assert b_row[: n_pad[t] - 8 * w].tolist() == sr.split_parts(q, n_pad[t])[1].tolist()
+
+
+def test_scheme1_batch_needs_one_block_count():
+    rng = np.random.default_rng(15)
+    f = np.stack([fns_with_stuck_at(16, [], rng), fns_with_stuck_at(16, [9], rng)])
+    p = ms.Protocol(f, rng.integers(1, 5, (2, 16)))
+    with pytest.raises(ValueError, match="one block count"):
+        sr.run_scheme1(p, ms.ChannelPair(0.0, [1, 2]), ms.Identity())
 
 
 def test_partition_message_lengths():
@@ -185,14 +257,21 @@ def test_part_b_matches_per_segment_reference(monkeypatch):
     both parties' Part A, as the vertical exchange recorded it."""
     sent, columns = {}, []
 
-    def recording_send(ch, code, ledger, payload, direction, stage, index=1):
-        got = send(ch, code, ledger, payload, direction, stage, index)
-        sent[stage] = (payload.copy(), got)
+    # run_scheme1 runs a lone protocol as a batch of one: record that row,
+    # cut to its own length
+    def recording_send(ch, code, ledger, payload, direction, stage, index=1, lengths=None):
+        got = send(ch, code, ledger, payload, direction, stage, index, lengths)
+        size = payload.shape[-1] if lengths is None else lengths[0]
+        sent[stage] = (payload[0, :size].copy(), got[0, :size])
         return got
 
     def recording_exchange(*args, **kwargs):
-        columns.append(run_vertical_exchange(*args, **kwargs))
-        return columns[-1]
+        res = run_vertical_exchange(*args, **kwargs)
+        columns.append(VerticalResult(
+            res.alice_a[0], res.alice_b[0], res.bob_a[0], res.bob_b[0],
+            res.bob_tail[0, : kwargs["tail_lengths"][0]],
+        ))
+        return res
 
     monkeypatch.setattr(sr, "send", recording_send)
     monkeypatch.setattr(sr, "run_vertical_exchange", recording_exchange)

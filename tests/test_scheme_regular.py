@@ -19,9 +19,9 @@ class RecordingChannel(ms.ChannelPair):
         super().__init__(epsilon, noise_seed)
         self.sent = []
 
-    def transmit(self, direction, bits, ledger):
+    def transmit(self, direction, bits, ledger, uses=None):
         self.sent.append(np.asarray(bits, np.uint8).copy())
-        return super().transmit(direction, bits, ledger)
+        return super().transmit(direction, bits, ledger, uses)
 
 
 def last_b_oracle(f_block, g_block, prev_b):

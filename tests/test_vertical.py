@@ -16,9 +16,9 @@ class RecordingChannel(ms.ChannelPair):
         super().__init__(epsilon, noise_seed)
         self.sent = []
 
-    def transmit(self, direction, bits, ledger):
+    def transmit(self, direction, bits, ledger, uses=None):
         self.sent.append((direction, np.asarray(bits, np.uint8).copy()))
-        return super().transmit(direction, bits, ledger)
+        return super().transmit(direction, bits, ledger, uses)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +141,44 @@ def test_exchange_noiseless_equals_per_row_chains():
             for a, b in ((res.alice_a, res.alice_b), (res.bob_a, res.bob_b)):
                 assert np.array_equal(a[r], want.a)
                 assert np.array_equal(b[r], want.b)
+
+
+@pytest.mark.parametrize("family", ["identity", "rep3", "rlc"])
+def test_ragged_send_equals_lone_sends(family):
+    # a fixed-size message and a ragged one each way, at eps 0.2 so decodes
+    # miss; rows of lengths 0, 5, 13, 9 and 3, 0, 11, 6, which k = 4 mostly
+    # does not divide.  Each row must put on the wire, decode, spend, profile
+    # and log what it would alone, on its own prefix; the payload past it is
+    # junk, which send must zero so that a last partial block codes as alone
+    seeds, code_seeds = [11, 12, 13, 14], [5, 6, 7, 8]
+    codes = {"identity": ms.Identity(), "rep3": ms.Repetition(3)}
+    code = codes.get(family, ms.RandomLinear(4, Fraction(1, 2), tuple(code_seeds)))
+    rng = np.random.default_rng(3)
+    messages = [  # (direction, stage, payload, lengths)
+        (ms.Direction.A_TO_B, "fixed_a", rng.integers(0, 2, (4, 6)), None),
+        (ms.Direction.A_TO_B, "ragged_a", rng.integers(0, 2, (4, 13)), np.array([0, 5, 13, 9])),
+        (ms.Direction.B_TO_A, "fixed_b", rng.integers(0, 2, (4, 7)), None),
+        (ms.Direction.B_TO_A, "ragged_b", rng.integers(0, 2, (4, 11)), np.array([3, 0, 11, 6])),
+    ]
+    ch, led = RecordingChannel(0.2, seeds), ms.UsageLedger(decode_log=[[] for _ in seeds])
+    got = [vertical.send(ch, code, led, payload.astype(np.uint8), direction, stage, 1, lengths)
+           for direction, stage, payload, lengths in messages]
+    past = 0  # rows whose decode past their own length reads nonzero
+    for t, seed in enumerate(seeds):
+        lone_code = codes.get(family, ms.RandomLinear(4, Fraction(1, 2), code_seeds[t]))
+        lone_ch, lone_led = RecordingChannel(0.2, seed), ms.UsageLedger()
+        for i, ((direction, stage, payload, lengths), batch_got) in enumerate(zip(messages, got)):
+            size = payload.shape[1] if lengths is None else lengths[t]
+            want = vertical.send(lone_ch, lone_code, lone_led,
+                                 payload[t, :size].astype(np.uint8), direction, stage)
+            wire = lone_ch.sent[i][1]
+            assert ch.sent[i][1][t, : wire.size].tolist() == wire.tolist(), (stage, t)
+            assert batch_got[t, :size].tolist() == want.tolist(), (stage, t)
+            past += batch_got[t, size:].any()
+        assert led.row(t) == lone_led, t
+        assert all(type(v) is int for v in (led.row(t).uses_ab, led.row(t).uses_ba))
+    # misses were logged, and noise past the prefixes was read but not logged
+    assert any(led.decode_log) and past
 
 
 def test_exchange_ledger_and_profile_accounting():
