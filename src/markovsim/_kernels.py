@@ -1,4 +1,5 @@
-"""The two hot loops, in numpy: chain evaluation and packed ML search.
+"""The hot loops, in numpy: chain evaluation, packed ML search, and the
+certified shortcut in front of that search.
 
 ``markov_chain`` computes every view that is a whole chain: the noiseless
 reference, Bob's view in the baseline and in scheme1 (whose Part A rounds
@@ -6,14 +7,22 @@ enter as stuck codes that replay the bits he decoded), and scheme2's block
 ends.  Views that are read off received bits, such as Alice's, need no chain:
 each A bit is one ``eval_fn_array`` of the B bit before it.
 
-Both take a leading trial axis: ``markov_chain`` runs one chain per row of a
+All take a leading trial axis: ``markov_chain`` runs one chain per row of a
 ``(T, n)`` batch, and the ML search takes every received sub-block of a
 message, for every trial of a batch, against each trial's own codebook.  It
 works through them in chunks of bounded size, so a message costs one call
 whatever its length and however many trials carry it.
 
-Per-layer timings of both kernels are reported by the benchmark in
-``perfbench/`` as ``kernels.markov_chain.*`` and ``kernels.ml_decode_index.*``.
+``ml_decode_index`` is the one exhaustive search.  ``certified_index`` is
+not a search: it tries one candidate per information set of each code and
+certifies a sub-block when a candidate lies within t = ⌊(d_min − 1)/2⌋ of
+it.  ``coding.decode_payload`` sends the sub-blocks it cannot certify to
+the search.
+
+Per-layer timings of ``markov_chain`` and ``ml_decode_index`` are reported
+by the benchmark in ``perfbench/`` as ``kernels.markov_chain.*`` and
+``kernels.ml_decode_index.*``; the certified pass is not traced on its own,
+so its time shows as ``coding.decode_payload`` self time.
 """
 
 from __future__ import annotations
@@ -82,6 +91,16 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 _CHUNK_ENTRIES = 1 << 16
 
 
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamming distance between packed rows along the last axis, broadcast."""
+    d = np.bitwise_count(a[..., 0] ^ b[..., 0])
+    if a.shape[-1] > 1:  # one word's distance, at most 64, fits the uint8
+        d = d.astype(np.uint32)
+        for w in range(1, a.shape[-1]):
+            d += np.bitwise_count(a[..., w] ^ b[..., w])
+    return d
+
+
 def ml_decode_index(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
     """Index of the packed codebook row nearest in Hamming distance to each
     received sub-block.  Ties go to the lowest index.
@@ -94,7 +113,7 @@ def ml_decode_index(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
     """
     books = codebook if codebook.ndim == 3 else codebook[None]
     rx = received if received.ndim == 3 else received[None]
-    trials, blocks, words = rx.shape
+    trials, blocks = rx.shape[:2]
     rows = books.shape[1]
     out = np.empty((trials, blocks), np.int64)
     # a chunk is up to tstep trials x bstep sub-blocks of each
@@ -103,11 +122,49 @@ def ml_decode_index(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
     for t in range(0, trials, tstep):
         cb = books[t : t + tstep, None] if len(books) > 1 else books[:, None]
         for b in range(0, blocks, bstep):
-            blk = rx[t : t + tstep, b : b + bstep, None]
-            d = np.bitwise_count(blk[..., 0] ^ cb[..., 0])
-            if words > 1:  # one word's distance, at most 64, fits the uint8
-                d = d.astype(np.uint32)
-                for w in range(1, words):
-                    d += np.bitwise_count(blk[..., w] ^ cb[..., w])
+            d = _distance(rx[t : t + tstep, b : b + bstep, None], cb)
             out[t : t + tstep, b : b + bstep] = d.argmin(axis=-1)
     return out.reshape(received.shape[:-1])
+
+
+def certified_index(codebook, bits, received, positions, rows, radius):
+    """Bounded-distance decoding from information sets, where it is provably
+    ML: the candidate index of each received sub-block, and whether it is
+    certified.
+
+    codebook and received (packed) are shaped as for ``ml_decode_index``,
+    with a leading trial axis; bits is received unpacked, ``(T, blocks,
+    nc)``.  positions and rows are ``(codes, k, sets)``: set s of a code
+    holds k columns I and the rows of G_I⁻¹ as info indices.  radius is
+    t = ⌊(d_min − 1)/2⌋ per code.  A candidate is x = y_I · G_I⁻¹, and it is
+    certified when d(y, xG) ≤ t: then xG is the unique nearest codeword, so
+    x is exactly what ``ml_decode_index`` returns.  Returns (int64 index,
+    bool certified), each ``(T, blocks)``; an index that is not certified is
+    meaningless.
+    """
+    trials, blocks = received.shape[:2]
+    codes, k, sets = positions.shape
+    out = np.empty((trials, blocks), np.int64)
+    hit = np.empty((trials, blocks), bool)
+    # a chunk gathers up to _CHUNK_ENTRIES received bits
+    bstep = max(1, min(blocks, _CHUNK_ENTRIES // (k * sets)))
+    tstep = max(1, _CHUNK_ENTRIES // (k * sets * bstep))
+    pos = positions.reshape(codes, k * sets)
+    for t in range(0, trials, tstep):
+        c = slice(t, t + tstep) if codes > 1 else slice(0, 1)
+        inv = rows[c, None]
+        cb = np.arange(t, t + len(inv))[:, None, None] if codes > 1 else 0
+        for b in range(0, blocks, bstep):
+            # one gather per trial: a shared index is numpy's fast path
+            y = np.stack([bits[i, b : b + bstep][:, pos[i % codes]]
+                          for i in range(t, min(t + tstep, trials))])
+            y = y.reshape(y.shape[:-1] + (k, sets))
+            x = np.zeros(y.shape[:-2] + (sets,), rows.dtype)
+            for r in range(k):
+                x ^= y[..., r, :] * inv[..., r, :]
+            d = _distance(codebook[cb, x], received[t : t + tstep, b : b + bstep, None])
+            ok = d <= radius[c, None, None]
+            hit[t : t + tstep, b : b + bstep] = ok.any(axis=-1)
+            # every certified set found the same x, and the rest count as 0
+            out[t : t + tstep, b : b + bstep] = (x * ok).max(axis=-1)
+    return out, hit

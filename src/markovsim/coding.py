@@ -3,10 +3,10 @@
 Three code families share one encoder, encode_payload, and one decoder,
 decode_payload: identity (no protection), odd-length repetition with majority
 decoding, and seeded random linear codes with exact maximum-likelihood
-decoding.  ML search is exhaustive over the codebook, so random-linear info
-blocks are capped at ML_SEARCH_CAP bits; longer payloads are split into
-consecutive sub-blocks, and the union-bound accounting treats the sub-blocks
-as additional independent blocks.
+decoding.  Exact ML rests on an exhaustive search of the codebook, so
+random-linear info blocks are capped at ML_SEARCH_CAP bits; longer payloads
+are split into consecutive sub-blocks, and the union-bound accounting treats
+the sub-blocks as additional independent blocks.
 
 A random-linear code is held as its packed codebook, every codeword in
 info-word order, built once per code object.  A spec whose seed is a tuple
@@ -14,7 +14,14 @@ holds one drawn code per trial of a batch, as one stacked codebook.  Payloads
 carry a leading trial axis, ``(T, L)``, and row t is coded with code t.
 Encoding looks the sub-blocks' codewords up in the codebooks; decoding
 searches them for all sub-blocks of a message, over all trials, in one
-batched kernel call.
+batched kernel call.  A message of more sub-blocks per trial than one search
+chunk holds first goes through a certified shortcut: each of a few
+information sets of the code gives one candidate codeword, which is the ML
+answer for certain when it lies within ⌊(d_min − 1)/2⌋ of the received
+sub-block.  The sub-blocks that no candidate certifies go through the
+exhaustive search in one call, so every answer, ties included, is the
+search's.  Smaller messages, such as the schemes' per-column ones, skip the
+shortcut: its set-up and pass cost more than their search.
 
 Exponent conventions: rates and gallager_e0 / gallager_exponent values are in
 bits.  The block-error bound for l independently coded blocks of b info bits
@@ -36,6 +43,9 @@ from . import _kernels
 from .bits import bits_to_ints, ints_to_bits
 
 ML_SEARCH_CAP = 20
+
+# information sets per random linear code for the certified shortcut
+_INFO_SETS = 4
 
 
 @dataclass(frozen=True)
@@ -94,6 +104,59 @@ class RandomLinear:
             cb = np.concatenate([cb, cb ^ gp[:, self.k - 1 - s, None]], axis=1)
         cb.flags.writeable = False
         return cb
+
+    @functools.cached_property
+    def info_sets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per code, _INFO_SETS information sets and the radius within which
+        a codeword is the unique nearest one, for ``_kernels.certified_index``.
+
+        Returns (positions, rows, radius).  positions and rows are
+        ``(codes, k, sets)``: entry [c, r, s] is the column of set s that
+        pivots on row r, and that row of G_I⁻¹ as an info index, so that
+        y_I · G_I⁻¹ is the XOR of the rows at y's ones on I.  radius is
+        t = ⌊(d_min − 1)/2⌋ per code, with d_min the least weight of a
+        codeword of a nonzero info word.  A singular G has d_min = 0 and
+        t = −1, so nothing is certified, and its rows are never read.
+
+        Set s takes the first k independent columns from column s·nc/sets
+        on, cyclically.  Gauss-Jordan runs on all codes and sets at once:
+        rows of G_I⁻¹ start as the identity, and each column is reduced by
+        them before it is taken as a pivot or skipped as dependent.
+        """
+        k, nc = self.k, self.nc
+        books = self.codebooks
+        dtype = np.uint16 if k <= 16 else np.uint32
+        unit = (1 << np.arange(k - 1, -1, -1)).astype(dtype)
+        # G's rows are the codewords of the unit info words
+        g = np.unpackbits(books[:, unit].view(np.uint8), axis=-1, count=nc,
+                          bitorder="little")
+        columns = (g.astype(dtype) * unit[:, None]).sum(axis=1, dtype=dtype)
+        order = (np.arange(_INFO_SETS)[:, None] * nc // _INFO_SETS + np.arange(nc)) % nc
+        columns = columns[:, None, order]  # (codes, 1, sets, nc): each set's order
+        shape = (len(books), k, _INFO_SETS)
+        rows = np.broadcast_to(unit[:, None], shape).copy()
+        positions = np.zeros(shape, np.intp)
+        free = np.ones(shape, bool)
+        for j in range(nc):
+            # the column reduced by the rows so far, one bit per row
+            v = (np.bitwise_count(rows & columns[..., j]) & 1).astype(bool)
+            # the first free row the column reaches, if any; none leaves the
+            # rows as they are
+            reach = v & free
+            pivot = (np.arange(k)[:, None] == reach.argmax(axis=1)[:, None]) & reach
+            rows ^= (v ^ pivot) * (rows * pivot).max(axis=1, keepdims=True)
+            positions = np.where(pivot, order[:, j], positions)
+            free ^= pivot
+            if not free.any():
+                break
+        # d_min over as many codebooks at a time as one search chunk holds
+        step = max(1, _kernels._CHUNK_ENTRIES >> k)
+        d_min = np.concatenate([
+            np.bitwise_count(books[c : c + step, 1:])
+            .sum(axis=-1, dtype=np.min_scalar_type(nc)).min(axis=1)
+            for c in range(0, len(books), step)
+        ])
+        return positions, rows, (d_min.astype(np.int64) - 1) // 2
 
 
 CodeSpec = Union[Identity, Repetition, RandomLinear]
@@ -176,9 +239,23 @@ def decode_payload(code: CodeSpec, received, info_len: int) -> np.ndarray:
         return (votes > code.r // 2).astype(np.uint8)
     if info_len == 0:
         return np.empty(received.shape[:-1] + (0,), np.uint8)
-    packed = _kernels.pack_bits(received.reshape(-1, code.nc))
-    packed = packed.reshape(received.shape[:-1] + (-1, packed.shape[-1]))
-    info = _kernels.ml_decode_index(_rlc_books(code, received), packed)
+    books = _rlc_books(code, received)
+    bits = received.reshape(-1, received.shape[-1] // code.nc, code.nc)
+    packed = _kernels.pack_bits(bits.reshape(-1, code.nc))
+    packed = packed.reshape(bits.shape[:-1] + packed.shape[-1:])
+    # the shortcut pays once a message outgrows one search chunk per trial
+    if bits.shape[1] <= _kernels._CHUNK_ENTRIES >> code.k:
+        info = _kernels.ml_decode_index(books, packed)
+    else:
+        info, hit = _kernels.certified_index(books, bits, packed, *code.info_sets)
+        # each row's uncertified sub-blocks, moved to the front and padded
+        rows, cols = np.nonzero(~hit)
+        if rows.size:
+            slot = (np.cumsum(~hit, axis=1) - 1)[rows, cols]
+            misses = np.zeros((len(hit), slot.max() + 1, packed.shape[-1]), np.uint64)
+            misses[rows, slot] = packed[rows, cols]
+            info[rows, cols] = _kernels.ml_decode_index(books, misses)[rows, slot]
+    info = info.reshape(received.shape[:-1] + info.shape[-1:])
     return ints_to_bits(info, code.k)[..., :info_len]
 
 

@@ -82,9 +82,12 @@ class ExperimentConfig:
             object.__setattr__(self, "n_values", (lengths.pop(),))
         if min(self.n_values) < 1:
             raise ValueError("protocol lengths must be at least 1")
-        if self.m_override is not None and self.scheme != "scheme2":
-            raise ValueError("--m-override sets scheme2's block length; "
-                             f"{self.scheme} has none")
+        _check_m_override(self.scheme, self.m_override)
+
+
+def _check_m_override(scheme: str, m_override: Optional[int]) -> None:
+    if m_override is not None and scheme != "scheme2":
+        raise ValueError(f"--m-override sets scheme2's block length; {scheme} has none")
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,8 @@ def run_batch(
     """Run trials of one length together: trial t on protocols[t] with noise
     seed noise_seeds[t], and with code t when the code's seed is a tuple.
     Returns one report per trial.  scheme1's protocols must share one block
-    count."""
+    count, and only scheme2 takes m_override."""
+    _check_m_override(scheme, m_override)
     p = Protocol(np.stack([q.f for q in protocols]), np.stack([q.g for q in protocols]))
     ch = ChannelPair(eps, noise_seeds)
     if scheme == "baseline":

@@ -7,7 +7,8 @@ import pytest
 from scipy import optimize, stats
 
 import markovsim as ms
-from markovsim import coding
+from markovsim import _kernels, coding
+from markovsim.bits import ints_to_bits
 
 
 def test_identity_round_trip():
@@ -220,6 +221,159 @@ def test_rlc_batch_rows_use_their_own_codes():
                 assert np.array_equal(got[t], ms.decode_payload(lone, noisy[t], length))
     with pytest.raises(ValueError):
         ms.encode_payload(stacked, np.zeros((2, 6), np.uint8))
+
+
+def test_rlc_certified_decode_memory_stays_bounded(shortcut_calls):
+    # a stacked k=16 batch: every message of two or more sub-blocks takes the
+    # shortcut, and its set-up, counted here, and its fallback stay in bound
+    code = ms.RandomLinear(16, Fraction(1, 4), tuple(range(9, 13)))
+    rng = np.random.default_rng(16)
+    received = _noisy(code, rng, (4, 16 * 64), 0.05)
+    tracemalloc.start()
+    try:
+        got = ms.decode_payload(code, received, 16 * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(shortcut_calls) == 1 and not shortcut_calls[0].all()
+    assert np.array_equal(got, _exhaustive(code, received, 16 * 64))
+    assert peak < 2 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the certified shortcut in front of the exhaustive search
+
+
+@pytest.fixture
+def shortcut_calls(monkeypatch):
+    """The certified mask of every certified_index call decode_payload makes."""
+    calls = []
+    real = _kernels.certified_index
+
+    def spy(*args):
+        info, hit = real(*args)
+        calls.append(hit)
+        return info, hit
+
+    monkeypatch.setattr(_kernels, "certified_index", spy)
+    return calls
+
+
+def _noisy(code, rng, shape, eps):
+    coded = ms.encode_payload(code, rng.integers(0, 2, shape).astype(np.uint8))
+    return coded ^ (rng.random(coded.shape) < eps).astype(np.uint8)
+
+
+def _exhaustive(code, received, info_len):
+    """decode_payload's answer from the exhaustive kernel alone."""
+    rx = received.reshape(-1, received.shape[-1] // code.nc, code.nc)
+    packed = _kernels.pack_bits(rx.reshape(-1, code.nc)).reshape(rx.shape[:-1] + (-1,))
+    info = ints_to_bits(_kernels.ml_decode_index(code.codebooks, packed), code.k)
+    return info.reshape(received.shape[:-1] + (-1,))[..., :info_len]
+
+
+def _singular(code):
+    """Per code of a spec, whether two info words share a codeword."""
+    return [len(np.unique(book, axis=0)) < len(book) for book in code.codebooks]
+
+
+@pytest.mark.parametrize(
+    "k, rate, codes, rounds, shared",
+    [
+        # the harness's code, one per trial, and one code shared by all rows
+        (12, Fraction(1, 4), 8, 5, False),
+        (12, Fraction(1, 4), 3, 5, True),
+        # rate 1/2 at eps 0.1: many fallback blocks are ties
+        (8, Fraction(1, 2), 4, 5, False),
+        # two words a codeword; every message takes the shortcut
+        (20, Fraction(1, 4), 2, 1, False),
+        # d_min <= 1, often a singular G: t is 0 or -1
+        (3, Fraction(1), 4, 10, False),
+        # a (6, 4) code has d_min <= 2: t is 0 or -1
+        (4, Fraction(2, 3), 4, 10, False),
+    ],
+)
+def test_certified_decode_equals_exhaustive_search(shortcut_calls, k, rate, codes, rounds, shared):
+    rng = np.random.default_rng(k * 10 + codes)
+    # a message of more sub-blocks than this a row takes the shortcut
+    rule = _kernels._CHUNK_ENTRIES >> k
+    lengths = [n for n in (rule * k, rule * k + 1, (rule + 40) * k - 5) if n > 0]
+    if k == 20:
+        lengths = [k, 3 * k - 7]
+    eps_values = (0, 0.02, 0.05, 0.1, 0.2, 0.4) if k < 20 else (0, 0.02, 0.1, 0.4)
+    radii, singular, ties, certified, fell_back = set(), 0, 0, 0, 0
+    for _ in range(rounds):
+        seeds = tuple(int(s) for s in rng.integers(0, 2**31, codes))
+        code = ms.RandomLinear(k, rate, seeds[0] if shared else seeds)
+        radii |= set(code.info_sets[2].tolist())
+        singular += sum(_singular(code))
+        for eps in eps_values:
+            for length in lengths:
+                received = _noisy(code, rng, (codes, length), eps)
+                before = len(shortcut_calls)
+                got = ms.decode_payload(code, received, length)
+                assert np.array_equal(got, _exhaustive(code, received, length))
+                shortcut = -(-length // k) > rule
+                assert len(shortcut_calls) == before + shortcut
+                if shortcut:
+                    certified += int(shortcut_calls[-1].sum())
+                    fell_back += int((~shortcut_calls[-1]).sum())
+                if shared:  # a 1-D payload, row by row
+                    for row in received:
+                        want = _exhaustive(code, row, length)
+                        assert np.array_equal(ms.decode_payload(code, row, length), want)
+                if k == 8 and eps == 0.1:
+                    rx = received.reshape(codes, -1, code.nc)
+                    packed = _kernels.pack_bits(rx.reshape(-1, code.nc))
+                    d = np.bitwise_count(
+                        packed.reshape(codes, -1, 1) ^ code.codebooks[:, None, :, 0])
+                    ties += int(((d == d.min(axis=-1, keepdims=True)).sum(-1) > 1).sum())
+    assert certified > 0 and fell_back > 0
+    if k == 3:
+        assert {-1, 0} <= radii and singular > 0
+    if k == 4:
+        assert 0 in radii and max(radii) == 0
+    if k == 8:
+        assert ties > 100
+
+
+def test_info_sets_invert_g_on_their_columns():
+    seeds = tuple(range(40))
+    seen_singular = 0
+    for k, rate in ((1, Fraction(1, 2)), (3, Fraction(1)), (4, Fraction(2, 3)),
+                    (8, Fraction(1, 2)), (12, Fraction(1, 4))):
+        code = ms.RandomLinear(k, rate, seeds)
+        positions, rows, radius = code.info_sets
+        assert positions.shape == rows.shape == (len(seeds), k, coding._INFO_SETS)
+        # every y_I, and every info word, MSB first
+        words = ((np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
+        for c, seed in enumerate(seeds):
+            G = coding._rlc_matrix(k, code.nc, seed)
+            d_min = int(((words[1:] @ G) % 2).sum(axis=1).min())
+            assert radius[c] == (d_min - 1) // 2
+            if d_min == 0:  # singular: no information set, and t = -1
+                seen_singular += 1
+                continue
+            for s in range(coding._INFO_SETS):
+                cols = positions[c, :, s]
+                assert len(set(cols.tolist())) == k and 0 <= cols.min() and cols.max() < code.nc
+                x = np.bitwise_xor.reduce(words * rows[c, :, s], axis=1)
+                xbits = (x[:, None] >> np.arange(k - 1, -1, -1)) & 1
+                assert np.array_equal((xbits @ G % 2)[:, cols], words)
+    assert seen_singular > 0
+
+
+def test_singular_generator_certifies_no_block():
+    code = ms.RandomLinear(3, Fraction(1), tuple(range(40)))
+    singular = np.flatnonzero(_singular(code))
+    assert singular.size > 0
+    # every received word, exact codewords among them, for every singular code
+    words = ((np.arange(8)[:, None] >> np.arange(3)) & 1).astype(np.uint8)
+    bits = np.broadcast_to(words, (40, 8, 3))
+    packed = _kernels.pack_bits(bits.reshape(-1, 3)).reshape(40, 8, 1)
+    info, hit = _kernels.certified_index(code.codebooks, bits, packed, *code.info_sets)
+    assert not hit[singular].any()
+    assert hit[~np.isin(np.arange(40), singular)].any()
 
 
 def test_repetition_reliability_matches_binomial_and_is_monotone():

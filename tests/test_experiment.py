@@ -256,6 +256,16 @@ def test_cli_rejects_m_override_outside_scheme2(monkeypatch, capsys, scheme):
         ExperimentConfig((16,), (0.0,), scheme, "identity", 1, m_override=3)
 
 
+@pytest.mark.parametrize("scheme", ["baseline", "scheme1"])
+def test_run_trial_rejects_m_override_outside_scheme2(scheme):
+    protocol = ms.gen_uniform_protocol(16, 1)
+    message = f"--m-override sets scheme2's block length; {scheme} has none"
+    with pytest.raises(ValueError, match=message):
+        run_trial(scheme, protocol, 0.0, ms.Identity(), 0, m_override=3)
+    assert run_trial(scheme, protocol, 0.0, ms.Identity(), 0).ok
+    assert run_trial("scheme2", protocol, 0.0, ms.Identity(), 0, m_override=3).ok
+
+
 def test_cli_m_override(capsys):
     rc, out, _ = run_cli(
         ["--n", "16", "--scheme", "scheme2", "--m-override", "4", "--trials", "3"],
