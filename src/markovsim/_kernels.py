@@ -105,22 +105,24 @@ def ml_decode_index(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
     """Index of the packed codebook row nearest in Hamming distance to each
     received sub-block.  Ties go to the lowest index.
 
-    codebook: ``(rows, words)``, or a ``(T, rows, words)`` stack with one
-    codebook per trial (a stack of one is shared by all trials).  received:
-    ``(blocks, words)``, or ``(T, blocks, words)`` with trial t searched in
-    its own codebook.  Returns one int64 index per sub-block, shaped like
-    ``received`` without its last axis.
+    received: ``(blocks, words)``, or ``(T, blocks, words)`` with trial t
+    searched in its own codebook.  codebook: ``(rows, words)`` or a
+    ``(1, rows, words)`` stack, shared by all trials, or a ``(T, rows,
+    words)`` stack with one per trial.  Returns one int64 index per
+    sub-block, shaped like ``received`` without its last axis.
     """
-    books = codebook if codebook.ndim == 3 else codebook[None]
     rx = received if received.ndim == 3 else received[None]
     trials, blocks = rx.shape[:2]
-    rows = books.shape[1]
+    rows = codebook.shape[-2]
+    shape = (trials,) + codebook.shape[-2:]
+    # np.broadcast_to costs µs a call, so only a shared codebook takes it
+    books = codebook if codebook.shape == shape else np.broadcast_to(codebook, shape)
     out = np.empty((trials, blocks), np.int64)
     # a chunk is up to tstep trials x bstep sub-blocks of each
     bstep = max(1, min(blocks, _CHUNK_ENTRIES // rows))
     tstep = max(1, _CHUNK_ENTRIES // (rows * bstep))
     for t in range(0, trials, tstep):
-        cb = books[t : t + tstep, None] if len(books) > 1 else books[:, None]
+        cb = books[t : t + tstep, None]
         for b in range(0, blocks, bstep):
             d = _distance(rx[t : t + tstep, b : b + bstep, None], cb)
             out[t : t + tstep, b : b + bstep] = d.argmin(axis=-1)
@@ -132,31 +134,31 @@ def certified_index(codebook, bits, received, positions, rows, radius):
     ML: the candidate index of each received sub-block, and whether it is
     certified.
 
-    codebook and received (packed) are shaped as for ``ml_decode_index``,
-    with a leading trial axis; bits is received unpacked, ``(T, blocks,
-    nc)``.  positions and rows are ``(codes, k, sets)``: set s of a code
-    holds k columns I and the rows of G_I⁻¹ as info indices.  radius is
-    t = ⌊(d_min − 1)/2⌋ per code.  A candidate is x = y_I · G_I⁻¹, and it is
-    certified when d(y, xG) ≤ t: then xG is the unique nearest codeword, so
-    x is exactly what ``ml_decode_index`` returns.  Returns (int64 index,
-    bool certified), each ``(T, blocks)``; an index that is not certified is
-    meaningless.
+    Everything is per trial.  codebook is ``(T, 2**k, words)``, received is
+    packed ``(T, blocks, words)`` and bits is received unpacked, ``(T,
+    blocks, nc)``.  positions and rows are ``(T, k, sets)``: set s of a
+    trial's code holds k columns I and the rows of G_I⁻¹ as info indices.
+    radius is t = ⌊(d_min − 1)/2⌋ per trial.  A candidate is
+    x = y_I · G_I⁻¹, and it is certified when d(y, xG) ≤ t: then xG is the
+    unique nearest codeword, so x is exactly what ``ml_decode_index``
+    returns.  Returns (int64 index, bool certified), each ``(T, blocks)``;
+    an index that is not certified is meaningless.
     """
     trials, blocks = received.shape[:2]
-    codes, k, sets = positions.shape
+    k, sets = positions.shape[1:]
     out = np.empty((trials, blocks), np.int64)
     hit = np.empty((trials, blocks), bool)
     # a chunk gathers up to _CHUNK_ENTRIES received bits
     bstep = max(1, min(blocks, _CHUNK_ENTRIES // (k * sets)))
     tstep = max(1, _CHUNK_ENTRIES // (k * sets * bstep))
-    pos = positions.reshape(codes, k * sets)
+    pos = positions.reshape(trials, k * sets)
     for t in range(0, trials, tstep):
-        c = slice(t, t + tstep) if codes > 1 else slice(0, 1)
+        c = slice(t, t + tstep)
         inv = rows[c, None]
-        cb = np.arange(t, t + len(inv))[:, None, None] if codes > 1 else 0
+        cb = np.arange(t, t + len(inv))[:, None, None]
         for b in range(0, blocks, bstep):
             # one gather per trial: a shared index is numpy's fast path
-            y = np.stack([bits[i, b : b + bstep][:, pos[i % codes]]
+            y = np.stack([bits[i, b : b + bstep][:, pos[i]]
                           for i in range(t, min(t + tstep, trials))])
             y = y.reshape(y.shape[:-1] + (k, sets))
             x = np.zeros(y.shape[:-2] + (sets,), rows.dtype)

@@ -9,9 +9,8 @@ keeps whole runs bit-reproducible.
 A channel pair may carry a batch of trials at once: it then holds one noise
 seed per row, and each transmit() sends a ``(T, L)`` array whose row t sees
 exactly the noise that a lone pair seeded with seed t would add.  All rows
-advance together, so a message charges its L uses to the ledger once; a
-ragged message, which is the last a batch sends in its direction, charges
-each row its own count.
+advance together; a message charges each row L uses, and a ragged message,
+which is the last a batch sends in its direction, each row its own count.
 """
 
 from __future__ import annotations
@@ -50,10 +49,9 @@ class UsageLedger:
     computed from; the info-bit size of every coded block sent, which the
     union-bound accounting consumes; and every decode that missed.
 
-    A batch's decode_log holds one list per trial.  While the trials send
-    messages of the same sizes they share the counts and the profile; after
-    split_rows (for a ragged message) the counts are int64 arrays and the
-    profile is a list of lists, one entry per trial."""
+    A batch's ledger (``vertical.new_ledger``) holds one row per trial: int64
+    arrays of counts, and one profile list and one decode_log list per row.
+    row(t) reads trial t's own record."""
 
     uses_ab: int = 0
     uses_ba: int = 0
@@ -64,23 +62,8 @@ class UsageLedger:
     def total(self) -> int:
         return self.uses_ab + self.uses_ba
 
-    @property
-    def per_row(self) -> bool:
-        return isinstance(self.uses_ab, np.ndarray)
-
-    def split_rows(self) -> None:
-        """Give each trial of a batch its own counts and profile, starting
-        from the shared ones."""
-        if not self.per_row:
-            rows = len(self.decode_log)
-            self.uses_ab = np.full(rows, self.uses_ab, np.int64)
-            self.uses_ba = np.full(rows, self.uses_ba, np.int64)
-            self.block_profile = [list(self.block_profile) for _ in range(rows)]
-
     def row(self, t: int) -> UsageLedger:
         """Trial t's own ledger, with plain int counts."""
-        if not self.per_row:
-            return UsageLedger(self.uses_ab, self.uses_ba, self.block_profile, self.decode_log[t])
         return UsageLedger(
             int(self.uses_ab[t]), int(self.uses_ba[t]), self.block_profile[t], self.decode_log[t]
         )

@@ -82,6 +82,9 @@ class RandomLinear:
             raise ValueError(f"info block length must lie in 1..{ML_SEARCH_CAP}")
         if not 0 < self.rate <= 1:
             raise ValueError("code rate must lie in (0, 1]")
+        for seed in self.code_seed if isinstance(self.code_seed, tuple) else (self.code_seed,):
+            if seed is not None and seed < 0:
+                raise ValueError(f"code seed must be non-negative, got {seed}")
 
     @functools.cached_property
     def nc(self) -> int:
@@ -247,7 +250,10 @@ def decode_payload(code: CodeSpec, received, info_len: int) -> np.ndarray:
     if bits.shape[1] <= _kernels._CHUNK_ENTRIES >> code.k:
         info = _kernels.ml_decode_index(books, packed)
     else:
-        info, hit = _kernels.certified_index(books, bits, packed, *code.info_sets)
+        tables = books, *code.info_sets
+        if len(books) != len(bits):  # a shared code's tables, viewed once per trial
+            tables = [np.broadcast_to(a, (len(bits),) + a.shape[1:]) for a in tables]
+        info, hit = _kernels.certified_index(tables[0], bits, packed, *tables[1:])
         # each row's uncertified sub-blocks, moved to the front and padded
         rows, cols = np.nonzero(~hit)
         if rows.size:

@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError(f"master seed must be non-negative, got {self.seed}")
         if not self.n_values or not self.eps_values:
             raise ValueError("need at least one n and one epsilon")
         if self.protocols is not None:
@@ -213,7 +215,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ErrorEstimate]:
             for report in cell_reports(cfg, code, n, eps, cell):
                 failures += not report.ok
                 rates.append(float(report.rate))
-                # the trials of a batch share one profile: bound it once
+                # consecutive trials often hold equal profiles: bound one when it changes
                 if report.block_profile != profile:
                     profile = report.block_profile
                     bound = union_bound_profile(profile, rb, eps)

@@ -183,7 +183,7 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
         return run_scheme1(Protocol(p.f[None], p.g[None]), ch, code)[0]
     n = p.n
     w = ceil_isqrt(n)
-    ledger = new_ledger(p)
+    ledger = new_ledger(len(p.f))
 
     parts = find_partition(p.f, n)
     if len({q.p for q in parts}) != 1:

@@ -183,6 +183,8 @@ def run_scheme2(
     a multiple of m and the padding is stripped from the reported views.
     A batched ``p`` gives one report per row.
     """
+    if p.f.ndim == 1:
+        return run_scheme2(Protocol(p.f[None], p.g[None]), ch, code, m)[0]
     n = p.n
     if m is None:
         m = ceil_isqrt(n)
@@ -190,17 +192,17 @@ def run_scheme2(
         raise ValueError("block length must be positive")
     n_pad = m * (-(-n // m))
     padded = Protocol(_pad_fns(p.f, n_pad), _pad_fns(p.g, n_pad))
-    lead = p.f.shape[:-1]
+    trials = len(p.f)
 
-    ledger = new_ledger(p)
+    ledger = new_ledger(trials)
     ends = predictor_exchange(padded, m, code, ch, ledger)
-    rows = lead + (n_pad // m, m)
+    rows = (trials, n_pad // m, m)
     res = run_vertical_exchange(
         padded.f.reshape(rows), padded.g.reshape(rows), delayed(ends), code, ch, ledger
     )
 
     def view(a, b):
-        return Transcript(a.reshape(lead + (-1,))[..., :n], b.reshape(lead + (-1,))[..., :n])
+        return Transcript(a.reshape(trials, -1)[:, :n], b.reshape(trials, -1)[:, :n])
 
     return finish_report(
         "scheme2", p, view(res.alice_a, res.alice_b), view(res.bob_a, res.bob_b), ledger

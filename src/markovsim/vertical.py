@@ -70,9 +70,10 @@ def offline_simulate(f, g, b0: int) -> Transcript:
     return Transcript(a, b)
 
 
-def new_ledger(p: Protocol) -> UsageLedger:
-    """An empty ledger for one protocol, or for each row of a batch."""
-    return UsageLedger(decode_log=[[] for _ in range(len(p.f))] if p.f.ndim > 1 else [])
+def new_ledger(trials: int) -> UsageLedger:
+    """An empty ledger for a batch, with one row per trial."""
+    return UsageLedger(np.zeros(trials, np.int64), np.zeros(trials, np.int64),
+                       [[] for _ in range(trials)], [[] for _ in range(trials)])
 
 
 def send(
@@ -87,11 +88,11 @@ def send(
 ) -> np.ndarray:
     """Carry one message: encode, transmit, decode at the far end.
 
-    payload is one message, or a ``(T, L)`` batch with one row per trial.
-    The ledger records the channel uses and the coded blocks once, and a
-    DecodeEvent(stage, index, direction) for each row whose decode differs
-    from its payload.  Returns what the receiver decoded; wrong bits are not
-    fixed.
+    payload is one message, or a ``(T, L)`` batch with one row per trial
+    and a ledger from new_ledger.  The ledger records each row's channel
+    uses and coded blocks, and a DecodeEvent(stage, index, direction) for
+    each row whose decode differs from its payload.  Returns what the
+    receiver decoded; wrong bits are not fixed.
 
     lengths, one per row, makes the message ragged: row t is its first
     lengths[t] bits, zero-padded to L.  Noise is keyed by position and a
@@ -106,13 +107,15 @@ def send(
         inside = np.arange(length) < lengths[:, None]
         payload = payload * inside
         uses = coded_length(code, lengths)
-        ledger.split_rows()
-    if ledger.per_row:
-        sizes = [length] * len(ledger.block_profile) if lengths is None else lengths
-        for blocks, size in zip(ledger.block_profile, sizes):
-            blocks += payload_blocks(code, int(size))
-    else:
+    if payload.ndim == 1:
         ledger.block_profile += payload_blocks(code, length)
+    elif lengths is None:
+        blocks = payload_blocks(code, length)
+        for row in ledger.block_profile:
+            row += blocks
+    else:
+        for row, size in zip(ledger.block_profile, lengths):
+            row += payload_blocks(code, int(size))
     sent = ch.transmit(direction, encode_payload(code, payload), ledger, uses)
     got = decode_payload(code, sent, length)
     wrong = got != payload
@@ -203,21 +206,13 @@ def finish_report(
     alice_view: Transcript,
     bob_view: Transcript,
     ledger: UsageLedger,
-) -> SimulationReport | list[SimulationReport]:
-    """Compare both views against the noiseless reference and wrap up.
-
-    Returns one SimulationReport, or for a batch a list of one per row; the
-    reports of a batch share its uses and its block profile unless a ragged
-    message gave each row its own."""
+) -> list[SimulationReport]:
+    """Compare both views of a batch against the noiseless reference and wrap
+    up: one SimulationReport per row, each with its own row of the ledger."""
     ref = simulate_reference(p)
     alice_ok = ((alice_view.a == ref.a) & (alice_view.b == ref.b)).all(axis=-1)
     bob_ok = ((bob_view.a == ref.a) & (bob_view.b == ref.b)).all(axis=-1)
-    rate = None if ledger.per_row else rate_of(ledger, p.n)
-    if p.f.ndim == 1:
-        return SimulationReport(
-            scheme, p.n, alice_view, bob_view, bool(alice_ok), bool(bob_ok), ledger, rate
-        )
-    rows = [ledger.row(t) for t in range(len(ledger.decode_log))]
+    rows = [ledger.row(t) for t in range(len(p.f))]
     return [
         SimulationReport(
             scheme,
@@ -227,7 +222,7 @@ def finish_report(
             bool(alice_ok[t]),
             bool(bob_ok[t]),
             row,
-            rate or rate_of(row, p.n),
+            rate_of(row, p.n),
         )
         for t, row in enumerate(rows)
     ]
@@ -242,7 +237,9 @@ def run_baseline(
     Costs 2n + n coded info bits, hence rate 2/3 with the identity code.
     A batched ``p`` gives one report per row.
     """
-    ledger = new_ledger(p)
+    if p.f.ndim == 1:
+        return run_baseline(Protocol(p.f[None], p.g[None]), ch, code)[0]
+    ledger = new_ledger(len(p.f))
     desc = describe_functions(p.f, FnDescMode.TWO_BIT)
     got = send(ch, code, ledger, desc, Direction.A_TO_B, "descriptions")
     f_hat = functions_from_bits(got, FnDescMode.TWO_BIT)

@@ -206,6 +206,22 @@ def test_cli_rejects_short_protocols_before_any_cell(monkeypatch, capsys, n):
     assert cells == []
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--seed", "-1", "--n", "8"], "master seed must be non-negative, got -1"),
+    (["--code", "rlc:k=12,rate=1/4,seed=-3"], "code seed must be non-negative, got -3"),
+])
+def test_cli_rejects_negative_seeds_before_any_cell(monkeypatch, capsys, args, message):
+    cells = []
+    monkeypatch.setattr(experiment, "cell_reports", lambda *args: cells.append(args))
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2 and out == ""
+    assert message in err
+    assert cells == []
+    # every seed of a code stack is checked
+    with pytest.raises(ValueError, match="code seed must be non-negative, got -2"):
+        ms.RandomLinear(4, Fraction(1, 2), (1, -2, 3))
+
+
 def test_cli_missing_protocol_file(capsys):
     rc, _, err = run_cli(["--protocol-file", "/nonexistent/xyz"], capsys)
     assert rc == 2
@@ -383,6 +399,20 @@ def test_scheme1_batch_with_misdecoded_partitions():
     lone = [run_trial("scheme1", q, eps, ms.Identity(), s) for q, s in zip(protocols, seeds)]
     assert [_record(r) for r in batch] == [_record(r) for r in lone]
     assert sum(any(e.stage == "partition" for e in r.decode_log) for r in lone) > 3
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
+def test_batch_reports_share_no_mutable_state(scheme):
+    # three protocols of one block count, so scheme1 runs them as one batch
+    protocols = [q for q in (ms.gen_uniform_protocol(64, s) for s in range(40))
+                 if find_partition(q.f).p == 8][:3]
+    reports = run_batch(scheme, protocols, 0.0, ms.Identity(), [1, 2, 3])
+    before = [(list(r.block_profile), list(r.decode_log)) for r in reports]
+    reports[0].block_profile.append(99)
+    reports[0].decode_log.append(ms.DecodeEvent("probe", 1, ms.Direction.A_TO_B))
+    assert [(list(r.block_profile), list(r.decode_log)) for r in reports[1:]] == before[1:]
+    for r in reports:
+        assert all(type(v) is int for v in (r.ledger.uses_ab, r.ledger.uses_ba, r.ledger.total))
 
 
 @pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])

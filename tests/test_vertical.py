@@ -160,7 +160,7 @@ def test_ragged_send_equals_lone_sends(family):
         (ms.Direction.B_TO_A, "fixed_b", rng.integers(0, 2, (4, 7)), None),
         (ms.Direction.B_TO_A, "ragged_b", rng.integers(0, 2, (4, 11)), np.array([3, 0, 11, 6])),
     ]
-    ch, led = RecordingChannel(0.2, seeds), ms.UsageLedger(decode_log=[[] for _ in seeds])
+    ch, led = RecordingChannel(0.2, seeds), vertical.new_ledger(len(seeds))
     got = [vertical.send(ch, code, led, payload.astype(np.uint8), direction, stage, 1, lengths)
            for direction, stage, payload, lengths in messages]
     past = 0  # rows whose decode past their own length reads nonzero
