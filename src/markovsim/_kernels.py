@@ -9,15 +9,16 @@ each A bit is one ``eval_fn_array`` of the B bit before it.
 
 All take a leading trial axis: ``markov_chain`` runs one chain per row of a
 ``(T, n)`` batch, and the ML search takes every received sub-block of a
-message, for every trial of a batch, against each trial's own codebook.  It
-works through them in chunks of bounded size, so a message costs one call
-whatever its length and however many trials carry it.
+message, for every trial of a batch, against each trial's own codebook, so
+a message costs one call whatever its length and however many trials carry
+it.
 
 ``ml_decode_index`` is the one exhaustive search.  ``certified_index`` is
 not a search: it tries one candidate per information set of each code and
 certifies a sub-block when a candidate lies within t = ⌊(d_min − 1)/2⌋ of
 it.  ``coding.decode_payload`` sends the sub-blocks it cannot certify to
-the search.
+the search.  Only the search works in chunks, as only its scratch grows as
+sub-blocks × 2^k; the certified pass runs in one step.
 
 Per-layer timings of ``markov_chain`` and ``ml_decode_index`` are reported
 by the benchmark in ``perfbench/`` as ``kernels.markov_chain.*`` and
@@ -84,10 +85,11 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
 
 
-# Sub-blocks searched per chunk, over all trials of a batch: enough that one
-# chunk's distance matrix holds about this many codebook entries, and at least
-# one.  At k = 12 that is 16 sub-blocks and about 0.6 MB of scratch; wider
-# chunks buy no speed and raise the process's peak memory.
+# Sub-blocks per chunk of the exhaustive search, over all trials of a batch;
+# only it chunks, as only its scratch grows with 2^k.  A chunk's distance
+# matrix holds about this many codebook entries, and at least one sub-block:
+# at k = 12, 16 sub-blocks and about 0.6 MB.  Wider chunks buy no speed and
+# raise the process's peak memory.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -141,32 +143,20 @@ def certified_index(codebook, bits, received, positions, rows, radius):
     radius is t = ⌊(d_min − 1)/2⌋ per trial.  A candidate is
     x = y_I · G_I⁻¹, and it is certified when d(y, xG) ≤ t: then xG is the
     unique nearest codeword, so x is exactly what ``ml_decode_index``
-    returns.  Returns (int64 index, bool certified), each ``(T, blocks)``;
-    an index that is not certified is meaningless.
+    returns.  Returns (index, bool certified), each ``(T, blocks)``, the
+    index in rows' dtype; an index that is not certified is meaningless.
+    Unlike the search it needs no chunks: its scratch, k·sets gathered bits
+    and sets codewords per sub-block, is a few times the received message.
     """
-    trials, blocks = received.shape[:2]
-    k, sets = positions.shape[1:]
-    out = np.empty((trials, blocks), np.int64)
-    hit = np.empty((trials, blocks), bool)
-    # a chunk gathers up to _CHUNK_ENTRIES received bits
-    bstep = max(1, min(blocks, _CHUNK_ENTRIES // (k * sets)))
-    tstep = max(1, _CHUNK_ENTRIES // (k * sets * bstep))
+    trials, k, sets = positions.shape
     pos = positions.reshape(trials, k * sets)
-    for t in range(0, trials, tstep):
-        c = slice(t, t + tstep)
-        inv = rows[c, None]
-        cb = np.arange(t, t + len(inv))[:, None, None]
-        for b in range(0, blocks, bstep):
-            # one gather per trial: a shared index is numpy's fast path
-            y = np.stack([bits[i, b : b + bstep][:, pos[i]]
-                          for i in range(t, min(t + tstep, trials))])
-            y = y.reshape(y.shape[:-1] + (k, sets))
-            x = np.zeros(y.shape[:-2] + (sets,), rows.dtype)
-            for r in range(k):
-                x ^= y[..., r, :] * inv[..., r, :]
-            d = _distance(codebook[cb, x], received[t : t + tstep, b : b + bstep, None])
-            ok = d <= radius[c, None, None]
-            hit[t : t + tstep, b : b + bstep] = ok.any(axis=-1)
-            # every certified set found the same x, and the rest count as 0
-            out[t : t + tstep, b : b + bstep] = (x * ok).max(axis=-1)
-    return out, hit
+    # one gather per trial: a shared index is numpy's fast path
+    y = np.stack([b[:, i] for b, i in zip(bits, pos)])
+    y = y.reshape(y.shape[:-1] + (k, sets))
+    x = np.zeros(y.shape[:-2] + (sets,), rows.dtype)
+    for r in range(k):
+        x ^= y[..., r, :] * rows[:, None, r, :]
+    d = _distance(codebook[np.arange(trials)[:, None, None], x], received[:, :, None])
+    ok = d <= radius[:, None, None]
+    # every certified set found the same x, and the rest count as 0
+    return (x * ok).max(-1), ok.any(-1)

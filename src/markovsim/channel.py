@@ -110,8 +110,10 @@ class ChannelPair:
         if not 0 <= epsilon < 0.5:
             raise ValueError("epsilon must lie in [0, 0.5)")
         self.epsilon = float(epsilon)
-        if isinstance(noise_seed, (int, np.integer)):
-            noise_seed = (noise_seed,)
+        noise_seed = (noise_seed,) if np.ndim(noise_seed) == 0 else noise_seed
+        for seed in noise_seed:
+            if not isinstance(seed, (int, np.integer)) or seed < 0:
+                raise ValueError(f"noise seed must be a non-negative integer, got {seed}")
         self.noise_seeds = tuple(int(s) for s in noise_seed)
         # per direction: the position, the block being read, its generators
         # (one per row) and the flips drawn from them so far

@@ -121,6 +121,17 @@ def test_epsilon_domain():
         ChannelPair(-0.01, 1)
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_bad_noise_seeds_rejected_up_front(eps):
+    for seed, shown in ((-1, "-1"), ([1, 2.5], "2.5"), ([4, -7], "-7")):
+        with pytest.raises(ValueError, match=f"non-negative integer, got {shown}"):
+            ChannelPair(eps, seed)
+    p = ms.gen_uniform_protocol(8, 1)
+    with pytest.raises(ValueError, match="got -5"):
+        ms.run_trial("baseline", p, eps, ms.Identity(), noise_seed=-5)
+    assert ChannelPair(eps, np.array([0, 2**63], np.uint64)).noise_seeds == (0, 2**63)
+
+
 def test_binary_entropy_values():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0

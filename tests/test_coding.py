@@ -298,6 +298,8 @@ def test_certified_decode_equals_exhaustive_search(shortcut_calls, k, rate, code
     # a message of more sub-blocks than this a row takes the shortcut
     rule = _kernels._CHUNK_ENTRIES >> k
     lengths = [n for n in (rule * k, rule * k + 1, (rule + 40) * k - 5) if n > 0]
+    if k == 12:  # baseline's description message at n = 4096: 683 sub-blocks
+        lengths.append(8192)
     if k == 20:
         lengths = [k, 3 * k - 7]
     eps_values = (0, 0.02, 0.05, 0.1, 0.2, 0.4) if k < 20 else (0, 0.02, 0.1, 0.4)

@@ -222,6 +222,17 @@ def test_cli_rejects_negative_seeds_before_any_cell(monkeypatch, capsys, args, m
         ms.RandomLinear(4, Fraction(1, 2), (1, -2, 3))
 
 
+@pytest.mark.parametrize("field", ["seed", "k"])
+def test_cli_rejects_repeated_code_field(monkeypatch, capsys, field):
+    cells = []
+    monkeypatch.setattr(experiment, "cell_reports", lambda *args: cells.append(args))
+    spec = f"rlc:k=12,rate=1/4,seed=1,{field}=2"
+    rc, out, err = run_cli(["--code", spec, "--n", "8", "--trials", "1"], capsys)
+    assert rc == 2 and out == ""
+    assert f"random linear field '{field}' given twice" in err
+    assert cells == []
+
+
 def test_cli_missing_protocol_file(capsys):
     rc, _, err = run_cli(["--protocol-file", "/nonexistent/xyz"], capsys)
     assert rc == 2

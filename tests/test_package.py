@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import markovsim as ms
 
@@ -26,3 +28,18 @@ def test_every_export_resolves_and_star_import_works():
         for name in names:
             assert name not in ms.__all__ and not hasattr(ms, name)
             getattr(importlib.import_module(f"markovsim.{module}"), name)
+
+
+def test_vertical_send_is_the_one_send_path():
+    # every coded message of every scheme crosses the channel in vertical.send
+    calls, send = [], None
+    for path in sorted(Path(ms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "transmit":
+                calls.append((path.stem, node.lineno))
+            if path.stem == "vertical" and getattr(node, "name", None) == "send":
+                send = node
+    assert len(calls) == 1
+    module, line = calls[0]
+    assert module == "vertical" and send.lineno <= line <= send.end_lineno

@@ -100,6 +100,19 @@ def test_offline_simulate_brute_force():
 # column exchange
 
 
+@pytest.mark.parametrize("trials", [None, 3])
+def test_identity_send_returns_the_channels_copy(trials):
+    # identity coding passes arrays through; the noiseless channel copies, so
+    # the receiver never holds the sender's payload
+    shape = (37,) if trials is None else (trials, 37)
+    payload = np.random.default_rng(4).integers(0, 2, shape).astype(np.uint8)
+    ch = ms.ChannelPair(0.0, 1 if trials is None else range(trials))
+    ledger = ms.UsageLedger() if trials is None else vertical.new_ledger(trials)
+    got = vertical.send(ch, ms.Identity(), ledger, payload, ms.Direction.A_TO_B, "s")
+    assert np.array_equal(got, payload)
+    assert not np.shares_memory(got, payload)
+
+
 def test_exchange_wire_order_interleaves_columns():
     # rows (rounds 1-2) and (rounds 3-4), the second opening at a stuck f:
     # the wire must carry A column 1, B column 1, A column 2, B column 2
@@ -287,6 +300,8 @@ def test_baseline_noiseless_exact():
             rep = vertical.run_baseline(p, ms.ChannelPair(0.0, 0), ms.Identity())
             assert rep.ok and rep.alice_ok and rep.bob_ok
             assert rep.decode_log == []
+            # Alice's B bits are the channel's copy of Bob's, not his array
+            assert not np.shares_memory(rep.alice.b, rep.bob.b)
 
 
 def test_baseline_rate_is_two_thirds_with_identity():
