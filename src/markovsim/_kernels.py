@@ -8,10 +8,11 @@ ends.  Views that are read off received bits, such as Alice's, need no chain:
 each A bit is one ``eval_fn_array`` of the B bit before it.
 
 All take a leading trial axis: ``markov_chain`` runs one chain per row of a
-``(T, n)`` batch, and the ML search takes every received sub-block of a
-message, for every trial of a batch, against each trial's own codebook, so
-a message costs one call whatever its length and however many trials carry
-it.
+``(T, n)`` batch.  Both decode kernels have one contract: ``(T, …)`` arrays,
+with every received sub-block of trial t, for every trial of a batch,
+checked against trial t's own tables, so a message costs one call whatever
+its length and however many trials carry it.  A code shared by all trials
+is viewed once per trial by the caller, ``coding._rlc_books``.
 
 ``ml_decode_index`` is the one exhaustive search.  ``certified_index`` is
 not a search: it tries one candidate per information set of each code and
@@ -76,13 +77,12 @@ def markov_chain(f: np.ndarray, g: np.ndarray, b0=0):
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack each row of a 2-d 0/1 batch into little-endian uint64 words."""
+    """Pack the last axis of a 0/1 array into little-endian uint64 words."""
     bits = np.asarray(bits, dtype=np.uint8)
-    rows, n = bits.shape
-    pad = (-n) % 64
+    pad = (-bits.shape[-1]) % 64
     if pad:
-        bits = np.concatenate([bits, np.zeros((rows, pad), np.uint8)], axis=1)
-    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+        bits = np.concatenate([bits, np.zeros(bits.shape[:-1] + (pad,), np.uint8)], axis=-1)
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
 
 # Sub-blocks per chunk of the exhaustive search, over all trials of a batch;
@@ -105,30 +105,21 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def ml_decode_index(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
     """Index of the packed codebook row nearest in Hamming distance to each
-    received sub-block.  Ties go to the lowest index.
-
-    received: ``(blocks, words)``, or ``(T, blocks, words)`` with trial t
-    searched in its own codebook.  codebook: ``(rows, words)`` or a
-    ``(1, rows, words)`` stack, shared by all trials, or a ``(T, rows,
-    words)`` stack with one per trial.  Returns one int64 index per
-    sub-block, shaped like ``received`` without its last axis.
-    """
-    rx = received if received.ndim == 3 else received[None]
-    trials, blocks = rx.shape[:2]
-    rows = codebook.shape[-2]
-    shape = (trials,) + codebook.shape[-2:]
-    # np.broadcast_to costs µs a call, so only a shared codebook takes it
-    books = codebook if codebook.shape == shape else np.broadcast_to(codebook, shape)
+    received sub-block, ties to the lowest index.  codebook is ``(T, rows,
+    words)`` and received ``(T, blocks, words)``: trial t is searched in its
+    own codebook.  Returns int64 ``(T, blocks)``."""
+    trials, blocks = received.shape[:2]
+    rows = codebook.shape[1]
     out = np.empty((trials, blocks), np.int64)
     # a chunk is up to tstep trials x bstep sub-blocks of each
     bstep = max(1, min(blocks, _CHUNK_ENTRIES // rows))
     tstep = max(1, _CHUNK_ENTRIES // (rows * bstep))
     for t in range(0, trials, tstep):
-        cb = books[t : t + tstep, None]
+        cb = codebook[t : t + tstep, None]
         for b in range(0, blocks, bstep):
-            d = _distance(rx[t : t + tstep, b : b + bstep, None], cb)
+            d = _distance(received[t : t + tstep, b : b + bstep, None], cb)
             out[t : t + tstep, b : b + bstep] = d.argmin(axis=-1)
-    return out.reshape(received.shape[:-1])
+    return out
 
 
 def certified_index(codebook, bits, received, positions, rows, radius):

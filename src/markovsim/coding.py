@@ -11,7 +11,8 @@ the sub-blocks as additional independent blocks.
 A random-linear code is held as its packed codebook, every codeword in
 info-word order, built once per code object.  A spec whose seed is a tuple
 holds one drawn code per trial of a batch, as one stacked codebook.  Payloads
-carry a leading trial axis, ``(T, L)``, and row t is coded with code t.
+carry a leading trial axis, ``(T, L)``, and row t is coded with code t;
+only ``_rlc_books`` views a code shared by all rows once per row.
 Encoding looks the sub-blocks' codewords up in the codebooks; decoding
 searches them for all sub-blocks of a message, over all trials, in one
 batched kernel call.  A message of more sub-blocks per trial than one search
@@ -83,6 +84,8 @@ class RandomLinear:
         if not 0 < self.rate <= 1:
             raise ValueError("code rate must lie in (0, 1]")
         for seed in self.code_seed if isinstance(self.code_seed, tuple) else (self.code_seed,):
+            if seed is not None and not isinstance(seed, (int, np.integer)):
+                raise ValueError(f"code seed must be an integer, got {seed!r}")
             if seed is not None and seed < 0:
                 raise ValueError(f"code seed must be non-negative, got {seed}")
 
@@ -97,9 +100,7 @@ class RandomLinear:
         first use and kept with this spec."""
         if self.code_seed is None:
             raise ValueError("random linear code needs a concrete seed before use")
-        seeds = self.code_seed
-        if not isinstance(seeds, tuple):
-            seeds = (seeds,)
+        seeds = self.code_seed if isinstance(self.code_seed, tuple) else (self.code_seed,)
         gp = np.stack([_kernels.pack_bits(_rlc_matrix(self.k, self.nc, s)) for s in seeds])
         # built by doubling from the least significant index bit upward
         cb = np.zeros((len(seeds), 1, gp.shape[2]), dtype=np.uint64)
@@ -173,13 +174,17 @@ def _rlc_matrix(k: int, nc: int, seed: int) -> np.ndarray:
     return rng.integers(0, 2, size=(k, nc), dtype=np.uint8)
 
 
-def _rlc_books(code: RandomLinear, payload: np.ndarray) -> np.ndarray:
-    """The code's codebook stack, checked against a payload: one codebook
-    per row of a batch, or one shared by all rows."""
-    books = code.codebooks
-    if len(books) not in (1, len(payload) if payload.ndim > 1 else 1):
-        raise ValueError(f"{len(books)} codes for a payload of shape {payload.shape}")
-    return books
+def _rlc_books(code: RandomLinear, payload: np.ndarray, *tables) -> tuple:
+    """The code's codebooks and the other per-code tables passed in, one per
+    payload row: the one place where a code meets a batch.  Only a shared
+    code is viewed per row, as np.broadcast_to costs µs a call."""
+    tables = code.codebooks, *tables
+    rows = len(payload) if payload.ndim > 1 else 1
+    if len(tables[0]) not in (1, rows):
+        raise ValueError(f"{len(tables[0])} codes for {rows} payload rows")
+    if len(tables[0]) != rows:
+        tables = tuple(np.broadcast_to(a, (rows,) + a.shape[1:]) for a in tables)
+    return tables
 
 
 def payload_blocks(code: CodeSpec, info_len: int) -> list[int]:
@@ -216,8 +221,8 @@ def encode_payload(code: CodeSpec, bits) -> np.ndarray:
     pad = (-length) % code.k
     if pad:
         bits = np.concatenate([bits, np.zeros(bits.shape[:-1] + (pad,), np.uint8)], -1)
-    books = _rlc_books(code, bits)
-    # row t looks up its info words in book t, or all rows in one shared book
+    (books,) = _rlc_books(code, bits)
+    # row t looks up its info words in book t
     words = books[np.arange(len(books))[:, None], bits_to_ints(bits, code.k)]
     coded = np.unpackbits(words.view(np.uint8), axis=-1, count=code.nc, bitorder="little")
     return coded.reshape(bits.shape[:-1] + (-1,))
@@ -238,18 +243,14 @@ def decode_payload(code: CodeSpec, received, info_len: int) -> np.ndarray:
         return (votes > code.r // 2).astype(np.uint8)
     if info_len == 0:
         return np.empty(received.shape[:-1] + (0,), np.uint8)
-    books = _rlc_books(code, received)
     bits = received.reshape(-1, received.shape[-1] // code.nc, code.nc)
-    packed = _kernels.pack_bits(bits.reshape(-1, code.nc))
-    packed = packed.reshape(bits.shape[:-1] + packed.shape[-1:])
+    packed = _kernels.pack_bits(bits)
     # the shortcut pays once a message outgrows one search chunk per trial
     if bits.shape[1] <= _kernels._CHUNK_ENTRIES >> code.k:
-        info = _kernels.ml_decode_index(books, packed)
+        info = _kernels.ml_decode_index(*_rlc_books(code, bits), packed)
     else:
-        tables = books, *code.info_sets
-        if len(books) != len(bits):  # a shared code's tables, viewed once per trial
-            tables = [np.broadcast_to(a, (len(bits),) + a.shape[1:]) for a in tables]
-        info, hit = _kernels.certified_index(tables[0], bits, packed, *tables[1:])
+        books, *sets = _rlc_books(code, bits, *code.info_sets)
+        info, hit = _kernels.certified_index(books, bits, packed, *sets)
         # each row's uncertified sub-blocks, moved to the front and padded
         rows, cols = np.nonzero(~hit)
         if rows.size:
@@ -257,8 +258,7 @@ def decode_payload(code: CodeSpec, received, info_len: int) -> np.ndarray:
             misses = np.zeros((len(hit), slot.max() + 1, packed.shape[-1]), np.uint64)
             misses[rows, slot] = packed[rows, cols]
             info[rows, cols] = _kernels.ml_decode_index(books, misses)[rows, slot]
-    info = info.reshape(received.shape[:-1] + info.shape[-1:])
-    return ints_to_bits(info, code.k)[..., :info_len]
+    return ints_to_bits(info, code.k).reshape(received.shape[:-1] + (-1,))[..., :info_len]
 
 
 # ---------------------------------------------------------------------------
@@ -375,5 +375,8 @@ def parse_code_spec(text: str) -> CodeSpec:
         if unknown or "k" not in fields or "rate" not in fields:
             raise ValueError(f"random linear spec needs k= and rate=, got {text!r}")
         seed = int(fields["seed"]) if "seed" in fields else None
-        return RandomLinear(int(fields["k"]), Fraction(fields["rate"]), seed)
+        try:
+            return RandomLinear(int(fields["k"]), Fraction(fields["rate"]), seed)
+        except ZeroDivisionError:
+            raise ValueError(f"random linear rate {fields['rate']!r} divides by zero") from None
     raise ValueError(f"unknown code spec {text!r}")

@@ -71,6 +71,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
+        for name, v in (("trials", self.trials), ("seed", self.seed),
+                        *(("n_values", n) for n in self.n_values)):
+            if not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed < 0:

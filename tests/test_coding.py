@@ -221,6 +221,44 @@ def test_rlc_batch_rows_use_their_own_codes():
                 assert np.array_equal(got[t], ms.decode_payload(lone, noisy[t], length))
     with pytest.raises(ValueError):
         ms.encode_payload(stacked, np.zeros((2, 6), np.uint8))
+    with pytest.raises(ValueError, match="3 codes for 2 payload rows"):
+        ms.decode_payload(stacked, np.zeros((2, stacked.nc), np.uint8), k)
+
+
+@pytest.mark.parametrize("seed", [2.5, (1, 2.0), "3"])
+def test_rlc_rejects_non_integer_code_seeds(seed):
+    # a seed that is no integer is named up front, not by numpy at first use
+    with pytest.raises(ValueError, match="code seed must be an integer"):
+        ms.RandomLinear(4, Fraction(1, 2), seed)
+
+
+def test_shared_code_meets_the_decode_kernels_once_per_trial(monkeypatch):
+    # a shared code is viewed per trial before either decode kernel sees it
+    books = []
+
+    def spy(name):
+        real = getattr(_kernels, name)
+
+        def call(codebook, *args):
+            books.append((name, codebook.shape[0]))
+            return real(codebook, *args)
+
+        monkeypatch.setattr(_kernels, name, call)
+
+    spy("ml_decode_index")
+    spy("certified_index")
+    code = ms.RandomLinear(12, Fraction(1, 4), 7)
+    rule = _kernels._CHUNK_ENTRIES >> code.k
+    rng = np.random.default_rng(17)
+    for length, kernels in ((10 * 12, {"ml_decode_index"}),
+                            ((rule + 40) * 12, {"certified_index", "ml_decode_index"})):
+        received = _noisy(code, rng, (3, length), 0.08)
+        books.clear()
+        got = ms.decode_payload(code, received, length)
+        assert {name for name, _ in books} == kernels
+        assert all(trials == 3 for _, trials in books)
+        for row, want in zip(received, got):
+            assert np.array_equal(ms.decode_payload(code, row, length), want)
 
 
 def test_rlc_certified_decode_memory_stays_bounded(shortcut_calls):
@@ -267,8 +305,9 @@ def _noisy(code, rng, shape, eps):
 def _exhaustive(code, received, info_len):
     """decode_payload's answer from the exhaustive kernel alone."""
     rx = received.reshape(-1, received.shape[-1] // code.nc, code.nc)
-    packed = _kernels.pack_bits(rx.reshape(-1, code.nc)).reshape(rx.shape[:-1] + (-1,))
-    info = ints_to_bits(_kernels.ml_decode_index(code.codebooks, packed), code.k)
+    packed = _kernels.pack_bits(rx)
+    books = np.broadcast_to(code.codebooks, (len(rx),) + code.codebooks.shape[1:])
+    info = ints_to_bits(_kernels.ml_decode_index(books, packed), code.k)
     return info.reshape(received.shape[:-1] + (-1,))[..., :info_len]
 
 
@@ -531,7 +570,7 @@ def test_parse_code_spec():
     "text",
     [
         "rep4", "repx", "rlc:k=4", "rlc:rate=1/2", "rlc:k=4,rate=1/2,zz=3", "foo", "rlc:",
-        "rlc:k=8,rate=3/2",
+        "rlc:k=8,rate=3/2", "rlc:k=4,rate=1/0",
     ],
 )
 def test_parse_code_spec_rejects(text):

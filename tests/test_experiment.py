@@ -55,6 +55,20 @@ def test_config_validation():
         ExperimentConfig((16,), (), "baseline", "identity", 1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("trials", 2.5), ("n_values", (8.5,)), ("n_values", (8, np.float64(16))),
+])
+def test_config_rejects_non_integer_fields(field, value):
+    # named up front, not by numpy's TypeError inside run_experiment
+    kwargs = dict(n_values=(8,), eps_values=(0.0,), scheme="baseline", code="identity", trials=2)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ExperimentConfig(**kwargs)
+    # numpy integers pass, as they do for noise seeds
+    kwargs[field] = (np.int64(8),) if field == "n_values" else np.int64(3)
+    ExperimentConfig(**kwargs)
+
+
 def test_config_fixed_protocols_pin_length():
     protos = tuple(ms.gen_uniform_protocol(12, s) for s in range(3))
     cfg = ExperimentConfig((999,), (0.0,), "baseline", "identity", 2, protocols=protos)
@@ -230,6 +244,16 @@ def test_cli_rejects_repeated_code_field(monkeypatch, capsys, field):
     rc, out, err = run_cli(["--code", spec, "--n", "8", "--trials", "1"], capsys)
     assert rc == 2 and out == ""
     assert f"random linear field '{field}' given twice" in err
+    assert cells == []
+
+
+def test_cli_rejects_zero_rate_denominator(monkeypatch, capsys):
+    cells = []
+    monkeypatch.setattr(experiment, "cell_reports", lambda *args: cells.append(args))
+    spec = "rlc:k=4,rate=1/0"
+    rc, out, err = run_cli(["--code", spec, "--n", "64", "--trials", "2"], capsys)
+    assert rc == 2 and out == ""
+    assert "random linear rate '1/0' divides by zero" in err
     assert cells == []
 
 

@@ -89,6 +89,8 @@ def test_pack_bits_batch_matches_rows():
     batch = _kernels.pack_bits(mat)
     for i in range(5):
         assert np.array_equal(batch[i : i + 1], _kernels.pack_bits(mat[i : i + 1]))
+    # any leading shape packs along its last axis
+    assert np.array_equal(_kernels.pack_bits(mat.reshape(5, 1, 90))[:, 0], batch)
 
 
 def _brute_ml(cb_bits, rx_bits):
@@ -105,7 +107,7 @@ def test_ml_decode_tie_goes_to_lowest_index():
     # 3 sits on rows 1 and 3; 1 is one flip from rows 0, 1 and 2; 7 is one
     # flip from rows 1, 2 and 3; 6 is two flips from every row
     rc = np.array([[3], [1], [5], [7], [6]], dtype=np.uint64)
-    assert _kernels.ml_decode_index(cb, rc).tolist() == [1, 0, 2, 1, 0]
+    assert _kernels.ml_decode_index(cb[None], rc[None])[0].tolist() == [1, 0, 2, 1, 0]
 
 
 def test_ml_decode_index_matches_bruteforce():
@@ -129,8 +131,8 @@ def test_ml_decode_index_matches_bruteforce():
         rx_bits = cb_bits[rng.integers(0, rows, blocks)].copy()
         rx_bits ^= (rng.random(rx_bits.shape) < 0.1).astype(np.uint8)
         got = _kernels.ml_decode_index(
-            _kernels.pack_bits(cb_bits), _kernels.pack_bits(rx_bits)
-        )
+            _kernels.pack_bits(cb_bits[None]), _kernels.pack_bits(rx_bits[None])
+        )[0]
         want = _brute_ml(cb_bits, rx_bits)
         assert got.shape == (blocks,)
         assert np.array_equal(got, want)
@@ -156,12 +158,14 @@ def test_ml_decode_stacked_codebooks_equal_per_trial_calls():
         books = np.stack([_kernels.pack_bits(c) for c in cb_bits])
         rx = np.stack([_kernels.pack_bits(r) for r in rx_bits])
         got = _kernels.ml_decode_index(books, rx)
-        shared = _kernels.ml_decode_index(books[:1], rx)
+        shared = _kernels.ml_decode_index(np.broadcast_to(books[:1], books.shape), rx)
         assert got.shape == shared.shape == (trials, blocks)
         for t in range(trials):
-            assert np.array_equal(got[t], _kernels.ml_decode_index(books[t], rx[t]))
+            alone = _kernels.ml_decode_index(books[t : t + 1], rx[t : t + 1])[0]
+            assert np.array_equal(got[t], alone)
             assert np.array_equal(got[t], _brute_ml(cb_bits[t], rx_bits[t]))
-            assert np.array_equal(shared[t], _kernels.ml_decode_index(books[0], rx[t]))
+            alone = _kernels.ml_decode_index(books[:1], rx[t : t + 1])[0]
+            assert np.array_equal(shared[t], alone)
             d = (cb_bits[t][None] != rx_bits[t][:, None]).sum(axis=2)
             ties += int(((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
     assert ties >= 20

@@ -43,3 +43,12 @@ def test_vertical_send_is_the_one_send_path():
     assert len(calls) == 1
     module, line = calls[0]
     assert module == "vertical" and send.lineno <= line <= send.end_lineno
+
+
+def test_decode_kernels_take_one_input_shape():
+    # the kernels take per-trial (T, ...) tables only; a shared code is
+    # viewed per trial by their caller, so no kernel broadcasts or reads ndim
+    path = Path(ms.__file__).parent / "_kernels.py"
+    tree = ast.parse(path.read_text())
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert not names & {"broadcast_to", "ndim"}
