@@ -79,8 +79,9 @@ class RandomLinear:
 
     def __post_init__(self):
         object.__setattr__(self, "rate", Fraction(self.rate))
-        if not 1 <= self.k <= ML_SEARCH_CAP:
-            raise ValueError(f"info block length must lie in 1..{ML_SEARCH_CAP}")
+        if not (isinstance(self.k, (int, np.integer)) and 1 <= self.k <= ML_SEARCH_CAP):
+            raise ValueError(f"info block length k must be an integer in 1..{ML_SEARCH_CAP}, "
+                             f"got {self.k!r}")
         if not 0 < self.rate <= 1:
             raise ValueError("code rate must lie in (0, 1]")
         for seed in self.code_seed if isinstance(self.code_seed, tuple) else (self.code_seed,):

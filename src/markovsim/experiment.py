@@ -94,6 +94,8 @@ class ExperimentConfig:
 def _check_m_override(scheme: str, m_override: Optional[int]) -> None:
     if m_override is not None and scheme != "scheme2":
         raise ValueError(f"--m-override sets scheme2's block length; {scheme} has none")
+    if not (m_override is None or isinstance(m_override, (int, np.integer)) and m_override > 0):
+        raise ValueError(f"m_override must be an integer of at least 1, got {m_override!r}")
 
 
 @dataclass(frozen=True)

@@ -114,9 +114,9 @@ def _last_stuck(rows: np.ndarray) -> np.ndarray:
 def _suffix_xor(rows: np.ndarray) -> np.ndarray:
     """(..., blocks, m+1) array whose column j is the XOR of the additive
     offsets of rounds j+1..m of each row; stuck rounds contribute 0."""
-    off = np.where(rows <= 2, rows - 1, 0).astype(np.uint8)
+    off = (rows - 1) & 1 & (rows <= 2)
     suf = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,), np.uint8)
-    suf[..., :-1] = np.bitwise_xor.accumulate(off[..., ::-1], axis=-1)[..., ::-1]
+    np.bitwise_xor.accumulate(off[..., ::-1], axis=-1, out=suf[..., -2::-1])
     return suf
 
 

@@ -6,7 +6,9 @@ consecutive rounds that can be evaluated independently of the other rows
 input is known).  Columns are then exchanged alternately: Alice codes and
 sends column t of her A bits, Bob decodes it, computes his B column, codes it
 back.  Each column is one coded block over all rows, which is where the
-error-exponent gain over bit-by-bit coding comes from.
+error-exponent gain over bit-by-bit coding comes from.  Under identity and
+repetition codes, one message of zero words per direction shows what the
+channel does to every column, and one chain per row then gives the views.
 
 Also home to ``send``, the one path every coded message of every scheme
 takes; the transmission-function descriptions (the 2-bit encoding of
@@ -31,7 +33,8 @@ import numpy as np
 from . import _kernels
 from .bits import delayed, ints_to_bits
 from .channel import ChannelPair, DecodeEvent, Direction, UsageLedger, rate_of
-from .coding import CodeSpec, coded_length, decode_payload, encode_payload, payload_blocks
+from .coding import (CodeSpec, RandomLinear, coded_length, decode_payload, encode_payload,
+                     payload_blocks)
 from .protocol import Protocol, Transcript, eval_fn_array, simulate_reference
 from .report import SimulationReport
 
@@ -86,46 +89,63 @@ def send(
     index: int = 1,
     lengths: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Carry one message: encode, transmit, decode at the far end.
+    """Carry one message, or several end to end: encode, transmit, decode at
+    the far end.
 
-    payload is one message, or a ``(T, L)`` batch with one row per trial
-    and a ledger from new_ledger.  The ledger records each row's channel
-    uses and coded blocks, and a DecodeEvent(stage, index, direction) for
-    each row whose decode differs from its payload.  Returns what the
-    receiver decoded; wrong bits are not fixed.
+    payload is one message, or a ``(T, L)`` batch with one row per trial and
+    a ledger from new_ledger.  An axis before L, ``(W, L)`` alone or ``(T, W,
+    L)`` in a batch, holds W messages per row, numbered index, index + 1, ...,
+    that cross in one transmit; it needs a code that codes bit by bit.  The
+    ledger records each row's channel uses and coded blocks, and a
+    DecodeEvent(stage, index + w, direction) for each row and message whose
+    decode differs from its payload.  Returns what the receiver decoded;
+    wrong bits are not fixed.
 
-    lengths, one per row, makes the message ragged: row t is its first
-    lengths[t] bits, zero-padded to L.  Noise is keyed by position and a
-    ragged message is the last in its direction, so each row's prefix
-    crosses exactly as it would alone, and the zeros pad its last partial
-    block as encode_payload pads it.  Each row is charged its own uses and
-    blocks, and only a miss inside its prefix is logged.
+    lengths, one per row and message, makes the messages ragged: message w
+    of row t is its first lengths[t, w] bits, and row t's messages cross
+    packed end to end, zero-padded to the longest row and to L.  Noise is
+    keyed by position and a ragged send is the last in its direction, so
+    each row crosses exactly as it would alone, and the zeros pad its last
+    partial block as encode_payload pads it.  Each row is charged its own
+    uses and blocks, and only a miss inside its messages is logged.
     """
+    lone = np.ndim(ledger.uses_ab) == 0
     length = payload.shape[-1]
+    count = payload.shape[-2] if payload.ndim == 3 - lone else 1
+    if count > 1 and isinstance(code, RandomLinear):
+        raise ValueError("several messages in one send need a code that codes bit by bit")
+    msgs = payload.reshape(1 if lone else len(payload), count, length)
+    profiles = [ledger.block_profile] if lone else ledger.block_profile
     uses = None
-    if lengths is not None:
-        inside = np.arange(length) < lengths[:, None]
-        payload = payload * inside
-        uses = coded_length(code, lengths)
-    if payload.ndim == 1:
-        ledger.block_profile += payload_blocks(code, length)
-    elif lengths is None:
-        blocks = payload_blocks(code, length)
-        for row in ledger.block_profile:
+    if lengths is None:
+        blocks = payload_blocks(code, length) * count
+        for row in profiles:
             row += blocks
+        wire = msgs.reshape(len(msgs), -1)
     else:
-        for row, size in zip(ledger.block_profile, lengths):
-            row += payload_blocks(code, int(size))
-    sent = ch.transmit(direction, encode_payload(code, payload), ledger, uses)
-    got = decode_payload(code, sent, length)
-    wrong = got != payload
+        sizes = np.reshape(lengths, msgs.shape[:2])
+        blocks = {s: payload_blocks(code, s) for s in set(sizes.ravel().tolist())}
+        for row, size in zip(profiles, sizes.tolist()):
+            row += [b for s in size for b in blocks[s]]
+        inside = np.arange(length) < sizes[..., None]
+        total = sizes.sum(-1)
+        packed = np.arange(max(length, total.max())) < total[:, None]
+        wire = np.zeros(packed.shape, np.uint8)
+        wire[packed] = msgs[inside]
+        uses = coded_length(code, int(total[0]) if lone else total)
+    sent = ch.transmit(direction, encode_payload(code, wire[0] if lone else wire), ledger, uses)
+    got = decode_payload(code, sent, wire.shape[-1]).reshape(len(msgs), -1)
+    if lengths is not None and count > 1:  # unpack; one message a row is in place
+        got, packed_got = np.zeros(msgs.shape, np.uint8), got
+        got[inside] = packed_got[packed]
+    wrong = got.reshape(msgs.shape) != msgs
     if lengths is not None:
         wrong &= inside
     if wrong.any():
-        logs = ledger.decode_log if payload.ndim > 1 else [ledger.decode_log]
-        for row in np.flatnonzero(wrong.any(axis=-1)):
-            logs[row].append(DecodeEvent(stage, index, direction))
-    return got
+        logs = [ledger.decode_log] if lone else ledger.decode_log
+        for row, w in zip(*np.nonzero(wrong.any(axis=-1))):
+            logs[row].append(DecodeEvent(stage, index + int(w), direction))
+    return got.reshape(payload.shape)
 
 
 @dataclass
@@ -163,6 +183,14 @@ def run_vertical_exchange(
     column block; Bob's decode of it is returned as bob_tail.  With
     tail_lengths, each row's tail is its first tail_lengths[row] bits and
     the final column is sent ragged (see send).
+
+    Identity and repetition codes decode bit by bit, decode(encode(x) ^ e) =
+    x ^ decode(e), and noise is keyed by position, so the flips e of every
+    column are known up front: each direction sends its columns as zero
+    words in one send, the flips enter the codes as c' = ((c - 1) ^ e) + 1,
+    and one chain per row gives Bob's A and Alice's B bits, each other view
+    one XOR away.  The ledger ends as the loop leaves it, which random linear
+    codes still run: an ML tie does not decode bit by bit.
     """
     f_rows = np.asarray(f_rows, dtype=np.uint8)
     g_rows = np.asarray(g_rows, dtype=np.uint8)
@@ -172,6 +200,32 @@ def run_vertical_exchange(
     rows, width = f_rows.shape[-2:]
     if start_bits.shape != f_rows.shape[:-1]:
         raise ValueError("start_bits must hold one bit per row")
+
+    if not isinstance(code, RandomLinear):
+        lead = f_rows.shape[:-2]
+        tail = np.asarray(np.zeros(lead + (0,)) if alice_tail is None else alice_tail, np.uint8)
+        a_words = np.zeros(lead + (width, rows + tail.shape[-1]), np.uint8)
+        a_words[..., -1, rows:] = tail
+        lengths = None if alice_tail is None else np.full(lead + (width,), rows)
+        if alice_tail is not None:
+            lengths[..., -1] += tail.shape[-1] if tail_lengths is None else tail_lengths
+        logs = ledger.decode_log if lead else [ledger.decode_log]
+        marks = [len(log) for log in logs]
+        got = send(ch, code, ledger, a_words, Direction.A_TO_B, "vertical_a", 1, lengths)
+        b_words = np.zeros(lead + (width, rows), np.uint8)
+        flips_b = send(ch, code, ledger, b_words, Direction.B_TO_A, "vertical_b").swapaxes(-1, -2)
+        # one block per column and direction; the loop books them by column, A first
+        for prof, log, mark in zip(ledger.block_profile if lead else [ledger.block_profile],
+                                   logs, marks):
+            a_blocks, b_blocks = prof[-2 * width : -width], prof[-width:]
+            prof[-2 * width :: 2], prof[1 - 2 * width :: 2] = a_blocks, b_blocks
+            log[mark:] = sorted(log[mark:], key=lambda event: event.index)
+        flips_a = got[..., :rows].swapaxes(-1, -2)
+        bob_a, alice_b = _kernels.markov_chain(
+            ((f_rows - 1) ^ flips_a) + 1, ((g_rows - 1) ^ flips_b) + 1, start_bits
+        )
+        bob_tail = None if alice_tail is None else got[..., -1, rows:]
+        return VerticalResult(bob_a ^ flips_a, alice_b, bob_a, alice_b ^ flips_b, bob_tail)
 
     res = VerticalResult(*(np.empty(f_rows.shape, np.uint8) for _ in range(4)))
     prev_b_alice = start_bits

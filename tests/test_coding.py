@@ -232,6 +232,15 @@ def test_rlc_rejects_non_integer_code_seeds(seed):
         ms.RandomLinear(4, Fraction(1, 2), seed)
 
 
+@pytest.mark.parametrize("k", [4.0, Fraction(4), "4"])
+def test_rlc_rejects_non_integer_k(k):
+    # RandomLinear(4.0, ...) once built with nc == 8.0 and failed at its
+    # first codebooks; k is now named up front, as the seeds are
+    with pytest.raises(ValueError, match="info block length k must be an integer in 1..20, got"):
+        ms.RandomLinear(k, Fraction(1, 2), 1)
+    assert ms.RandomLinear(np.int64(4), Fraction(1, 2), 1).nc == 8
+
+
 def test_shared_code_meets_the_decode_kernels_once_per_trial(monkeypatch):
     # a shared code is viewed per trial before either decode kernel sees it
     books = []

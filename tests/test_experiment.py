@@ -317,6 +317,19 @@ def test_run_trial_rejects_m_override_outside_scheme2(scheme):
     assert run_trial("scheme2", protocol, 0.0, ms.Identity(), 0, m_override=3).ok
 
 
+@pytest.mark.parametrize("m", [2.5, 0, -3, np.float64(4)])
+def test_config_rejects_bad_m_override(m):
+    # named up front: 2.5 once failed with numpy's TypeError and 0 with
+    # "block length must be positive", both inside run_experiment
+    with pytest.raises(ValueError, match="m_override must be an integer of at least 1"):
+        ExperimentConfig((16,), (0.0,), "scheme2", "identity", 1, m_override=m)
+    with pytest.raises(ValueError, match="m_override"):
+        run_trial("scheme2", ms.gen_uniform_protocol(16, 1), 0.0, ms.Identity(), 0,
+                  m_override=m)
+    assert ExperimentConfig((16,), (0.0,), "scheme2", "identity", 1,
+                            m_override=np.int64(4)).m_override == 4
+
+
 def test_cli_m_override(capsys):
     rc, out, _ = run_cli(
         ["--n", "16", "--scheme", "scheme2", "--m-override", "4", "--trials", "3"],

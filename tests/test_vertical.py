@@ -6,6 +6,7 @@ import pytest
 import markovsim as ms
 from markovsim import vertical
 from markovsim.protocol import TransmitFn as Mu
+from markovsim.protocol import eval_fn_array
 from markovsim.vertical import FnDescMode
 
 
@@ -113,17 +114,102 @@ def test_identity_send_returns_the_channels_copy(trials):
     assert not np.shares_memory(got, payload)
 
 
+def reference_exchange(f_rows, g_rows, start_bits, code, ch, ledger, alice_tail=None,
+                       tail_lengths=None):
+    """The column loop, one send per column and direction: A column t from
+    Alice's decoded B column t - 1, then Bob's B column from his decoded A
+    column.  The folded exchange must leave exactly what this leaves."""
+    rows, width = f_rows.shape[-2:]
+    views = [np.empty(f_rows.shape, np.uint8) for _ in range(4)]
+    alice_a, alice_b, bob_a, bob_b = views
+    bob_tail, prev = None, start_bits
+    for t in range(width):
+        alice_a[..., t] = eval_fn_array(f_rows[..., t], prev)
+        payload, lengths = alice_a[..., t], None
+        if alice_tail is not None and t == width - 1:
+            payload = np.concatenate([payload, alice_tail], -1)
+            lengths = None if tail_lengths is None else rows + tail_lengths
+        got = vertical.send(ch, code, ledger, payload, ms.Direction.A_TO_B, "vertical_a",
+                            t + 1, lengths)
+        bob_a[..., t] = got[..., :rows]
+        if alice_tail is not None and t == width - 1:
+            bob_tail = got[..., rows:]
+        bob_b[..., t] = eval_fn_array(g_rows[..., t], bob_a[..., t])
+        alice_b[..., t] = vertical.send(ch, code, ledger, bob_b[..., t], ms.Direction.B_TO_A,
+                                        "vertical_b", t + 1)
+        prev = alice_b[..., t]
+    return vertical.VerticalResult(*views, bob_tail)
+
+
+@pytest.mark.parametrize("family", ["identity", "rep3", "rep5"])
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+@pytest.mark.parametrize("tail", ["none", "ragged", "full", "empty"])
+@pytest.mark.parametrize("trials", [None, 4])
+def test_folded_exchange_equals_the_column_loop(family, eps, tail, trials):
+    # views, Bob's tail, per-row uses, block profile order and decode log
+    # order (row, then column, A before B) all as the loop leaves them; a
+    # lone exchange keeps a scalar ledger.  "ragged" tails have lengths 0..8,
+    # "empty" ones are no bits at all, as when Part B is empty
+    code = {"identity": ms.Identity(), "rep3": ms.Repetition(3),
+            "rep5": ms.Repetition(5)}[family]
+    rng = np.random.default_rng(23)
+    lead = () if trials is None else (trials,)
+    rows, width = 5, 7
+    f_rows = rng.integers(1, 5, lead + (rows, width)).astype(np.uint8)
+    g_rows = rng.integers(1, 5, lead + (rows, width)).astype(np.uint8)
+    start = rng.integers(0, 2, lead + (rows,)).astype(np.uint8)
+    alice_tail = tail_lengths = None
+    if tail != "none":
+        alice_tail = rng.integers(0, 2, lead + (0 if tail == "empty" else 8,)).astype(np.uint8)
+    if tail in ("ragged", "empty") and trials is not None:
+        tail_lengths = np.array([0, 8, 3, 5]) if tail == "ragged" else np.zeros(trials, int)
+    seeds = 17 if trials is None else range(17, 17 + trials)
+    results, ledgers = [], []
+    for exchange in (vertical.run_vertical_exchange, reference_exchange):
+        ledger = ms.UsageLedger() if trials is None else vertical.new_ledger(trials)
+        # earlier entries in the ledger stay first and untouched
+        for prof, log in ([(ledger.block_profile, ledger.decode_log)] if trials is None
+                          else zip(ledger.block_profile, ledger.decode_log)):
+            prof.append(99)
+            log.append(ms.DecodeEvent("earlier", 1, ms.Direction.B_TO_A))
+        results.append(exchange(f_rows, g_rows, start, code, ms.ChannelPair(eps, seeds),
+                                ledger, alice_tail, tail_lengths))
+        ledgers.append(ledger)
+    (fold, loop), (fold_led, loop_led) = results, ledgers
+    for name in ("alice_a", "alice_b", "bob_a", "bob_b"):
+        assert np.array_equal(getattr(fold, name), getattr(loop, name)), name
+    if alice_tail is None:
+        assert fold.bob_tail is None and loop.bob_tail is None
+    else:
+        assert fold.bob_tail.shape == loop.bob_tail.shape
+        sizes = np.broadcast_to(alice_tail.shape[-1] if tail_lengths is None else tail_lengths,
+                                lead).reshape(-1)
+        for got, want, size in zip(fold.bob_tail.reshape(len(sizes), -1),
+                                   loop.bob_tail.reshape(len(sizes), -1), sizes):
+            assert got[:size].tolist() == want[:size].tolist()
+    assert np.array_equal(fold_led.uses_ab, loop_led.uses_ab)
+    assert np.array_equal(fold_led.uses_ba, loop_led.uses_ba)
+    assert fold_led.block_profile == loop_led.block_profile
+    assert fold_led.decode_log == loop_led.decode_log
+    if trials is None:
+        assert type(fold_led.uses_ab) is int and type(fold_led.uses_ba) is int
+    if eps == 0.2:  # the logs compared above were not empty
+        assert any(fold_led.decode_log) if trials else len(fold_led.decode_log) > 1
+
+
 def test_exchange_wire_order_interleaves_columns():
-    # rows (rounds 1-2) and (rounds 3-4), the second opening at a stuck f:
-    # the wire must carry A column 1, B column 1, A column 2, B column 2
+    # rows (rounds 1-2) and (rounds 3-4), the second opening at a stuck f.
+    # A random linear code runs the column loop: the wire must carry A
+    # column 1, B column 1, A column 2, B column 2
     f_rows = np.array([[Mu.MU2, Mu.MU1], [Mu.MU4, Mu.MU2]], np.uint8)
     g_rows = np.array([[Mu.MU1, Mu.MU2], [Mu.MU2, Mu.MU1]], np.uint8)
+    code = ms.RandomLinear(2, Fraction(1, 2), 3)
     ch = RecordingChannel(0.0, 0)
     res = vertical.run_vertical_exchange(
-        f_rows, g_rows, np.zeros(2, np.uint8), ms.Identity(), ch, ms.UsageLedger()
+        f_rows, g_rows, np.zeros(2, np.uint8), code, ch, ms.UsageLedger()
     )
     dirs = [d for d, _ in ch.sent]
-    payloads = [bits.tolist() for _, bits in ch.sent]
+    payloads = [ms.decode_payload(code, bits, 2).tolist() for _, bits in ch.sent]
     assert dirs == [
         ms.Direction.A_TO_B,
         ms.Direction.B_TO_A,
@@ -135,6 +221,57 @@ def test_exchange_wire_order_interleaves_columns():
     assert res.alice_b.tolist() == [[1, 0], [0, 1]]
     assert res.bob_a.tolist() == res.alice_a.tolist()
     assert res.bob_b.tolist() == res.alice_b.tolist()
+
+
+def test_folded_exchange_sends_each_direction_once():
+    # the same rows under the identity code: each direction carries all its
+    # columns as zero words in one transmit, and the views are unchanged
+    f_rows = np.array([[Mu.MU2, Mu.MU1], [Mu.MU4, Mu.MU2]], np.uint8)
+    g_rows = np.array([[Mu.MU1, Mu.MU2], [Mu.MU2, Mu.MU1]], np.uint8)
+    ch = RecordingChannel(0.0, 0)
+    led = ms.UsageLedger()
+    res = vertical.run_vertical_exchange(
+        f_rows, g_rows, np.zeros(2, np.uint8), ms.Identity(), ch, led
+    )
+    assert [d for d, _ in ch.sent] == [ms.Direction.A_TO_B, ms.Direction.B_TO_A]
+    assert [bits.tolist() for _, bits in ch.sent] == [[0, 0, 0, 0], [0, 0, 0, 0]]
+    assert res.alice_a.tolist() == [[1, 1], [1, 1]]
+    assert res.alice_b.tolist() == [[1, 0], [0, 1]]
+    assert res.bob_a.tolist() == res.alice_a.tolist()
+    assert res.bob_b.tolist() == res.alice_b.tolist()
+    assert (led.uses_ab, led.uses_ba, led.block_profile) == (4, 4, [2, 2, 2, 2])
+
+
+@pytest.mark.parametrize("n", [16, 64, 300, 1024])
+@pytest.mark.parametrize("code", [ms.Identity(), ms.Repetition(3)])
+def test_scheme2_batch_makes_five_transmits(n, code):
+    # three predictor rounds and one folded message per direction, whatever
+    # the number of columns
+    protocols = [ms.gen_uniform_protocol(n, s) for s in range(3)]
+    p = ms.Protocol(np.stack([q.f for q in protocols]), np.stack([q.g for q in protocols]))
+    ch = RecordingChannel(0.05, range(3))
+    reports = ms.run_scheme2(p, ch, code)
+    assert len(ch.sent) == 3 + 2 and len(reports) == 3
+
+
+def test_folded_scheme1_part_a_makes_two_transmits():
+    # the partition, Part A's one message per direction (Part B's
+    # descriptions in Alice's), and Bob's Part B reply
+    from markovsim import scheme_random as sr
+
+    n = 256
+    p = ms.gen_uniform_protocol(n, 5)
+    assert sr.find_partition(p.f).p > sr._ceil_root4(n)  # the vertical branch
+    ch = RecordingChannel(0.0, 0)
+    rep = ms.run_scheme1(p, ch, ms.Identity())
+    assert rep.ok
+    assert [d for d, _ in ch.sent] == [ms.Direction.A_TO_B] * 2 + [ms.Direction.B_TO_A] * 2
+
+
+def test_send_message_axis_needs_a_bitwise_code():
+    with pytest.raises(ValueError, match="bit by bit"):
+        vertical.send(ms.ChannelPair(0.0, 0), ms.RandomLinear(2, Fraction(1, 2), 3),
+                      ms.UsageLedger(), np.zeros((3, 4), np.uint8), ms.Direction.A_TO_B, "s")
 
 
 def test_exchange_noiseless_equals_per_row_chains():
