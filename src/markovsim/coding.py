@@ -21,8 +21,8 @@ information sets of the code gives one candidate codeword, which is the ML
 answer for certain when it lies within ⌊(d_min − 1)/2⌋ of the received
 sub-block.  The sub-blocks that no candidate certifies go through the
 exhaustive search in one call, so every answer, ties included, is the
-search's.  Smaller messages, such as the schemes' per-column ones, skip the
-shortcut: its set-up and pass cost more than their search.
+search's.  Smaller messages skip the shortcut: its set-up and pass cost
+more than their search.
 
 Exponent conventions: rates and gallager_e0 / gallager_exponent values are in
 bits.  The block-error bound for l independently coded blocks of b info bits
@@ -239,8 +239,10 @@ def decode_payload(code: CodeSpec, received, info_len: int) -> np.ndarray:
     if isinstance(code, Identity):
         return received
     if isinstance(code, Repetition):
-        votes = received.reshape(received.shape[:-1] + (-1, code.r))
-        votes = votes.sum(axis=-1, dtype=np.min_scalar_type(code.r))
+        # strided adds: a sum over a last axis of length r runs group by group
+        votes = received[..., 0 :: code.r].astype(np.min_scalar_type(code.r))
+        for i in range(1, code.r):
+            votes += received[..., i :: code.r]
         return (votes > code.r // 2).astype(np.uint8)
     if info_len == 0:
         return np.empty(received.shape[:-1] + (0,), np.uint8)

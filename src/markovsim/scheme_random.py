@@ -207,7 +207,7 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
     row = np.arange(len(n_pad))[:, None]
     b_len = n_pad - part.p * w  # each row's own Part B
     # Alice's Part B functions; past a row's b_len lies stuck padding, which
-    # has no one-bit description, so MU1 stands in there (send zeroes it)
+    # has no one-bit description, so MU1 stands in there (neither path sends it)
     pf_b = np.where(
         np.arange(b_idx.shape[1]) < b_len[:, None], pf[row, b_idx - 1], int(TransmitFn.MU1)
     )

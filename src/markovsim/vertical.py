@@ -6,8 +6,8 @@ consecutive rounds that can be evaluated independently of the other rows
 input is known).  Columns are then exchanged alternately: Alice codes and
 sends column t of her A bits, Bob decodes it, computes his B column, codes it
 back.  Each column is one coded block over all rows, which is where the
-error-exponent gain over bit-by-bit coding comes from.  Under identity and
-repetition codes, one message of zero words per direction shows what the
+error-exponent gain over bit-by-bit coding comes from.  The columns do not
+cross one by one: one message of zero words per direction shows what the
 channel does to every column, and one chain per row then gives the views.
 
 Also home to ``send``, the one path every coded message of every scheme
@@ -88,64 +88,50 @@ def send(
     stage: str,
     index: int = 1,
     lengths: Optional[np.ndarray] = None,
+    decode: bool = True,
 ) -> np.ndarray:
-    """Carry one message, or several end to end: encode, transmit, decode at
-    the far end.
+    """Carry one message: encode, transmit, decode at the far end.
 
     payload is one message, or a ``(T, L)`` batch with one row per trial and
-    a ledger from new_ledger.  An axis before L, ``(W, L)`` alone or ``(T, W,
-    L)`` in a batch, holds W messages per row, numbered index, index + 1, ...,
-    that cross in one transmit; it needs a code that codes bit by bit.  The
-    ledger records each row's channel uses and coded blocks, and a
-    DecodeEvent(stage, index + w, direction) for each row and message whose
-    decode differs from its payload.  Returns what the receiver decoded;
-    wrong bits are not fixed.
+    a ledger from new_ledger.  The ledger records each row's channel uses and
+    coded blocks, and a DecodeEvent(stage, index, direction) for each row
+    whose decode differs from its payload.  Returns what the receiver
+    decoded; wrong bits are not fixed.
 
-    lengths, one per row and message, makes the messages ragged: message w
-    of row t is its first lengths[t, w] bits, and row t's messages cross
-    packed end to end, zero-padded to the longest row and to L.  Noise is
-    keyed by position and a ragged send is the last in its direction, so
-    each row crosses exactly as it would alone, and the zeros pad its last
-    partial block as encode_payload pads it.  Each row is charged its own
-    uses and blocks, and only a miss inside its messages is logged.
+    lengths, one per row, makes the message ragged: row t is its first
+    lengths[t] bits, zero-padded to L.  Noise is keyed by position and a
+    ragged send is the last in its direction, so each row crosses exactly as
+    it would alone, and the zeros pad its last partial block as
+    encode_payload pads it.  Each row is charged its own uses and blocks,
+    and only a miss inside its length is logged.
+
+    With decode=False only the uses are booked, and the received words come
+    back undecoded for the caller to decode and book (run_vertical_exchange).
     """
     lone = np.ndim(ledger.uses_ab) == 0
-    length = payload.shape[-1]
-    count = payload.shape[-2] if payload.ndim == 3 - lone else 1
-    if count > 1 and isinstance(code, RandomLinear):
-        raise ValueError("several messages in one send need a code that codes bit by bit")
-    msgs = payload.reshape(1 if lone else len(payload), count, length)
-    profiles = [ledger.block_profile] if lone else ledger.block_profile
-    uses = None
-    if lengths is None:
-        blocks = payload_blocks(code, length) * count
-        for row in profiles:
-            row += blocks
-        wire = msgs.reshape(len(msgs), -1)
-    else:
-        sizes = np.reshape(lengths, msgs.shape[:2])
-        blocks = {s: payload_blocks(code, s) for s in set(sizes.ravel().tolist())}
-        for row, size in zip(profiles, sizes.tolist()):
-            row += [b for s in size for b in blocks[s]]
-        inside = np.arange(length) < sizes[..., None]
-        total = sizes.sum(-1)
-        packed = np.arange(max(length, total.max())) < total[:, None]
-        wire = np.zeros(packed.shape, np.uint8)
-        wire[packed] = msgs[inside]
-        uses = coded_length(code, int(total[0]) if lone else total)
-    sent = ch.transmit(direction, encode_payload(code, wire[0] if lone else wire), ledger, uses)
-    got = decode_payload(code, sent, wire.shape[-1]).reshape(len(msgs), -1)
-    if lengths is not None and count > 1:  # unpack; one message a row is in place
-        got, packed_got = np.zeros(msgs.shape, np.uint8), got
-        got[inside] = packed_got[packed]
-    wrong = got.reshape(msgs.shape) != msgs
+    uses = inside = None
     if lengths is not None:
+        inside = np.arange(payload.shape[-1]) < np.asarray(lengths)[..., None]
+        payload = payload * inside
+        uses = coded_length(code, lengths)
+    sent = ch.transmit(direction, encode_payload(code, payload), ledger, uses)
+    if not decode:
+        return sent
+    profiles = [ledger.block_profile] if lone else ledger.block_profile
+    sizes = ([payload.shape[-1]] * len(profiles) if lengths is None
+             else np.reshape(lengths, -1).tolist())
+    blocks = {s: payload_blocks(code, s) for s in set(sizes)}
+    for row, size in zip(profiles, sizes):
+        row += blocks[size]
+    got = decode_payload(code, sent, payload.shape[-1])
+    wrong = got != payload
+    if inside is not None:
         wrong &= inside
     if wrong.any():
         logs = [ledger.decode_log] if lone else ledger.decode_log
-        for row, w in zip(*np.nonzero(wrong.any(axis=-1))):
-            logs[row].append(DecodeEvent(stage, index + int(w), direction))
-    return got.reshape(payload.shape)
+        for row in np.flatnonzero(wrong.reshape(len(logs), -1).any(-1)):
+            logs[row].append(DecodeEvent(stage, index, direction))
+    return got
 
 
 @dataclass
@@ -158,6 +144,19 @@ class VerticalResult:
     bob_a: np.ndarray
     bob_b: np.ndarray
     bob_tail: Optional[np.ndarray] = None
+
+
+def _book_columns(ledger: UsageLedger, blocks: list, wrong: np.ndarray) -> None:
+    """Book a folded exchange as column-by-column sends would: each row's
+    blocks, then a DecodeEvent for each row, column and direction whose
+    decode missed (wrong, ``(rows, width, 2)``), row first, A before B."""
+    lone = np.ndim(ledger.uses_ab) == 0
+    for prof, row in zip([ledger.block_profile] if lone else ledger.block_profile, blocks):
+        prof += row
+    if wrong.any():
+        logs = [ledger.decode_log] if lone else ledger.decode_log
+        for t, c, d in zip(*(i.tolist() for i in np.nonzero(wrong))):
+            logs[t].append(DecodeEvent(("vertical_a", "vertical_b")[d], c + 1, Direction(d)))
 
 
 def run_vertical_exchange(
@@ -184,13 +183,17 @@ def run_vertical_exchange(
     tail_lengths, each row's tail is its first tail_lengths[row] bits and
     the final column is sent ragged (see send).
 
-    Identity and repetition codes decode bit by bit, decode(encode(x) ^ e) =
-    x ^ decode(e), and noise is keyed by position, so the flips e of every
-    column are known up front: each direction sends its columns as zero
-    words in one send, the flips enter the codes as c' = ((c - 1) ^ e) + 1,
-    and one chain per row gives Bob's A and Alice's B bits, each other view
-    one XOR away.  The ledger ends as the loop leaves it, which random linear
-    codes still run: an ML tie does not decode bit by bit.
+    Noise is keyed by position, so each direction sends all its columns, each
+    padded to whole blocks, as zero words in one send; the ledger ends as
+    column-by-column sends leave it.  Over a BSC a linear code decodes as
+    decode(encode(x) ^ e) = x ^ decode(e), so the flips e of every column
+    enter the codes as c' = ((c - 1) ^ e) + 1, and one chain per row gives
+    Bob's A and Alice's B bits, each other view one XOR away.  ML ties, which
+    go to the lowest info word, break that identity: for a random linear code
+    the words the columns would have carried, encode(x) ^ e, are decoded
+    again from the chain's x until the flips stop changing.  Each pass makes
+    each row's earliest wrong column exact: at most 2 * width passes, and one
+    when nothing ties.
     """
     f_rows = np.asarray(f_rows, dtype=np.uint8)
     g_rows = np.asarray(g_rows, dtype=np.uint8)
@@ -201,57 +204,52 @@ def run_vertical_exchange(
     if start_bits.shape != f_rows.shape[:-1]:
         raise ValueError("start_bits must hold one bit per row")
 
-    if not isinstance(code, RandomLinear):
-        lead = f_rows.shape[:-2]
-        tail = np.asarray(np.zeros(lead + (0,)) if alice_tail is None else alice_tail, np.uint8)
-        a_words = np.zeros(lead + (width, rows + tail.shape[-1]), np.uint8)
-        a_words[..., -1, rows:] = tail
-        lengths = None if alice_tail is None else np.full(lead + (width,), rows)
-        if alice_tail is not None:
-            lengths[..., -1] += tail.shape[-1] if tail_lengths is None else tail_lengths
-        logs = ledger.decode_log if lead else [ledger.decode_log]
-        marks = [len(log) for log in logs]
-        got = send(ch, code, ledger, a_words, Direction.A_TO_B, "vertical_a", 1, lengths)
-        b_words = np.zeros(lead + (width, rows), np.uint8)
-        flips_b = send(ch, code, ledger, b_words, Direction.B_TO_A, "vertical_b").swapaxes(-1, -2)
-        # one block per column and direction; the loop books them by column, A first
-        for prof, log, mark in zip(ledger.block_profile if lead else [ledger.block_profile],
-                                   logs, marks):
-            a_blocks, b_blocks = prof[-2 * width : -width], prof[-width:]
-            prof[-2 * width :: 2], prof[1 - 2 * width :: 2] = a_blocks, b_blocks
-            log[mark:] = sorted(log[mark:], key=lambda event: event.index)
-        flips_a = got[..., :rows].swapaxes(-1, -2)
+    lead = f_rows.shape[:-2]
+    step = sum(payload_blocks(code, rows))  # bits of a column padded to whole blocks
+    at = (width - 1) * step + rows  # Alice's tail follows her last column
+    tail = np.asarray(np.zeros(lead + (0,)) if alice_tail is None else alice_tail, np.uint8)
+    sizes = np.broadcast_to(tail.shape[-1] if tail_lengths is None else tail_lengths, lead)
+    inside = np.arange(tail.shape[-1]) < sizes[..., None]
+    tail = tail * inside
+    a_len, b_len = sum(payload_blocks(code, at + tail.shape[-1])), width * step  # whole blocks
+    got_a = send(ch, code, ledger, np.zeros(lead + (at + tail.shape[-1],), np.uint8),
+                 Direction.A_TO_B, "vertical_a",
+                 lengths=None if tail_lengths is None else at + sizes, decode=False)
+    got_b = send(ch, code, ledger, np.zeros(lead + (b_len,), np.uint8), Direction.B_TO_A,
+                 "vertical_b", decode=False)
+
+    def columns(words):  # (..., rows, width) view of the columns laid out in words
+        return words[..., : width * step].reshape(lead + (width, step))[..., :rows].mT
+
+    flips_a, flips_b = decode_payload(code, got_a, a_len), decode_payload(code, got_b, b_len)
+    while True:
+        fa, fb = columns(flips_a), columns(flips_b)
         bob_a, alice_b = _kernels.markov_chain(
-            ((f_rows - 1) ^ flips_a) + 1, ((g_rows - 1) ^ flips_b) + 1, start_bits
+            ((f_rows - 1) ^ fa) + 1, ((g_rows - 1) ^ fb) + 1, start_bits
         )
-        bob_tail = None if alice_tail is None else got[..., -1, rows:]
-        return VerticalResult(bob_a ^ flips_a, alice_b, bob_a, alice_b ^ flips_b, bob_tail)
+        if not isinstance(code, RandomLinear):
+            break
+        # decode again the words the columns would have carried
+        x_a, x_b = np.zeros(lead + (a_len,), np.uint8), np.zeros(lead + (b_len,), np.uint8)
+        columns(x_a)[...], columns(x_b)[...] = bob_a ^ fa, alice_b ^ fb
+        x_a[..., at : at + tail.shape[-1]] = tail
+        new_a, new_b = (decode_payload(code, encode_payload(code, x) ^ got, x.shape[-1]) ^ x
+                        for x, got in ((x_a, got_a), (x_b, got_b)))
+        if np.array_equal(new_a, flips_a) and np.array_equal(new_b, flips_b):
+            break
+        flips_a, flips_b = new_a, new_b
 
-    res = VerticalResult(*(np.empty(f_rows.shape, np.uint8) for _ in range(4)))
-    prev_b_alice = start_bits
-    for t in range(width):
-        a_col = eval_fn_array(f_rows[..., t], prev_b_alice)
-        res.alice_a[..., t] = a_col
-        payload, lengths = a_col, None
-        if alice_tail is not None and t == width - 1:
-            payload = np.concatenate([a_col, np.asarray(alice_tail, np.uint8)], -1)
-            if tail_lengths is not None:
-                lengths = rows + tail_lengths
-        got = send(
-            ch, code, ledger, payload, Direction.A_TO_B, "vertical_a", t + 1, lengths
-        )
-        res.bob_a[..., t] = got[..., :rows]
-        if alice_tail is not None and t == width - 1:
-            res.bob_tail = got[..., rows:]
-
-        b_col = eval_fn_array(g_rows[..., t], res.bob_a[..., t])
-        res.bob_b[..., t] = b_col
-        res.alice_b[..., t] = send(
-            ch, code, ledger, b_col, Direction.B_TO_A, "vertical_b", t + 1
-        )
-        prev_b_alice = res.alice_b[..., t]
-
-    return res
+    flips_tail = flips_a[..., at : at + tail.shape[-1]]
+    wrong = np.zeros(lead + (width, 2), bool)
+    if flips_a.any() or flips_b.any():  # the per-column reductions cost more
+        wrong[..., 0], wrong[..., 1] = fa.any(-2), fb.any(-2)
+        wrong[..., -1, 0] |= (flips_tail & inside).any(-1)
+    col = payload_blocks(code, rows)
+    books = {s: col * 2 * (width - 1) + payload_blocks(code, rows + s) + col
+             for s in set(sizes.ravel().tolist())}
+    _book_columns(ledger, [books[s] for s in sizes.ravel().tolist()], wrong.reshape(-1, width, 2))
+    bob_tail = None if alice_tail is None else tail ^ flips_tail
+    return VerticalResult(bob_a ^ fa, alice_b, bob_a, alice_b ^ fb, bob_tail)
 
 
 def finish_report(

@@ -426,6 +426,23 @@ def test_singular_generator_certifies_no_block():
     assert hit[~np.isin(np.arange(40), singular)].any()
 
 
+@pytest.mark.parametrize("r", [1, 3, 5, 7, 257])
+@pytest.mark.parametrize("shape", [(11,), (6, 40)])
+def test_repetition_decode_is_a_majority(r, shape):
+    # against a brute-force count of each group's ones; at r = 257 a count
+    # kept in uint8 would wrap
+    rng = np.random.default_rng(r)
+    for p in (0.2, 0.5, 0.8):
+        received = (rng.random(shape[:-1] + (shape[-1] * r,)) < p).astype(np.uint8)
+        want = [[int(sum(row[i * r : (i + 1) * r]) > r // 2) for i in range(shape[-1])]
+                for row in received.reshape(-1, shape[-1] * r).tolist()]
+        got = ms.decode_payload(ms.Repetition(r), received, shape[-1])
+        assert got.dtype == np.uint8 and got.shape == shape
+        assert got.reshape(-1, shape[-1]).tolist() == want
+    ones = np.ones(shape[:-1] + (shape[-1] * r,), np.uint8)
+    assert ms.decode_payload(ms.Repetition(r), ones, shape[-1]).all()
+
+
 def test_repetition_reliability_matches_binomial_and_is_monotone():
     rates = {}
     for r in (3, 5, 7):

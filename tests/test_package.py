@@ -45,6 +45,20 @@ def test_vertical_send_is_the_one_send_path():
     assert module == "vertical" and send.lineno <= line <= send.end_lineno
 
 
+def test_vertical_exchange_has_one_path():
+    # every code folds: one send per direction and no column loop; send has
+    # no fork for random linear codes
+    tree = ast.parse((Path(ms.__file__).parent / "vertical.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    exchange = list(ast.walk(funcs["run_vertical_exchange"]))
+    sends = [node for node in exchange
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "send"]
+    assert len(sends) == 2
+    assert not any(isinstance(node, ast.For) for node in exchange)
+    names = {getattr(node, "id", None) for node in ast.walk(funcs["send"])}
+    assert "RandomLinear" not in names
+
+
 def test_decode_kernels_take_one_input_shape():
     # the kernels take per-trial (T, ...) tables only; a shared code is
     # viewed per trial by their caller, so no kernel broadcasts or reads ndim

@@ -141,17 +141,29 @@ def reference_exchange(f_rows, g_rows, start_bits, code, ch, ledger, alice_tail=
     return vertical.VerticalResult(*views, bob_tail)
 
 
-@pytest.mark.parametrize("family", ["identity", "rep3", "rep5"])
-@pytest.mark.parametrize("eps", [0.0, 0.05, 0.2])
+# code families of the folded exchange; each random linear one holds one
+# seed alone and one seed per trial in a batch: k = 3 at rate 1/4, a
+# tie-heavy k = 4 at rate 1/2, and a singular G (rate 1, every block ties)
+FAMILIES = {
+    "identity": lambda seeds: ms.Identity(),
+    "rep3": lambda seeds: ms.Repetition(3),
+    "rep5": lambda seeds: ms.Repetition(5),
+    "rlc_k3": lambda seeds: ms.RandomLinear(3, Fraction(1, 4), seeds((2, 6, 7, 8))),
+    "rlc_ties": lambda seeds: ms.RandomLinear(4, Fraction(1, 2), seeds((9, 10, 11, 12))),
+    "rlc_singular": lambda seeds: ms.RandomLinear(2, Fraction(1), seeds((1, 3, 4, 5))),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.1, 0.2])
 @pytest.mark.parametrize("tail", ["none", "ragged", "full", "empty"])
 @pytest.mark.parametrize("trials", [None, 4])
-def test_folded_exchange_equals_the_column_loop(family, eps, tail, trials):
+def test_folded_exchange_equals_the_column_loop(family, eps, tail, trials, monkeypatch):
     # views, Bob's tail, per-row uses, block profile order and decode log
     # order (row, then column, A before B) all as the loop leaves them; a
     # lone exchange keeps a scalar ledger.  "ragged" tails have lengths 0..8,
     # "empty" ones are no bits at all, as when Part B is empty
-    code = {"identity": ms.Identity(), "rep3": ms.Repetition(3),
-            "rep5": ms.Repetition(5)}[family]
+    code = FAMILIES[family](lambda seeds: seeds[0] if trials is None else seeds)
     rng = np.random.default_rng(23)
     lead = () if trials is None else (trials,)
     rows, width = 5, 7
@@ -164,6 +176,12 @@ def test_folded_exchange_equals_the_column_loop(family, eps, tail, trials):
     if tail in ("ragged", "empty") and trials is not None:
         tail_lengths = np.array([0, 8, 3, 5]) if tail == "ragged" else np.zeros(trials, int)
     seeds = 17 if trials is None else range(17, 17 + trials)
+    chains, markov_chain = [], vertical._kernels.markov_chain
+
+    def counting_chain(*args):
+        chains.append(args)
+        return markov_chain(*args)
+
     results, ledgers = [], []
     for exchange in (vertical.run_vertical_exchange, reference_exchange):
         ledger = ms.UsageLedger() if trials is None else vertical.new_ledger(trials)
@@ -172,8 +190,10 @@ def test_folded_exchange_equals_the_column_loop(family, eps, tail, trials):
                           else zip(ledger.block_profile, ledger.decode_log)):
             prof.append(99)
             log.append(ms.DecodeEvent("earlier", 1, ms.Direction.B_TO_A))
-        results.append(exchange(f_rows, g_rows, start, code, ms.ChannelPair(eps, seeds),
-                                ledger, alice_tail, tail_lengths))
+        with monkeypatch.context() as m:
+            m.setattr(vertical._kernels, "markov_chain", counting_chain)
+            results.append(exchange(f_rows, g_rows, start, code, ms.ChannelPair(eps, seeds),
+                                    ledger, alice_tail, tail_lengths))
         ledgers.append(ledger)
     (fold, loop), (fold_led, loop_led) = results, ledgers
     for name in ("alice_a", "alice_b", "bob_a", "bob_b"):
@@ -195,55 +215,81 @@ def test_folded_exchange_equals_the_column_loop(family, eps, tail, trials):
         assert type(fold_led.uses_ab) is int and type(fold_led.uses_ba) is int
     if eps == 0.2:  # the logs compared above were not empty
         assert any(fold_led.decode_log) if trials else len(fold_led.decode_log) > 1
+    # the loop makes no chain call; a bitwise code needs one, and a singular
+    # G, whose every block ties, needs the repair to run again
+    if family.startswith("rlc"):
+        assert len(chains) > (family == "rlc_singular")
+    else:
+        assert len(chains) == 1
+
+
+class PatternChannel(RecordingChannel):
+    """RecordingChannel whose noise is a fixed flip pattern per direction,
+    keyed by position in that direction's stream."""
+
+    def __init__(self, flips_ab, flips_ba):
+        super().__init__(0.0, 0)
+        self.flips = [np.asarray(flips_ab, np.uint8), np.asarray(flips_ba, np.uint8)]
+        self.at = [0, 0]
+
+    def transmit(self, direction, bits, ledger, uses=None):
+        got = super().transmit(direction, bits, ledger, uses)
+        d, count = int(direction), np.shape(bits)[-1]
+        self.at[d] += count
+        return got ^ self.flips[d][self.at[d] - count : self.at[d]]
 
 
 def test_exchange_wire_order_interleaves_columns():
     # rows (rounds 1-2) and (rounds 3-4), the second opening at a stuck f.
-    # A random linear code runs the column loop: the wire must carry A
-    # column 1, B column 1, A column 2, B column 2
+    # A random linear code lays column t in block t of each direction's
+    # stream.  Codeword flips spoil B's column 1 and A's column 2, and the
+    # exchange must leave what the column loop's wire (A column 1, B column
+    # 1, A column 2, B column 2) leaves: B column 1's miss logged first
     f_rows = np.array([[Mu.MU2, Mu.MU1], [Mu.MU4, Mu.MU2]], np.uint8)
     g_rows = np.array([[Mu.MU1, Mu.MU2], [Mu.MU2, Mu.MU1]], np.uint8)
     code = ms.RandomLinear(2, Fraction(1, 2), 3)
-    ch = RecordingChannel(0.0, 0)
-    res = vertical.run_vertical_exchange(
-        f_rows, g_rows, np.zeros(2, np.uint8), code, ch, ms.UsageLedger()
-    )
-    dirs = [d for d, _ in ch.sent]
-    payloads = [ms.decode_payload(code, bits, 2).tolist() for _, bits in ch.sent]
-    assert dirs == [
-        ms.Direction.A_TO_B,
-        ms.Direction.B_TO_A,
-        ms.Direction.A_TO_B,
-        ms.Direction.B_TO_A,
-    ]
-    assert payloads == [[1, 1], [1, 0], [1, 1], [0, 1]]
-    assert res.alice_a.tolist() == [[1, 1], [1, 1]]
-    assert res.alice_b.tolist() == [[1, 0], [0, 1]]
-    assert res.bob_a.tolist() == res.alice_a.tolist()
-    assert res.bob_b.tolist() == res.alice_b.tolist()
+    flips_ab = [0] * 4 + ms.encode_payload(code, np.array([1, 0], np.uint8)).tolist()
+    flips_ba = ms.encode_payload(code, np.array([0, 1], np.uint8)).tolist() + [0] * 4
+    results, ledgers, wires = [], [], []
+    for exchange in (vertical.run_vertical_exchange, reference_exchange):
+        ch, led = PatternChannel(flips_ab, flips_ba), ms.UsageLedger()
+        results.append(exchange(f_rows, g_rows, np.zeros(2, np.uint8), code, ch, led))
+        ledgers.append(led)
+        wires.append([d for d, _ in ch.sent])
+    assert wires[1] == [ms.Direction.A_TO_B, ms.Direction.B_TO_A] * 2
+    for res in results:
+        assert res.alice_a.tolist() == [[1, 1], [1, 0]]
+        assert res.alice_b.tolist() == [[1, 1], [1, 0]]
+        assert res.bob_a.tolist() == [[1, 0], [1, 0]]
+        assert res.bob_b.tolist() == [[1, 1], [0, 0]]
+    assert ledgers[0] == ledgers[1]
+    assert ledgers[0].decode_log == [ms.DecodeEvent("vertical_b", 1, ms.Direction.B_TO_A),
+                                     ms.DecodeEvent("vertical_a", 2, ms.Direction.A_TO_B)]
 
 
 def test_folded_exchange_sends_each_direction_once():
-    # the same rows under the identity code: each direction carries all its
-    # columns as zero words in one transmit, and the views are unchanged
+    # rows (rounds 1-2) and (rounds 3-4), the second opening at a stuck f:
+    # each direction carries all its columns as zero words in one transmit,
+    # one block per column, and the ledger books them column by column
     f_rows = np.array([[Mu.MU2, Mu.MU1], [Mu.MU4, Mu.MU2]], np.uint8)
     g_rows = np.array([[Mu.MU1, Mu.MU2], [Mu.MU2, Mu.MU1]], np.uint8)
-    ch = RecordingChannel(0.0, 0)
-    led = ms.UsageLedger()
-    res = vertical.run_vertical_exchange(
-        f_rows, g_rows, np.zeros(2, np.uint8), ms.Identity(), ch, led
-    )
-    assert [d for d, _ in ch.sent] == [ms.Direction.A_TO_B, ms.Direction.B_TO_A]
-    assert [bits.tolist() for _, bits in ch.sent] == [[0, 0, 0, 0], [0, 0, 0, 0]]
-    assert res.alice_a.tolist() == [[1, 1], [1, 1]]
-    assert res.alice_b.tolist() == [[1, 0], [0, 1]]
-    assert res.bob_a.tolist() == res.alice_a.tolist()
-    assert res.bob_b.tolist() == res.alice_b.tolist()
-    assert (led.uses_ab, led.uses_ba, led.block_profile) == (4, 4, [2, 2, 2, 2])
+    for code, wire in ((ms.Identity(), 4), (ms.RandomLinear(2, Fraction(1, 2), 3), 8)):
+        ch = RecordingChannel(0.0, 0)
+        led = ms.UsageLedger()
+        res = vertical.run_vertical_exchange(f_rows, g_rows, np.zeros(2, np.uint8), code, ch, led)
+        assert [d for d, _ in ch.sent] == [ms.Direction.A_TO_B, ms.Direction.B_TO_A]
+        assert [bits.tolist() for _, bits in ch.sent] == [[0] * wire, [0] * wire]
+        assert res.alice_a.tolist() == [[1, 1], [1, 1]]
+        assert res.alice_b.tolist() == [[1, 0], [0, 1]]
+        assert res.bob_a.tolist() == res.alice_a.tolist()
+        assert res.bob_b.tolist() == res.alice_b.tolist()
+        assert (led.uses_ab, led.uses_ba, led.block_profile) == (wire, wire, [2, 2, 2, 2])
+        assert led.decode_log == []
 
 
 @pytest.mark.parametrize("n", [16, 64, 300, 1024])
-@pytest.mark.parametrize("code", [ms.Identity(), ms.Repetition(3)])
+@pytest.mark.parametrize("code", [ms.Identity(), ms.Repetition(3),
+                                  ms.RandomLinear(4, Fraction(1, 2), (9, 10, 11))])
 def test_scheme2_batch_makes_five_transmits(n, code):
     # three predictor rounds and one folded message per direction, whatever
     # the number of columns
@@ -262,16 +308,11 @@ def test_folded_scheme1_part_a_makes_two_transmits():
     n = 256
     p = ms.gen_uniform_protocol(n, 5)
     assert sr.find_partition(p.f).p > sr._ceil_root4(n)  # the vertical branch
-    ch = RecordingChannel(0.0, 0)
-    rep = ms.run_scheme1(p, ch, ms.Identity())
-    assert rep.ok
-    assert [d for d, _ in ch.sent] == [ms.Direction.A_TO_B] * 2 + [ms.Direction.B_TO_A] * 2
-
-
-def test_send_message_axis_needs_a_bitwise_code():
-    with pytest.raises(ValueError, match="bit by bit"):
-        vertical.send(ms.ChannelPair(0.0, 0), ms.RandomLinear(2, Fraction(1, 2), 3),
-                      ms.UsageLedger(), np.zeros((3, 4), np.uint8), ms.Direction.A_TO_B, "s")
+    for code in (ms.Identity(), ms.RandomLinear(4, Fraction(1, 2), 9)):
+        ch = RecordingChannel(0.0, 0)
+        rep = ms.run_scheme1(p, ch, code)
+        assert rep.ok
+        assert [d for d, _ in ch.sent] == [ms.Direction.A_TO_B] * 2 + [ms.Direction.B_TO_A] * 2
 
 
 def test_exchange_noiseless_equals_per_row_chains():
