@@ -18,9 +18,10 @@ is viewed once per trial by the caller, ``coding._rlc_books``.
 ``ml_decode_index`` is the one exhaustive search.  ``certified_index`` is
 not a search: it tries one candidate per information set of each code and
 certifies a sub-block when a candidate lies within t = ⌊(d_min − 1)/2⌋ of
-it.  ``coding.decode_payload`` sends the sub-blocks it cannot certify to
-the search.  Only the search works in chunks, as only its scratch grows as
-sub-blocks × 2^k; the certified pass runs in one step.
+it.  ``coding.decode_payload`` runs it on every random-linear message and
+sends the sub-blocks it cannot certify to the search.  Only the search
+works in chunks, as only its scratch grows as sub-blocks × 2^k; the
+certified pass runs in one step.
 
 Per-layer timings of ``markov_chain`` and ``ml_decode_index`` are reported
 by the benchmark in ``perfbench/`` as ``kernels.markov_chain.*`` and
@@ -86,11 +87,11 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
 
-# Sub-blocks per chunk of the exhaustive search, over all trials of a batch;
-# only it chunks, as only its scratch grows with 2^k.  A chunk's distance
-# matrix holds about this many codebook entries, and at least one sub-block:
-# at k = 12, 16 sub-blocks and about 0.6 MB.  Wider chunks buy no speed and
-# raise the process's peak memory.
+# Sub-blocks per chunk of the exhaustive search, over all trials of a batch,
+# read by ml_decode_index alone: only its scratch grows with 2^k.  A chunk's
+# distance matrix holds about this many codebook entries, and at least one
+# sub-block: at k = 12, 16 sub-blocks and about 0.6 MB.  Wider chunks buy no
+# speed and raise the process's peak memory.
 _CHUNK_ENTRIES = 1 << 16
 
 

@@ -49,9 +49,11 @@ class UsageLedger:
     computed from; the info-bit size of every coded block sent, which the
     union-bound accounting consumes; and every decode that missed.
 
-    A batch's ledger (``vertical.new_ledger``) holds one row per trial: int64
+    A lone ledger holds int counts and one flat profile and decode_log.  A
+    batch's ledger (``vertical.new_ledger``) holds one row per trial: int64
     arrays of counts, and one profile list and one decode_log list per row.
-    row(t) reads trial t's own record."""
+    row(t) reads trial t's own record.  ``vertical._book`` is the one writer
+    of profiles and logs, and the one reader of which shape a ledger has."""
 
     uses_ab: int = 0
     uses_ba: int = 0

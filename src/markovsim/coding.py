@@ -13,16 +13,14 @@ info-word order, built once per code object.  A spec whose seed is a tuple
 holds one drawn code per trial of a batch, as one stacked codebook.  Payloads
 carry a leading trial axis, ``(T, L)``, and row t is coded with code t;
 only ``_rlc_books`` views a code shared by all rows once per row.
-Encoding looks the sub-blocks' codewords up in the codebooks; decoding
-searches them for all sub-blocks of a message, over all trials, in one
-batched kernel call.  A message of more sub-blocks per trial than one search
-chunk holds first goes through a certified shortcut: each of a few
-information sets of the code gives one candidate codeword, which is the ML
-answer for certain when it lies within ⌊(d_min − 1)/2⌋ of the received
-sub-block.  The sub-blocks that no candidate certifies go through the
-exhaustive search in one call, so every answer, ties included, is the
-search's.  Smaller messages skip the shortcut: its set-up and pass cost
-more than their search.
+Encoding looks the sub-blocks' codewords up in the codebooks.  Decoding
+takes all sub-blocks of a message, over all trials, through at most two
+batched kernel calls.  Every message first goes through a certified
+shortcut: each of a few information sets of the code gives one candidate
+codeword, which is the ML answer for certain when it lies within
+⌊(d_min − 1)/2⌋ of the received sub-block.  The sub-blocks that no
+candidate certifies go through the exhaustive search in one call, so every
+answer, ties included, is the search's.
 
 Exponent conventions: rates and gallager_e0 / gallager_exponent values are in
 bits.  The block-error bound for l independently coded blocks of b info bits
@@ -216,10 +214,7 @@ def encode_payload(code: CodeSpec, bits) -> np.ndarray:
         return bits
     if isinstance(code, Repetition):
         return np.repeat(bits, code.r, axis=-1)
-    length = bits.shape[-1]
-    if length == 0:
-        return bits.copy()
-    pad = (-length) % code.k
+    pad = (-bits.shape[-1]) % code.k
     if pad:
         bits = np.concatenate([bits, np.zeros(bits.shape[:-1] + (pad,), np.uint8)], -1)
     (books,) = _rlc_books(code, bits)
@@ -248,19 +243,15 @@ def decode_payload(code: CodeSpec, received, info_len: int) -> np.ndarray:
         return np.empty(received.shape[:-1] + (0,), np.uint8)
     bits = received.reshape(-1, received.shape[-1] // code.nc, code.nc)
     packed = _kernels.pack_bits(bits)
-    # the shortcut pays once a message outgrows one search chunk per trial
-    if bits.shape[1] <= _kernels._CHUNK_ENTRIES >> code.k:
-        info = _kernels.ml_decode_index(*_rlc_books(code, bits), packed)
-    else:
-        books, *sets = _rlc_books(code, bits, *code.info_sets)
-        info, hit = _kernels.certified_index(books, bits, packed, *sets)
-        # each row's uncertified sub-blocks, moved to the front and padded
-        rows, cols = np.nonzero(~hit)
-        if rows.size:
-            slot = (np.cumsum(~hit, axis=1) - 1)[rows, cols]
-            misses = np.zeros((len(hit), slot.max() + 1, packed.shape[-1]), np.uint64)
-            misses[rows, slot] = packed[rows, cols]
-            info[rows, cols] = _kernels.ml_decode_index(books, misses)[rows, slot]
+    books, *sets = _rlc_books(code, bits, *code.info_sets)
+    info, hit = _kernels.certified_index(books, bits, packed, *sets)
+    # each row's uncertified sub-blocks, moved to the front and padded
+    rows, cols = np.nonzero(~hit)
+    if rows.size:
+        slot = (np.cumsum(~hit, axis=1) - 1)[rows, cols]
+        misses = np.zeros((len(hit), slot.max() + 1, packed.shape[-1]), np.uint64)
+        misses[rows, slot] = packed[rows, cols]
+        info[rows, cols] = _kernels.ml_decode_index(books, misses)[rows, slot]
     return ints_to_bits(info, code.k).reshape(received.shape[:-1] + (-1,))[..., :info_len]
 
 

@@ -92,11 +92,11 @@ def send(
 ) -> np.ndarray:
     """Carry one message: encode, transmit, decode at the far end.
 
-    payload is one message, or a ``(T, L)`` batch with one row per trial and
-    a ledger from new_ledger.  The ledger records each row's channel uses and
-    coded blocks, and a DecodeEvent(stage, index, direction) for each row
-    whose decode differs from its payload.  Returns what the receiver
-    decoded; wrong bits are not fixed.
+    payload is one message with a lone ledger, or a ``(T, L)`` batch with one
+    row per trial and a ledger from new_ledger.  The channel charges each
+    row's uses; _book then books its coded blocks, and a DecodeEvent(stage,
+    index, direction) for each row whose decode differs from its payload.
+    Returns what the receiver decoded; wrong bits are not fixed.
 
     lengths, one per row, makes the message ragged: row t is its first
     lengths[t] bits, zero-padded to L.  Noise is keyed by position and a
@@ -106,9 +106,9 @@ def send(
     and only a miss inside its length is logged.
 
     With decode=False only the uses are booked, and the received words come
-    back undecoded for the caller to decode and book (run_vertical_exchange).
+    back undecoded for the caller to decode and book through _book
+    (run_vertical_exchange).
     """
-    lone = np.ndim(ledger.uses_ab) == 0
     uses = inside = None
     if lengths is not None:
         inside = np.arange(payload.shape[-1]) < np.asarray(lengths)[..., None]
@@ -117,20 +117,15 @@ def send(
     sent = ch.transmit(direction, encode_payload(code, payload), ledger, uses)
     if not decode:
         return sent
-    profiles = [ledger.block_profile] if lone else ledger.block_profile
-    sizes = ([payload.shape[-1]] * len(profiles) if lengths is None
-             else np.reshape(lengths, -1).tolist())
-    blocks = {s: payload_blocks(code, s) for s in set(sizes)}
-    for row, size in zip(profiles, sizes):
-        row += blocks[size]
     got = decode_payload(code, sent, payload.shape[-1])
     wrong = got != payload
     if inside is not None:
         wrong &= inside
-    if wrong.any():
-        logs = [ledger.decode_log] if lone else ledger.decode_log
-        for row in np.flatnonzero(wrong.reshape(len(logs), -1).any(-1)):
-            logs[row].append(DecodeEvent(stage, index, direction))
+    sizes = np.broadcast_to(payload.shape[-1] if lengths is None else lengths,
+                            payload.shape[:-1]).ravel().tolist()
+    blocks = {s: payload_blocks(code, s) for s in set(sizes)}
+    _book(ledger, [blocks[s] for s in sizes],
+          [(t, DecodeEvent(stage, index, direction)) for t in np.flatnonzero(wrong.any(-1))])
     return got
 
 
@@ -146,17 +141,17 @@ class VerticalResult:
     bob_tail: Optional[np.ndarray] = None
 
 
-def _book_columns(ledger: UsageLedger, blocks: list, wrong: np.ndarray) -> None:
-    """Book a folded exchange as column-by-column sends would: each row's
-    blocks, then a DecodeEvent for each row, column and direction whose
-    decode missed (wrong, ``(rows, width, 2)``), row first, A before B."""
+def _book(ledger: UsageLedger, blocks: list, misses) -> None:
+    """Append blocks[t] to row t's block profile and each (t, DecodeEvent) of
+    misses to row t's decode log, in order.  A lone ledger is row 0; this is
+    the one place that tells a lone ledger from a batch's."""
     lone = np.ndim(ledger.uses_ab) == 0
-    for prof, row in zip([ledger.block_profile] if lone else ledger.block_profile, blocks):
-        prof += row
-    if wrong.any():
-        logs = [ledger.decode_log] if lone else ledger.decode_log
-        for t, c, d in zip(*(i.tolist() for i in np.nonzero(wrong))):
-            logs[t].append(DecodeEvent(("vertical_a", "vertical_b")[d], c + 1, Direction(d)))
+    profiles = [ledger.block_profile] if lone else ledger.block_profile
+    logs = [ledger.decode_log] if lone else ledger.decode_log
+    for profile, row in zip(profiles, blocks):
+        profile += row
+    for t, event in misses:
+        logs[t].append(event)
 
 
 def run_vertical_exchange(
@@ -247,7 +242,11 @@ def run_vertical_exchange(
     col = payload_blocks(code, rows)
     books = {s: col * 2 * (width - 1) + payload_blocks(code, rows + s) + col
              for s in set(sizes.ravel().tolist())}
-    _book_columns(ledger, [books[s] for s in sizes.ravel().tolist()], wrong.reshape(-1, width, 2))
+    # as column-by-column sends would book them: row first, A before B
+    misses = zip(*(i.tolist() for i in np.nonzero(wrong.reshape(-1, width, 2))))
+    _book(ledger, [books[s] for s in sizes.ravel().tolist()],
+          [(t, DecodeEvent(("vertical_a", "vertical_b")[d], c + 1, Direction(d)))
+           for t, c, d in misses])
     bob_tail = None if alice_tail is None else tail ^ flips_tail
     return VerticalResult(bob_a ^ fa, alice_b, bob_a, alice_b ^ fb, bob_tail)
 

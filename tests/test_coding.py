@@ -99,6 +99,22 @@ def test_payload_round_trip_all_families():
             assert np.array_equal(ms.decode_payload(code, coded, length), bits)
 
 
+@pytest.mark.parametrize(
+    "code, shape",
+    [*((code, shape) for code in (ms.Identity(), ms.Repetition(3),
+                                  ms.RandomLinear(12, Fraction(1, 4), 7))
+       for shape in ((0,), (3, 0))),
+     # a drawn code holds one seed per row
+     (ms.RandomLinear(12, Fraction(1, 4), (7,)), (0,)),
+     (ms.RandomLinear(12, Fraction(1, 4), (7, 8, 9)), (3, 0))],
+)
+def test_empty_payloads_round_trip(code, shape):
+    coded = ms.encode_payload(code, np.zeros(shape, np.uint8))
+    assert coded.shape == shape and coded.dtype == np.uint8
+    got = ms.decode_payload(code, coded, 0)
+    assert got.shape == shape and got.dtype == np.uint8
+
+
 def _ref_decode(G, received):
     """Exhaustive ML decode of each nc-bit sub-block of ``received``, from G
     itself and with info words taken in index order.  Returns the info
@@ -242,15 +258,17 @@ def test_rlc_rejects_non_integer_k(k):
 
 
 def test_shared_code_meets_the_decode_kernels_once_per_trial(monkeypatch):
-    # a shared code is viewed per trial before either decode kernel sees it
-    books = []
+    # a shared code is viewed per trial before either decode kernel sees it;
+    # every message is certified first, and only a miss reaches the search
+    calls = []
 
     def spy(name):
         real = getattr(_kernels, name)
 
         def call(codebook, *args):
-            books.append((name, codebook.shape[0]))
-            return real(codebook, *args)
+            out = real(codebook, *args)
+            calls.append((name, codebook.shape[0], out))
+            return out
 
         monkeypatch.setattr(_kernels, name, call)
 
@@ -259,20 +277,24 @@ def test_shared_code_meets_the_decode_kernels_once_per_trial(monkeypatch):
     code = ms.RandomLinear(12, Fraction(1, 4), 7)
     rule = _kernels._CHUNK_ENTRIES >> code.k
     rng = np.random.default_rng(17)
-    for length, kernels in ((10 * 12, {"ml_decode_index"}),
-                            ((rule + 40) * 12, {"certified_index", "ml_decode_index"})):
+    searched = 0
+    for length in (10 * 12, (rule + 40) * 12):
         received = _noisy(code, rng, (3, length), 0.08)
-        books.clear()
+        calls.clear()
         got = ms.decode_payload(code, received, length)
-        assert {name for name, _ in books} == kernels
-        assert all(trials == 3 for _, trials in books)
+        (hit,) = [out[1] for name, _, out in calls if name == "certified_index"]
+        missed = not hit.all()
+        assert [name for name, _, _ in calls] == ["certified_index"] + ["ml_decode_index"] * missed
+        assert all(trials == 3 for _, trials, _ in calls)
+        searched += missed
         for row, want in zip(received, got):
             assert np.array_equal(ms.decode_payload(code, row, length), want)
+    assert searched > 0
 
 
 def test_rlc_certified_decode_memory_stays_bounded(shortcut_calls):
-    # a stacked k=16 batch: every message of two or more sub-blocks takes the
-    # shortcut, and its set-up, counted here, and its fallback stay in bound
+    # a stacked k=16 batch: the shortcut's set-up, counted here, and its
+    # fallback stay in bound
     code = ms.RandomLinear(16, Fraction(1, 4), tuple(range(9, 13)))
     rng = np.random.default_rng(16)
     received = _noisy(code, rng, (4, 16 * 64), 0.05)
@@ -333,7 +355,7 @@ def _singular(code):
         (12, Fraction(1, 4), 3, 5, True),
         # rate 1/2 at eps 0.1: many fallback blocks are ties
         (8, Fraction(1, 2), 4, 5, False),
-        # two words a codeword; every message takes the shortcut
+        # two words a codeword
         (20, Fraction(1, 4), 2, 1, False),
         # d_min <= 1, often a singular G: t is 0 or -1
         (3, Fraction(1), 4, 10, False),
@@ -343,13 +365,15 @@ def _singular(code):
 )
 def test_certified_decode_equals_exhaustive_search(shortcut_calls, k, rate, codes, rounds, shared):
     rng = np.random.default_rng(k * 10 + codes)
-    # a message of more sub-blocks than this a row takes the shortcut
+    # the exhaustive search's chunk holds this many sub-blocks a row
     rule = _kernels._CHUNK_ENTRIES >> k
     lengths = [n for n in (rule * k, rule * k + 1, (rule + 40) * k - 5) if n > 0]
     if k == 12:  # baseline's description message at n = 4096: 683 sub-blocks
         lengths.append(8192)
     if k == 20:
-        lengths = [k, 3 * k - 7]
+        lengths = [3 * k - 7]
+    # one sub-block, and six: scheme2's parity round at n = 4096 and k = 12
+    lengths += [k, 6 * k]
     eps_values = (0, 0.02, 0.05, 0.1, 0.2, 0.4) if k < 20 else (0, 0.02, 0.1, 0.4)
     radii, singular, ties, certified, fell_back = set(), 0, 0, 0, 0
     for _ in range(rounds):
@@ -363,11 +387,9 @@ def test_certified_decode_equals_exhaustive_search(shortcut_calls, k, rate, code
                 before = len(shortcut_calls)
                 got = ms.decode_payload(code, received, length)
                 assert np.array_equal(got, _exhaustive(code, received, length))
-                shortcut = -(-length // k) > rule
-                assert len(shortcut_calls) == before + shortcut
-                if shortcut:
-                    certified += int(shortcut_calls[-1].sum())
-                    fell_back += int((~shortcut_calls[-1]).sum())
+                assert len(shortcut_calls) == before + 1
+                certified += int(shortcut_calls[-1].sum())
+                fell_back += int((~shortcut_calls[-1]).sum())
                 if shared:  # a 1-D payload, row by row
                     for row in received:
                         want = _exhaustive(code, row, length)
@@ -424,6 +446,35 @@ def test_singular_generator_certifies_no_block():
     info, hit = _kernels.certified_index(code.codebooks, bits, packed, *code.info_sets)
     assert not hit[singular].any()
     assert hit[~np.isin(np.arange(40), singular)].any()
+
+
+@pytest.mark.parametrize(
+    "k, rate",
+    [(12, Fraction(1, 4)), (8, Fraction(1, 2)),
+     # d_min <= 1 and many singular codes, which certify nothing
+     (3, Fraction(1))],
+)
+def test_certified_pass_is_translation_covariant(k, rate):
+    # for y = encode(x) ^ e the candidates are x ^ (e's candidates) at the
+    # same distances, so y is certified exactly where e is, at x ^ index(e)
+    codes, blocks = 8, 200
+    code = ms.RandomLinear(k, rate, tuple(range(100, 100 + codes)))
+    rng = np.random.default_rng(k)
+    x = rng.integers(0, 1 << k, (codes, blocks))
+    words = ms.encode_payload(code, ints_to_bits(x, k).reshape(codes, -1))
+    seen = 0
+    for eps in (0.02, 0.1, 0.3):
+        e = (rng.random(words.shape) < eps).astype(np.uint8)
+        out = []
+        for received in (words ^ e, e):
+            bits = received.reshape(codes, blocks, code.nc)
+            out.append(_kernels.certified_index(code.codebooks, bits, _kernels.pack_bits(bits),
+                                                *code.info_sets))
+        (index_y, hit_y), (index_e, hit_e) = out
+        assert np.array_equal(hit_y, hit_e)
+        assert np.array_equal(index_y[hit_y], (x ^ index_e)[hit_e])
+        seen += int(hit_y.sum())
+    assert seen > 0
 
 
 @pytest.mark.parametrize("r", [1, 3, 5, 7, 257])

@@ -66,3 +66,20 @@ def test_decode_kernels_take_one_input_shape():
     tree = ast.parse(path.read_text())
     names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
     assert not names & {"broadcast_to", "ndim"}
+
+
+def test_one_decode_path_and_one_booking_path():
+    # every random-linear message takes the certified pass, so only the
+    # search reads its chunk size; one routine books every message
+    root = Path(ms.__file__).parent
+    coding = ast.parse((root / "coding.py").read_text())
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(coding)}
+    assert "_CHUNK_ENTRIES" not in names
+    tree = ast.parse((root / "vertical.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_book_columns" not in funcs
+    # the functions that ask whether a ledger is a lone one
+    readers = [name for name, func in funcs.items()
+               if any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "ndim"
+                      and "ledger" in ast.unparse(node) for node in ast.walk(func))]
+    assert readers == ["_book"]
