@@ -18,15 +18,18 @@ is viewed once per trial by the caller, ``coding._rlc_books``.
 ``ml_decode_index`` is the one exhaustive search.  ``certified_index`` is
 not a search: it tries one candidate per information set of each code and
 certifies a sub-block when a candidate lies within t = ⌊(d_min − 1)/2⌋ of
-it.  ``coding.decode_payload`` runs it on every random-linear message and
-sends the sub-blocks it cannot certify to the search.  Only the search
-works in chunks, as only its scratch grows as sub-blocks × 2^k; the
-certified pass runs in one step.
+it.  ``coding.decode_with_ties`` runs it on every random-linear message and
+sends the sub-blocks it cannot certify to the search, each trial's in front
+and counted, so the search skips the padding.  The search also reports a
+tie, another codeword at the same least distance; a certified sub-block
+never ties.  Only the search works in chunks, one trial at a time, as only
+its scratch grows as sub-blocks × 2^k; the certified pass runs in one step.
 
 Per-layer timings of ``markov_chain`` and ``ml_decode_index`` are reported
 by the benchmark in ``perfbench/`` as ``kernels.markov_chain.*`` and
 ``kernels.ml_decode_index.*``; the certified pass is not traced on its own,
-so its time shows as ``coding.decode_payload`` self time.
+so its time shows as self time of its traced caller, ``coding.decode_payload``
+or ``vertical.run_vertical_exchange``.
 """
 
 from __future__ import annotations
@@ -87,8 +90,8 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
 
-# Sub-blocks per chunk of the exhaustive search, over all trials of a batch,
-# read by ml_decode_index alone: only its scratch grows with 2^k.  A chunk's
+# Sub-blocks per chunk of the exhaustive search, within one trial, read by
+# ml_decode_index alone: only its scratch grows with 2^k.  A chunk's
 # distance matrix holds about this many codebook entries, and at least one
 # sub-block: at k = 12, 16 sub-blocks and about 0.6 MB.  Wider chunks buy no
 # speed and raise the process's peak memory.
@@ -105,23 +108,23 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
-def ml_decode_index(codebook: np.ndarray, received: np.ndarray) -> np.ndarray:
+def ml_decode_index(codebook: np.ndarray, received: np.ndarray, counts) -> tuple:
     """Index of the packed codebook row nearest in Hamming distance to each
-    received sub-block, ties to the lowest index.  codebook is ``(T, rows,
-    words)`` and received ``(T, blocks, words)``: trial t is searched in its
-    own codebook.  Returns int64 ``(T, blocks)``."""
-    trials, blocks = received.shape[:2]
-    rows = codebook.shape[1]
-    out = np.empty((trials, blocks), np.int64)
-    # a chunk is up to tstep trials x bstep sub-blocks of each
-    bstep = max(1, min(blocks, _CHUNK_ENTRIES // rows))
-    tstep = max(1, _CHUNK_ENTRIES // (rows * bstep))
-    for t in range(0, trials, tstep):
-        cb = codebook[t : t + tstep, None]
-        for b in range(0, blocks, bstep):
-            d = _distance(received[t : t + tstep, b : b + bstep, None], cb)
-            out[t : t + tstep, b : b + bstep] = d.argmin(axis=-1)
-    return out
+    received sub-block, ties to the lowest index, and whether another row
+    ties it.  codebook is ``(T, rows, words)`` and received ``(T, blocks,
+    words)``: trial t is searched in its own codebook, over its first
+    counts[t] sub-blocks only.  Returns int64 index and bool tied, each
+    ``(T, blocks)`` and 0 past the counts."""
+    index, tied = np.zeros(received.shape[:2], np.int64), np.zeros(received.shape[:2], bool)
+    step = max(1, _CHUNK_ENTRIES // codebook.shape[1])
+    for t, count in enumerate(np.asarray(counts).tolist()):
+        for b in range(0, count, step):
+            d = _distance(received[t, b : min(b + step, count), None], codebook[t])
+            i, at = d.argmin(axis=-1), np.arange(len(d))
+            least = d[at, i]
+            d[at, i] = np.iinfo(d.dtype).max  # any row left at the least ties
+            index[t, b : b + len(d)], tied[t, b : b + len(d)] = i, d.min(axis=-1) == least
+    return index, tied
 
 
 def certified_index(codebook, bits, received, positions, rows, radius):

@@ -1,9 +1,9 @@
 """Block codes for the noisy links plus random-coding error exponents.
 
 Three code families share one encoder, encode_payload, and one decoder,
-decode_payload: identity (no protection), odd-length repetition with majority
-decoding, and seeded random linear codes with exact maximum-likelihood
-decoding.  Exact ML rests on an exhaustive search of the codebook, so
+decode_with_ties (decode_payload returns its bits): identity (no protection),
+odd-length repetition with majority decoding, and seeded random linear codes
+with exact maximum-likelihood decoding.  Exact ML rests on an exhaustive search of the codebook, so
 random-linear info blocks are capped at ML_SEARCH_CAP bits; longer payloads
 are split into consecutive sub-blocks, and the union-bound accounting treats
 the sub-blocks as additional independent blocks.
@@ -20,7 +20,8 @@ shortcut: each of a few information sets of the code gives one candidate
 codeword, which is the ML answer for certain when it lies within
 ⌊(d_min − 1)/2⌋ of the received sub-block.  The sub-blocks that no
 candidate certifies go through the exhaustive search in one call, so every
-answer, ties included, is the search's.
+answer, ties included, is the search's.  The search also reports which
+tied, and redecode_tied searches only those to decode encode(x) ^ received.
 
 Exponent conventions: rates and gallager_e0 / gallager_exponent values are in
 bits.  The block-error bound for l independently coded blocks of b info bits
@@ -225,34 +226,68 @@ def encode_payload(code: CodeSpec, bits) -> np.ndarray:
 
 
 def decode_payload(code: CodeSpec, received, info_len: int) -> np.ndarray:
-    """The one decoder: decode a payload produced by encode_payload back to
-    info_len bits (per row of a batch).  Identity returns ``received`` itself,
-    the channel's copy."""
+    """The one decoder's bits: decode a payload produced by encode_payload
+    back to info_len bits (per row of a batch).  Identity returns
+    ``received`` itself, the channel's copy."""
+    return decode_with_ties(code, received, info_len)[0]
+
+
+def decode_with_ties(code: CodeSpec, received, info_len: int) -> tuple:
+    """The one decoder: (bits, tied).  tied marks each sub-block of a random
+    linear code whose nearest codeword is not unique, so that the tie rule
+    chose; certified sub-blocks never tie.  It is None for identity and
+    repetition codes, which decode bit by bit and never tie."""
     received = np.asarray(received, dtype=np.uint8)
     if received.shape[-1] != coded_length(code, info_len):
         raise ValueError("received length does not match the payload layout")
     if isinstance(code, Identity):
-        return received
+        return received, None
     if isinstance(code, Repetition):
         # strided adds: a sum over a last axis of length r runs group by group
         votes = received[..., 0 :: code.r].astype(np.min_scalar_type(code.r))
         for i in range(1, code.r):
             votes += received[..., i :: code.r]
-        return (votes > code.r // 2).astype(np.uint8)
+        return (votes > code.r // 2).astype(np.uint8), None
     if info_len == 0:
-        return np.empty(received.shape[:-1] + (0,), np.uint8)
+        return received, received.astype(bool)
     bits = received.reshape(-1, received.shape[-1] // code.nc, code.nc)
     packed = _kernels.pack_bits(bits)
     books, *sets = _rlc_books(code, bits, *code.info_sets)
     info, hit = _kernels.certified_index(books, bits, packed, *sets)
-    # each row's uncertified sub-blocks, moved to the front and padded
-    rows, cols = np.nonzero(~hit)
-    if rows.size:
-        slot = (np.cumsum(~hit, axis=1) - 1)[rows, cols]
-        misses = np.zeros((len(hit), slot.max() + 1, packed.shape[-1]), np.uint64)
-        misses[rows, slot] = packed[rows, cols]
-        info[rows, cols] = _kernels.ml_decode_index(books, misses)[rows, slot]
-    return ints_to_bits(info, code.k).reshape(received.shape[:-1] + (-1,))[..., :info_len]
+    miss, tied = ~hit, np.zeros(hit.shape, bool)
+    if miss.any():
+        info[miss], tied[miss] = _search(books, np.nonzero(miss)[0], packed[miss])
+    info = ints_to_bits(info, code.k).reshape(received.shape[:-1] + (-1,))
+    return info[..., :info_len], tied.reshape(received.shape[:-1] + (-1,))
+
+
+def redecode_tied(code: RandomLinear, received, sent, bits, tied) -> np.ndarray:
+    """decode_payload(code, encode_payload(code, sent) ^ received, …) ^ sent
+    for a sent of whole blocks, from (bits, tied) = decode_with_ties(code,
+    received, …).  Ties and certificates are translation invariant, so only
+    the tied sub-blocks are searched again, as codebook[t, x] ^ received."""
+    tied = tied.reshape(-1, tied.shape[-1])
+    t, j = np.nonzero(tied)
+    if not t.size:
+        return bits
+    (books,) = _rlc_books(code, tied)
+    x = bits_to_ints(np.reshape(sent, tied.shape + (code.k,))[t, j], code.k)  # (n, 1)
+    words = _kernels.pack_bits(np.reshape(received, tied.shape + (code.nc,))[t, j])
+    index = _search(books, t, words ^ books[t, x[:, 0]])[0]
+    out = bits.copy()
+    out.reshape(tied.shape + (code.k,))[t, j] = ints_to_bits(index[:, None] ^ x, code.k)
+    return out
+
+
+def _search(books, trial, words) -> tuple:
+    """ml_decode_index's (index, tied) of each packed words[i] of trial
+    trial[i], trials ascending, with each trial's words in front and counted."""
+    counts = np.bincount(trial, minlength=len(books))
+    slot = np.arange(len(trial)) - (np.cumsum(counts) - counts)[trial]
+    front = np.zeros((len(books), counts.max(), words.shape[-1]), np.uint64)
+    front[trial, slot] = words
+    index, tied = _kernels.ml_decode_index(books, front, counts)
+    return index[trial, slot], tied[trial, slot]
 
 
 # ---------------------------------------------------------------------------

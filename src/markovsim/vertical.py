@@ -33,8 +33,8 @@ import numpy as np
 from . import _kernels
 from .bits import delayed, ints_to_bits
 from .channel import ChannelPair, DecodeEvent, Direction, UsageLedger, rate_of
-from .coding import (CodeSpec, RandomLinear, coded_length, decode_payload, encode_payload,
-                     payload_blocks)
+from .coding import (CodeSpec, coded_length, decode_payload, decode_with_ties, encode_payload,
+                     payload_blocks, redecode_tied)
 from .protocol import Protocol, Transcript, eval_fn_array, simulate_reference
 from .report import SimulationReport
 
@@ -184,11 +184,12 @@ def run_vertical_exchange(
     decode(encode(x) ^ e) = x ^ decode(e), so the flips e of every column
     enter the codes as c' = ((c - 1) ^ e) + 1, and one chain per row gives
     Bob's A and Alice's B bits, each other view one XOR away.  ML ties, which
-    go to the lowest info word, break that identity: for a random linear code
-    the words the columns would have carried, encode(x) ^ e, are decoded
-    again from the chain's x until the flips stop changing.  Each pass makes
-    each row's earliest wrong column exact: at most 2 * width passes, and one
-    when nothing ties.
+    go to the lowest info word, break that identity where a sub-block ties,
+    and ties are translation invariant: so for a random linear code only the
+    sub-blocks that tied in the first decode are decoded again, as the
+    columns would have carried them from the chain's x, until the flips stop
+    changing.  Each pass makes each row's earliest wrong column exact: at
+    most 2 * width passes, and one chain when nothing ties.
     """
     f_rows = np.asarray(f_rows, dtype=np.uint8)
     g_rows = np.asarray(g_rows, dtype=np.uint8)
@@ -216,20 +217,21 @@ def run_vertical_exchange(
     def columns(words):  # (..., rows, width) view of the columns laid out in words
         return words[..., : width * step].reshape(lead + (width, step))[..., :rows].mT
 
-    flips_a, flips_b = decode_payload(code, got_a, a_len), decode_payload(code, got_b, b_len)
+    (flips_a, tied_a), (flips_b, tied_b) = (decode_with_ties(code, got_a, a_len),
+                                            decode_with_ties(code, got_b, b_len))
     while True:
         fa, fb = columns(flips_a), columns(flips_b)
         bob_a, alice_b = _kernels.markov_chain(
             ((f_rows - 1) ^ fa) + 1, ((g_rows - 1) ^ fb) + 1, start_bits
         )
-        if not isinstance(code, RandomLinear):
+        if tied_a is None or not (tied_a.any() or tied_b.any()):
             break
-        # decode again the words the columns would have carried
+        # decode the tied sub-blocks again as the columns would have sent them
         x_a, x_b = np.zeros(lead + (a_len,), np.uint8), np.zeros(lead + (b_len,), np.uint8)
         columns(x_a)[...], columns(x_b)[...] = bob_a ^ fa, alice_b ^ fb
         x_a[..., at : at + tail.shape[-1]] = tail
-        new_a, new_b = (decode_payload(code, encode_payload(code, x) ^ got, x.shape[-1]) ^ x
-                        for x, got in ((x_a, got_a), (x_b, got_b)))
+        new_a = redecode_tied(code, got_a, x_a, flips_a, tied_a)
+        new_b = redecode_tied(code, got_b, x_b, flips_b, tied_b)
         if np.array_equal(new_a, flips_a) and np.array_equal(new_b, flips_b):
             break
         flips_a, flips_b = new_a, new_b

@@ -338,7 +338,8 @@ def _exhaustive(code, received, info_len):
     rx = received.reshape(-1, received.shape[-1] // code.nc, code.nc)
     packed = _kernels.pack_bits(rx)
     books = np.broadcast_to(code.codebooks, (len(rx),) + code.codebooks.shape[1:])
-    info = ints_to_bits(_kernels.ml_decode_index(books, packed), code.k)
+    info = ints_to_bits(_kernels.ml_decode_index(books, packed, [packed.shape[1]] * len(rx))[0],
+                        code.k)
     return info.reshape(received.shape[:-1] + (-1,))[..., :info_len]
 
 
@@ -475,6 +476,40 @@ def test_certified_pass_is_translation_covariant(k, rate):
         assert np.array_equal(index_y[hit_y], (x ^ index_e)[hit_e])
         seen += int(hit_y.sum())
     assert seen > 0
+
+
+@pytest.mark.parametrize(
+    "k, rate",
+    [(12, Fraction(1, 4)), (8, Fraction(1, 2)),
+     # many singular codes, whose every sub-block ties
+     (3, Fraction(1))],
+)
+def test_tie_mask_is_translation_invariant(k, rate):
+    # y = encode(x) ^ e lies at e's distances with the info words moved by x,
+    # so y ties exactly where e does and each untied sub-block decodes to
+    # x ^ decode(e): the tied-only repair rests on this
+    codes, blocks = 8, 200
+    code = ms.RandomLinear(k, rate, tuple(range(100, 100 + codes)))
+    rng = np.random.default_rng(k + 1)
+    x = rng.integers(0, 2, (codes, blocks * k)).astype(np.uint8)
+    words = ms.encode_payload(code, x)
+    ties = 0
+    for eps in (0.02, 0.1, 0.3):
+        e = (rng.random(words.shape) < eps).astype(np.uint8)
+        bits_y, tied_y = coding.decode_with_ties(code, words ^ e, blocks * k)
+        bits_e, tied_e = coding.decode_with_ties(code, e, blocks * k)
+        assert tied_e.shape == (codes, blocks)
+        assert np.array_equal(tied_y, tied_e)
+        untied = np.repeat(~tied_e, k, axis=-1)
+        assert np.array_equal(bits_y[untied], (x ^ bits_e)[untied])
+        # the mask is exact: more than one codeword at the least distance
+        packed = _kernels.pack_bits(e.reshape(codes, blocks, code.nc))
+        d = np.bitwise_count(packed[:, :, None, 0] ^ code.codebooks[:, None, :, 0])
+        assert np.array_equal(tied_e, (d == d.min(-1, keepdims=True)).sum(-1) > 1)
+        # and the repair of the tied sub-blocks decodes y
+        assert np.array_equal(coding.redecode_tied(code, e, x, bits_e, tied_e), bits_y ^ x)
+        ties += int(tied_e.sum())
+    assert ties > 0
 
 
 @pytest.mark.parametrize("r", [1, 3, 5, 7, 257])

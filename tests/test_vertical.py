@@ -223,6 +223,77 @@ def test_folded_exchange_equals_the_column_loop(family, eps, tail, trials, monke
         assert len(chains) == 1
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(calls, tied): each markov_chain, certified_index and ml_decode_index
+    call in order, as (name, the search's counts), and the tie mask of each
+    decode the exchange makes."""
+    calls, tied = [], []
+
+    def spy(name):
+        real = getattr(vertical._kernels, name)
+
+        def call(*args):
+            calls.append((name, args[2].tolist() if name == "ml_decode_index" else None))
+            return real(*args)
+
+        monkeypatch.setattr(vertical._kernels, name, call)
+
+    for name in ("markov_chain", "certified_index", "ml_decode_index"):
+        spy(name)
+    decode = vertical.decode_with_ties
+
+    def decode_spy(*args):
+        out = decode(*args)
+        tied.append(out[1])
+        return out
+
+    monkeypatch.setattr(vertical, "decode_with_ties", decode_spy)
+    return calls, tied
+
+
+def test_tie_free_exchange_makes_one_chain_and_one_decode(kernel_calls):
+    # at the benchmark's code nothing ties, so the decode kernels run for the
+    # first decode of each direction only, and one chain gives every view
+    calls, tied = kernel_calls
+    code = ms.RandomLinear(12, Fraction(1, 4), (31, 32, 33, 34))
+    rng = np.random.default_rng(31)
+    f_rows, g_rows = rng.integers(1, 5, (2, 4, 64, 16)).astype(np.uint8)
+    start = rng.integers(0, 2, (4, 64)).astype(np.uint8)
+    ledger = vertical.new_ledger(4)
+    fold = vertical.run_vertical_exchange(f_rows, g_rows, start, code,
+                                          ms.ChannelPair(0.05, range(4)), ledger)
+    assert len(tied) == 2 and not any(t.any() for t in tied)
+    names = [name for name, _ in calls]
+    assert names.count("certified_index") == 2 and "ml_decode_index" in names
+    assert names.count("markov_chain") == 1 and names[-1] == "markov_chain"
+    loop = reference_exchange(f_rows, g_rows, start, code, ms.ChannelPair(0.05, range(4)),
+                              vertical.new_ledger(4))
+    for name in ("alice_a", "alice_b", "bob_a", "bob_b"):
+        assert np.array_equal(getattr(fold, name), getattr(loop, name)), name
+
+
+def test_repair_searches_only_the_tied_sub_blocks(kernel_calls):
+    # a tie-heavy code: after the first chain, each pass searches exactly the
+    # sub-blocks that tied in the first decode, A's then B's, and takes no
+    # certified pass
+    calls, tied = kernel_calls
+    code = FAMILIES["rlc_ties"](lambda seeds: seeds)
+    rng = np.random.default_rng(23)
+    f_rows, g_rows = rng.integers(1, 5, (2, 4, 5, 7)).astype(np.uint8)
+    start = rng.integers(0, 2, (4, 5)).astype(np.uint8)
+    vertical.run_vertical_exchange(f_rows, g_rows, start, code, ms.ChannelPair(0.1, range(4)),
+                                   vertical.new_ledger(4))
+    tied_a, tied_b = tied
+    assert tied_a.any() and (~tied_a).any()
+    first = [name for name, _ in calls].index("markov_chain")
+    later = calls[first:]
+    assert "certified_index" not in [name for name, _ in later]
+    per_pass = [t.sum(-1).tolist() for t in (tied_a, tied_b) if t.any()]
+    chains = [name for name, _ in later].count("markov_chain")
+    assert [counts for name, counts in later if name == "ml_decode_index"] == per_pass * chains
+
+
 class PatternChannel(RecordingChannel):
     """RecordingChannel whose noise is a fixed flip pattern per direction,
     keyed by position in that direction's stream."""
