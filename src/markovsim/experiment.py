@@ -9,7 +9,8 @@ A cell's trials run in batches of up to ``_BATCH_ROUNDS`` rounds: each
 message of a batch carries every trial's payload at once, with each trial's
 own noise and code, so a trial gets exactly the result ``run_trial`` gives it
 alone (a batch of one).  scheme1's message sizes depend on each protocol's
-block count p, so its window of trials runs as one batch per p.
+block count p, so it draws ``_LOOKAHEAD_WINDOWS`` windows of trials at once,
+partitions each trial once, and runs each p's trials in full batches.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .coding import (
 )
 from .protocol import Protocol, gen_uniform_protocol
 from .report import SimulationReport
-from .scheme_random import find_partition, run_scheme1
+from .scheme_random import Partition, find_partition, run_scheme1
 from .scheme_regular import run_scheme2
 from .vertical import run_baseline
 
@@ -44,6 +45,7 @@ SCHEMES = ("baseline", "scheme1", "scheme2")
 # the memory a batch takes to about 1.5 MB: 8 trials at n = 4096 or with a
 # drawn k = 12 code, 128 at n = 256.
 _BATCH_ROUNDS = 1 << 15
+_LOOKAHEAD_WINDOWS = 4  # scheme1 windows drawn at once, to fill its batches per block count
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -145,18 +147,21 @@ def run_batch(
     code: CodeSpec,
     noise_seeds: Sequence[int],
     m_override: Optional[int] = None,
+    part: Optional[Partition] = None,
 ) -> list[SimulationReport]:
     """Run trials of one length together: trial t on protocols[t] with noise
     seed noise_seeds[t], and with code t when the code's seed is a tuple.
-    Returns one report per trial.  scheme1's protocols must share one block
-    count, and only scheme2 takes m_override."""
+    Returns one report per trial.  scheme1's protocols share one block count
+    (part, if given, is their stacked partition); only scheme2 takes m_override."""
     _check_m_override(scheme, m_override)
+    if part is not None and scheme != "scheme1":
+        raise ValueError(f"a partition is scheme1's input; {scheme} takes none")
     p = Protocol(np.stack([q.f for q in protocols]), np.stack([q.g for q in protocols]))
     ch = ChannelPair(eps, noise_seeds)
     if scheme == "baseline":
         return run_baseline(p, ch, code)
     if scheme == "scheme1":
-        return run_scheme1(p, ch, code)
+        return run_scheme1(p, ch, code, part)
     return run_scheme2(p, ch, code, m=m_override)
 
 
@@ -175,13 +180,16 @@ def run_trial(
 def cell_reports(
     cfg: ExperimentConfig, code: CodeSpec, n: int, eps: float, cell: int
 ) -> Iterator[SimulationReport]:
-    """The reports of one cell's trials, in trial order, run in batches:
-    one per window of trials, or for scheme1 one per block count in it."""
+    """The reports of one cell's trials, in trial order, run in batches of a
+    window of trials.  scheme1 partitions ``_LOOKAHEAD_WINDOWS`` windows in
+    one call and runs each block count's trials in full windows but its last.
+    A report is yielded as soon as every earlier trial's report exists."""
     drawn = isinstance(code, RandomLinear) and code.code_seed is None
     rows = max(n, 1 << code.k if drawn else 0)
     size = max(1, _BATCH_ROUNDS // rows)
-    for lo in range(0, cfg.trials, size):
-        trials = range(lo, min(lo + size, cfg.trials))
+    span = size * (_LOOKAHEAD_WINDOWS if cfg.scheme == "scheme1" else 1)
+    for lo in range(0, cfg.trials, span):
+        trials = range(lo, min(lo + span, cfg.trials))
         seeds = [
             [int(x) for x in np.random.SeedSequence(entropy=(cfg.seed, cell, t))
              .generate_state(3, np.uint64)]
@@ -193,18 +201,24 @@ def cell_reports(
             protocols = [gen_uniform_protocol(n, p_seed) for p_seed, _, _ in seeds]
         keys = [0] * len(protocols)
         if cfg.scheme == "scheme1":
-            keys = [q.p for q in find_partition(np.stack([q.f for q in protocols]))]
-        reports = [None] * len(protocols)
-        for key in dict.fromkeys(keys):
-            group = [i for i, k in enumerate(keys) if k == key]
+            parts = find_partition(np.stack([q.f for q in protocols]))
+            keys = [q.p for q in parts]
+        groups = [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
+        protocols, reports, done = dict(enumerate(protocols)), {}, 0
+        for batch in sorted(g[j : j + size] for g in groups for j in range(0, len(g), size)):
             batch_code = code
             if drawn:
-                batch_code = replace(code, code_seed=tuple(seeds[i][2] for i in group))
-            batch = run_batch(cfg.scheme, [protocols[i] for i in group], eps, batch_code,
-                              [seeds[i][1] for i in group], cfg.m_override)
-            for i, report in zip(group, batch):
-                reports[i] = report
-        yield from reports
+                batch_code = replace(code, code_seed=tuple(seeds[i][2] for i in batch))
+            part = None
+            if cfg.scheme == "scheme1":
+                part = Partition(np.stack([parts[i].starts for i in batch]), parts[0].part_a_width)
+            reports.update(zip(batch, run_batch(
+                cfg.scheme, [protocols.pop(i) for i in batch], eps, batch_code,
+                [seeds[i][1] for i in batch], cfg.m_override, part,
+            )))
+            while done in reports:
+                yield reports.pop(done)
+                done += 1
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ErrorEstimate]:

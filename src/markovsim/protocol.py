@@ -14,6 +14,7 @@ batch of T protocols of one length, which the schemes run side by side.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,18 @@ class Protocol:
     @property
     def n(self) -> int:
         return self.f.shape[-1]
+
+
+def lone_or_batch(scheme):
+    """Let a scheme of (T, n) batches run a lone protocol as a batch of one."""
+
+    @functools.wraps(scheme)
+    def run(p: Protocol, *args, **kwargs):
+        if p.f.ndim == 1:
+            return scheme(Protocol(p.f[None], p.g[None]), *args, **kwargs)[0]
+        return scheme(p, *args, **kwargs)
+
+    return run
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 from .bits import bits_to_ints, delayed, ints_to_bits
 from .channel import ChannelPair, Direction
 from .coding import CodeSpec
-from .protocol import Protocol, Transcript, TransmitFn, eval_fn_array
+from .protocol import Protocol, Transcript, TransmitFn, eval_fn_array, lone_or_batch
 from .vertical import (
     FnDescMode,
     describe_functions,
@@ -166,7 +166,8 @@ def _pad_fns(fns: np.ndarray, n_pad: int) -> np.ndarray:
     return np.concatenate([fns, pad], axis=-1)
 
 
-def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
+@lone_or_batch
+def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, part: Partition | None = None):
     """Simulate ``p`` over ``ch`` using the stuck-partition scheme.
 
     The protocol is padded with stuck rounds so the last block reaches full
@@ -178,17 +179,20 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec):
     A batched ``p`` gives one report per row.  Its rows must share one block
     count p, which sets the size of every message but the last in each
     direction; those depend on each row's padded length and are sent ragged.
+    A ``part`` given is the batch's stacked partition, else it is found here.
     """
-    if p.f.ndim == 1:
-        return run_scheme1(Protocol(p.f[None], p.g[None]), ch, code)[0]
     n = p.n
     w = ceil_isqrt(n)
     ledger = new_ledger(len(p.f))
 
-    parts = find_partition(p.f, n)
-    if len({q.p for q in parts}) != 1:
-        raise ValueError("the protocols of a batch must share one block count")
-    part = Partition(np.stack([q.starts for q in parts]), w)
+    if part is None:
+        parts = find_partition(p.f, n)
+        if len({q.p for q in parts}) != 1:
+            raise ValueError("the protocols of a batch must share one block count")
+        part = Partition(np.stack([q.starts for q in parts]), w)
+    elif part.starts.shape[:-1] != p.f.shape[:-1] or part.part_a_width != w:
+        raise ValueError(f"partition starts {part.starts.shape} and Part A width "
+                         f"{part.part_a_width} do not fit protocols {p.f.shape}")
     n_pad = _padded_len(part, n)
     # every row is laid out over the batch's longest padded length: its last
     # Part B runs on past its own n_pad, into padding that no message carries

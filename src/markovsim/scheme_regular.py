@@ -35,7 +35,7 @@ from . import _kernels
 from .bits import bits_to_ints, delayed, ints_to_bits, xor_reduce
 from .channel import ChannelPair, Direction, UsageLedger
 from .coding import CodeSpec
-from .protocol import Protocol, Transcript
+from .protocol import Protocol, Transcript, lone_or_batch
 from .report import SimulationReport
 from .scheme_random import _pad_fns, ceil_isqrt
 from .vertical import finish_report, new_ledger, run_vertical_exchange, send
@@ -174,6 +174,7 @@ def predictor_exchange(
     return ends
 
 
+@lone_or_batch
 def run_scheme2(
     p: Protocol, ch: ChannelPair, code: CodeSpec, m: int | None = None
 ) -> SimulationReport | list[SimulationReport]:
@@ -183,8 +184,6 @@ def run_scheme2(
     a multiple of m and the padding is stripped from the reported views.
     A batched ``p`` gives one report per row.
     """
-    if p.f.ndim == 1:
-        return run_scheme2(Protocol(p.f[None], p.g[None]), ch, code, m)[0]
     n = p.n
     if m is None:
         m = ceil_isqrt(n)

@@ -35,7 +35,7 @@ from .bits import delayed, ints_to_bits
 from .channel import ChannelPair, DecodeEvent, Direction, UsageLedger, rate_of
 from .coding import (CodeSpec, coded_length, decode_payload, decode_with_ties, encode_payload,
                      payload_blocks, redecode_tied)
-from .protocol import Protocol, Transcript, eval_fn_array, simulate_reference
+from .protocol import Protocol, Transcript, eval_fn_array, lone_or_batch, simulate_reference
 from .report import SimulationReport
 
 
@@ -281,6 +281,7 @@ def finish_report(
     ]
 
 
+@lone_or_batch
 def run_baseline(
     p: Protocol, ch: ChannelPair, code: CodeSpec
 ) -> SimulationReport | list[SimulationReport]:
@@ -290,8 +291,6 @@ def run_baseline(
     Costs 2n + n coded info bits, hence rate 2/3 with the identity code.
     A batched ``p`` gives one report per row.
     """
-    if p.f.ndim == 1:
-        return run_baseline(Protocol(p.f[None], p.g[None]), ch, code)[0]
     ledger = new_ledger(len(p.f))
     desc = describe_functions(p.f, FnDescMode.TWO_BIT)
     got = send(ch, code, ledger, desc, Direction.A_TO_B, "descriptions")

@@ -10,6 +10,7 @@ import pytest
 
 import markovsim as ms
 from markovsim import cli, experiment
+from markovsim import scheme_random as sr
 from markovsim.experiment import (
     CSV_COLUMNS,
     ErrorEstimate,
@@ -355,17 +356,23 @@ def _record(rep):
     )
 
 
-def lone_reports(scheme, code, n, eps, trials, seed):
+def trial_seeds(seed, t):
+    """(protocol, noise, code) seeds of trial t of cell 0, as the harness
+    derives them."""
+    ss = np.random.SeedSequence(entropy=(seed, 0, t))
+    return tuple(int(x) for x in ss.generate_state(3, np.uint64))
+
+
+def lone_reports(scheme, code, n, eps, trials, seed, fixed=()):
     """(protocols, reports) of a cell's trials, each run alone by run_trial
-    and seeded as the harness seeds it."""
+    and seeded as the harness seeds it; fixed protocols, if given, cycle."""
     protocols, reports = [], []
     for t in range(trials):
-        ss = np.random.SeedSequence(entropy=(seed, 0, t))
-        p_seed, noise_seed, code_seed = (int(x) for x in ss.generate_state(3, np.uint64))
+        p_seed, noise_seed, code_seed = trial_seeds(seed, t)
         spec = code
         if isinstance(code, ms.RandomLinear) and code.code_seed is None:
             spec = replace(code, code_seed=code_seed)
-        protocols.append(ms.gen_uniform_protocol(n, p_seed))
+        protocols.append(fixed[t % len(fixed)] if fixed else ms.gen_uniform_protocol(n, p_seed))
         reports.append(run_trial(scheme, protocols[-1], eps, spec, noise_seed))
     return protocols, reports
 
@@ -382,13 +389,27 @@ def recorded_batches(monkeypatch):
     return calls
 
 
+def lookahead_batches(keys, size, span):
+    """Trial indices of each batch when every look-ahead of span trials runs
+    each key's trials in windows of size, in the order of their first trials."""
+    batches = []
+    for lo in range(0, len(keys), span):
+        by_key = {}
+        for t in range(lo, min(lo + span, len(keys))):
+            by_key.setdefault(keys[t], []).append(t)
+        batches += sorted(ts[j : j + size] for ts in by_key.values()
+                          for j in range(0, len(ts), size))
+    return batches
+
+
 @pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
 @pytest.mark.parametrize("code_text", ["rep3", "rlc:k=4,rate=1/4"])
 def test_batched_cell_equals_lone_trials(monkeypatch, scheme, code_text):
     # a window holds 3 trials here, so 8 trials run in windows of 3, 3 and 2;
-    # a window is one batch, but for scheme1 one batch per block count p in
-    # it, since p sets its message sizes.  Every record must equal the one
-    # run_trial gives the trial alone, seeded as the harness seeds it
+    # a window is one batch, but scheme1 draws _LOOKAHEAD_WINDOWS windows at
+    # once and runs each block count p's trials in windows of 3, since p sets
+    # its message sizes.  Every record must equal the one run_trial gives the
+    # trial alone, seeded as the harness seeds it
     n, eps, trials, seed = 40, 0.05, 8, 17
     code = ms.parse_code_spec(code_text)
     rows = max(n, 1 << code.k if isinstance(code, ms.RandomLinear) else 0)
@@ -403,9 +424,9 @@ def test_batched_cell_equals_lone_trials(monkeypatch, scheme, code_text):
     sizes = [3, 3, 2]
     if scheme == "scheme1":
         p_of = [find_partition(q.f).p for q in protocols]
-        windows = [p_of[0:3], p_of[3:6], p_of[6:8]]
-        sizes = [w.count(p) for w in windows for p in dict.fromkeys(w)]
-        assert len(sizes) > 3  # some window mixes block counts
+        span = 3 * experiment._LOOKAHEAD_WINDOWS
+        sizes = [len(b) for b in lookahead_batches(p_of, 3, span)]
+        assert len(sizes) > 3  # the cell mixes block counts
     # both cell_reports and run_experiment ran the cell
     assert seen == sizes * 2
     assert [_record(r) for r in batched] == [_record(r) for r in lone]
@@ -480,3 +501,93 @@ def test_cell_batches_stay_within_the_round_cap(monkeypatch, scheme, code_text, 
             assert len(code.code_seed) == len(protocols)
             assert len(protocols) << code.k <= cap
     assert max(len(protocols) for _, protocols, _ in calls) > 1
+
+
+# ---------------------------------------------------------------------------
+# scheme1's look-ahead
+
+
+def spied_partitions(monkeypatch):
+    """Make find_partition, in the harness and in run_scheme1, note how many
+    protocols each call partitions."""
+    rows = []
+
+    def spy(f, *args):
+        rows.append(len(np.asarray(f).reshape(-1, np.shape(f)[-1])))
+        return find_partition(f, *args)
+
+    for module in (experiment, sr):
+        monkeypatch.setattr(module, "find_partition", spy)
+    return rows
+
+
+@pytest.mark.parametrize("code_text, trials", [("rep3", 29), ("rlc:k=4,rate=1/4", 8)])
+def test_scheme1_partitions_each_trial_once(monkeypatch, code_text, trials):
+    # windows of 3 trials and look-aheads of 12: one stacked call per
+    # look-ahead, and run_scheme1 uses the partitions it is given
+    n = 40
+    code = ms.parse_code_spec(code_text)
+    rows = max(n, 1 << code.k if isinstance(code, ms.RandomLinear) else 0)
+    monkeypatch.setattr(experiment, "_BATCH_ROUNDS", 3 * rows)
+    seen = spied_partitions(monkeypatch)
+    run_experiment(ExperimentConfig((n,), (0.05,), "scheme1", code_text, trials, seed=5))
+    assert sum(seen) == trials
+    assert len(seen) == -(-trials // (3 * experiment._LOOKAHEAD_WINDOWS))
+    # a lone run still partitions for itself
+    seen.clear()
+    run_trial("scheme1", ms.gen_uniform_protocol(n, 1), 0.0, ms.Identity(), 1)
+    assert seen == [1]
+
+
+@pytest.mark.parametrize("code_text", ["rep3", "rlc:k=4,rate=1/4"])
+@pytest.mark.parametrize("trials, fixed", [(29, 0), (13, 5)])
+def test_scheme1_lookahead_runs_full_batches_in_trial_order(monkeypatch, code_text, trials, fixed):
+    # windows of 3 trials and look-aheads of 12: 29 trials span three
+    # look-aheads, the last one short, and neither count is a multiple of 3;
+    # 5 fixed protocols cycle through 13 trials
+    n, eps, seed, size = 40, 0.05, 29, 3
+    code = ms.parse_code_spec(code_text)
+    rows = max(n, 1 << code.k if isinstance(code, ms.RandomLinear) else 0)
+    monkeypatch.setattr(experiment, "_BATCH_ROUNDS", size * rows)
+    span = size * experiment._LOOKAHEAD_WINDOWS
+    fixed = tuple(ms.gen_uniform_protocol(n, s) for s in range(fixed))
+    cfg = ExperimentConfig((n,), (eps,), "scheme1", code_text, trials, seed=seed,
+                           protocols=fixed or None)
+    protocols, lone = lone_reports("scheme1", code, n, eps, trials, seed, fixed)
+    noted = []
+
+    def noting_batch(scheme, protocols, eps, code, noise_seeds, *args):
+        noted.append(list(noise_seeds))
+        return run_batch(scheme, protocols, eps, code, noise_seeds, *args)
+
+    monkeypatch.setattr(experiment, "run_batch", noting_batch)
+    cell = experiment.cell_reports(cfg, code, n, eps, 0)
+    first = next(cell)
+    assert len(noted) == 1  # trial 0's report comes as soon as its batch ran
+    batched = [first, *cell]
+    assert [_record(r) for r in batched] == [_record(r) for r in lone]
+
+    # every batch holds one look-ahead's trials of one block count, and is
+    # full unless it is the last of its block count in its look-ahead
+    trial_of = {trial_seeds(seed, t)[1]: t for t in range(trials)}
+    batches = [[trial_of[s] for s in b] for b in noted]
+    p_of = [find_partition(q.f).p for q in protocols]
+    assert sorted(t for b in batches for t in b) == list(range(trials))
+    last = {}
+    for i, b in enumerate(batches):
+        assert len({p_of[t] for t in b}) == 1 and len({t // span for t in b}) == 1
+        assert b == sorted(b)
+        last[p_of[b[0]], b[0] // span] = i
+    assert all(len(b) == size for i, b in enumerate(batches) if i not in last.values())
+    assert batches == lookahead_batches(p_of, size, span)
+    assert len(set(p_of)) > 1 and max(map(len, batches)) == size
+
+
+def test_run_batch_takes_a_partition_for_scheme1_only():
+    q = ms.gen_uniform_protocol(16, 3)
+    part = find_partition(q.f[None])[0]
+    stacked = sr.Partition(part.starts[None], part.part_a_width)
+    got = run_batch("scheme1", [q], 0.0, ms.Identity(), [1], None, stacked)
+    assert _record(got[0]) == _record(run_trial("scheme1", q, 0.0, ms.Identity(), 1))
+    with pytest.raises(ValueError, match="partition"):
+        run_batch("baseline", [q], 0.0, ms.Identity(), [1], None, stacked)

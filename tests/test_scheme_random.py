@@ -157,6 +157,26 @@ def test_scheme1_batch_needs_one_block_count():
         sr.run_scheme1(p, ms.ChannelPair(0.0, [1, 2]), ms.Identity())
 
 
+def test_scheme1_takes_a_fitting_partition_only():
+    # a given partition stands in for finding it; one whose row count or
+    # Part A width does not fit the batch is rejected
+    n, w = 64, 8
+    protocols = [q for q in (ms.gen_uniform_protocol(n, s) for s in range(40))
+                 if sr.find_partition(q.f).p == 8][:3]
+    p = ms.Protocol(np.stack([q.f for q in protocols]), np.stack([q.g for q in protocols]))
+    part = sr.Partition(np.stack([sr.find_partition(q.f).starts for q in protocols]), w)
+
+    def run(given):
+        reports = sr.run_scheme1(p, ms.ChannelPair(0.1, [1, 2, 3]), ms.Identity(), given)
+        return [(r.bob.a.tolist(), r.bob.b.tolist(), r.ledger.total) for r in reports]
+
+    assert run(part) == run(None)
+    for bad in (sr.Partition(part.starts[:2], w), sr.Partition(part.starts, w - 1),
+                sr.Partition(part.starts[0], w)):
+        with pytest.raises(ValueError, match="partition starts .* do not fit"):
+            run(bad)
+
+
 def test_partition_message_lengths():
     rng = np.random.default_rng(2)
     f = fns_with_stuck_at(16, [3, 9, 14], rng)
