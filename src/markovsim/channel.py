@@ -1,10 +1,12 @@
 """A pair of independent binary symmetric channels, one per direction.
 
-Noise is deterministic given (noise_seed, direction, stream position): the
-flip stream of each direction is generated block-wise from a counter-based
-Philox generator keyed by seed, direction and block index.  Chunking the same
-bits into different transmit() calls therefore cannot change the noise, which
-keeps whole runs bit-reproducible.
+Noise is a pure function of (noise_seed, direction, stream position).  Each
+direction's flip stream runs in blocks of 4096: block b of a seed's stream is
+``Generator(Philox(SeedSequence((seed, direction, b)))).random(4096) <
+epsilon``.  Philox is counter-based, so the flips at any position are drawn
+by setting one reused Philox to the block's key and counter; no generator is
+built per block.  Chunking the same bits into different transmit() calls
+therefore cannot change the noise, which keeps whole runs bit-reproducible.
 
 A channel pair may carry a batch of trials at once: it then holds one noise
 seed per row, and each transmit() sends a ``(T, L)`` array whose row t sees
@@ -16,13 +18,15 @@ which is the last a batch sends in its direction, each row its own count.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-_BLOCK = 4096  # flips per generator, keyed by (seed, direction, block)
-_DRAW = 1024  # flips drawn from a block's generators at a time
+from . import _seeds
+
+_BLOCK = 4096  # flips per Philox key, keyed by (seed, direction, block)
 
 
 class Direction(enum.IntEnum):
@@ -34,8 +38,9 @@ class Direction(enum.IntEnum):
 class DecodeEvent:
     """One block decode that did not return what was sent.
 
-    stage: which message of the scheme it happened in, index: position of the
-    message within that stage (column number, round number, ...).
+    stage: which message of the scheme it happened in, index: the column
+    number in the vertical exchange, and 1 for every other message, as each
+    other stage is one message.
     """
 
     stage: str
@@ -106,6 +111,11 @@ class ChannelPair:
     charges the use count to the ledger.  Positions advance per direction;
     the noise consumed depends only on the cumulative position.  noise_seed
     is one seed, or a sequence of seeds with one per row of a batch.
+
+    It builds no generator per block.  It keeps epsilon, the seeds' entropy
+    words, the two positions, one reused Philox, and the keys of each
+    direction's last block; every other (row, block) key a message crosses
+    is derived in one ``_seeds.seed_states`` call.
     """
 
     def __init__(self, epsilon: float, noise_seed):
@@ -117,48 +127,58 @@ class ChannelPair:
             if not isinstance(seed, (int, np.integer)) or seed < 0:
                 raise ValueError(f"noise seed must be a non-negative integer, got {seed}")
         self.noise_seeds = tuple(int(s) for s in noise_seed)
-        # per direction: the position, the block being read, its generators
-        # (one per row) and the flips drawn from them so far
         self._pos = [0, 0]
-        self._block = [-1, -1]
-        self._streams = [None, None]
-        self._flips = [None, None]
+        self._keys = [(-1, None), (-1, None)]  # per direction: its last block and that block's keys
+        if self.epsilon:
+            self._words = _seeds.entropy_words(self.noise_seeds)
+            self._philox = np.random.Philox(key=0)
+            # random() < epsilon as a bound on the raw draw: random() is (raw >> 11) * 2**-53
+            self._below = math.ceil(self.epsilon * 2.0**53) << 11
 
-    def _flips_upto(self, direction: int, block: int, end: int) -> np.ndarray:
-        """(rows, >= end) flips from the start of one block of the direction's
-        stream.  A block's generators give its flips in order, so flips are
-        drawn a _DRAW at a time, as far as the messages reach."""
-        if self._block[direction] != block:
-            self._block[direction] = block
-            self._streams[direction] = [
-                np.random.Generator(
-                    np.random.Philox(np.random.SeedSequence(entropy=(seed, direction, block)))
-                )
-                for seed in self.noise_seeds
-            ]
-            self._flips[direction] = np.empty((len(self.noise_seeds), 0), np.uint8)
-        flips = self._flips[direction]
-        have = flips.shape[1]
-        if have < end:
-            flips = np.empty((len(flips), min(_BLOCK, max(end, have + _DRAW))), np.uint8)
-            flips[:, :have] = self._flips[direction]
-            for row, rng in zip(flips, self._streams[direction]):
-                row[have:] = rng.random(len(row) - have) < self.epsilon
-            self._flips[direction] = flips
+    def _block_keys(self, direction: int, blocks: range) -> np.ndarray:
+        """(rows, len(blocks), 2) Philox keys, from SeedSequence((seed,
+        direction, block)) of each row's seed and each block."""
+        seeds, lengths = self._words
+        rows, width = seeds.shape
+        words = np.zeros((rows, len(blocks), width + 2), np.uint32)
+        words[..., :width] = seeds[:, None]
+        row, col = np.arange(rows)[:, None], np.arange(len(blocks))
+        words[row, col, lengths[:, None]] = direction
+        words[row, col, lengths[:, None] + 1] = blocks  # one word: blocks stay below 2**32
+        keys = _seeds.seed_states(words.reshape(rows * len(blocks), -1),
+                                  np.repeat(lengths + 2, len(blocks)), 2)
+        return keys.reshape(rows, len(blocks), 2)
+
+    def _noise(self, direction: int, start: int, count: int) -> np.ndarray:
+        """(rows, count) flips at positions [start, start + count) of the
+        direction's stream, a pure function of the seeds, direction, start
+        and count.  Block b of a row's stream is what
+        ``Generator(Philox(SeedSequence((seed, direction, b)))).random(_BLOCK)
+        < epsilon`` gives.  Philox is counter-based: each counter step gives 4
+        draws, so position off of a block is reached by setting the counter to
+        off // 4 and dropping off % 4 draws."""
+        first, last = start // _BLOCK, (start + count - 1) // _BLOCK
+        cached, keys = self._keys[direction]
+        if cached != first or last > first:
+            fresh = self._block_keys(direction, range(first + (cached == first), last + 1))
+            keys = fresh if cached != first else np.concatenate([keys, fresh], axis=1)
+        self._keys[direction] = last, keys[:, -1:]
+        philox = self._philox
+        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        flips = np.empty((len(keys), count), bool)
+        done = 0
+        for block, block_keys in zip(range(first, last + 1), keys.transpose(1, 0, 2).tolist()):
+            off = start + done - block * _BLOCK
+            take = min(_BLOCK - off, count - done)
+            skip = off % 4
+            state["state"]["counter"][0] = off // 4
+            for row, key in zip(flips[:, done : done + take], block_keys):
+                state["state"]["key"] = key
+                philox.state = state
+                np.less(philox.random_raw(skip + take)[skip:], self._below, out=row)
+            done += take
         return flips
-
-    def _noise(self, direction: int, count: int) -> np.ndarray:
-        """(rows, count) flips for the next count positions."""
-        pos = self._pos[direction]
-        self._pos[direction] = pos + count
-        pieces = []
-        while count:
-            block, off = divmod(pos, _BLOCK)
-            take = min(_BLOCK - off, count)
-            pieces.append(self._flips_upto(direction, block, off + take)[:, off : off + take])
-            pos += take
-            count -= take
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
     def transmit(
         self, direction: Direction, bits: np.ndarray, ledger: UsageLedger, uses=None
@@ -172,7 +192,8 @@ class ChannelPair:
             ledger.uses_ab += count if uses is None else uses
         else:
             ledger.uses_ba += count if uses is None else uses
+        start = self._pos[int(direction)]
+        self._pos[int(direction)] = start + count
         if self.epsilon == 0.0 or count == 0:
-            self._pos[int(direction)] += count
             return bits.copy()
-        return bits ^ self._noise(int(direction), count).reshape(bits.shape)
+        return bits ^ self._noise(int(direction), start, count).reshape(bits.shape)

@@ -2,8 +2,12 @@
 
 One cell per (n, epsilon) pair.  Every trial derives its protocol seed,
 noise seed and code-matrix seed from (master seed, cell index, trial index),
-so any cell of any run can be reproduced bit-exactly in isolation, and the
-whole result table is a pure function of the config.
+as ``SeedSequence((seed, cell, trial)).generate_state(3, np.uint64)``, so any
+cell of any run can be reproduced bit-exactly in isolation, and the whole
+result table is a pure function of the config.  A window's seeds come from
+one vectorised hash (``_seeds.seed_states``) and its protocols from one
+``gen_uniform_protocol`` call; the streams are those numpy gives trial by
+trial.
 
 A cell's trials run in batches of up to ``_BATCH_ROUNDS`` rounds: each
 message of a batch carries every trial's payload at once, with each trial's
@@ -32,6 +36,7 @@ from .coding import (
     parse_code_spec,
     union_bound_profile,
 )
+from ._seeds import entropy_words, seed_states
 from .protocol import Protocol, gen_uniform_protocol
 from .report import SimulationReport
 from .scheme_random import Partition, find_partition, run_scheme1
@@ -142,27 +147,29 @@ def validate_config(cfg: ExperimentConfig) -> CodeSpec:
 
 def run_batch(
     scheme: str,
-    protocols: Sequence[Protocol],
+    protocols: Protocol,
     eps: float,
     code: CodeSpec,
     noise_seeds: Sequence[int],
     m_override: Optional[int] = None,
     part: Optional[Partition] = None,
 ) -> list[SimulationReport]:
-    """Run trials of one length together: trial t on protocols[t] with noise
-    seed noise_seeds[t], and with code t when the code's seed is a tuple.
-    Returns one report per trial.  scheme1's protocols share one block count
-    (part, if given, is their stacked partition); only scheme2 takes m_override."""
+    """Run a ``(T, n)`` batch of protocols together: trial t on row t with
+    noise seed noise_seeds[t], and with code t when the code's seed is a
+    tuple.  Returns one report per trial.  scheme1's protocols share one
+    block count (part, if given, is their stacked partition); only scheme2
+    takes m_override."""
     _check_m_override(scheme, m_override)
     if part is not None and scheme != "scheme1":
         raise ValueError(f"a partition is scheme1's input; {scheme} takes none")
-    p = Protocol(np.stack([q.f for q in protocols]), np.stack([q.g for q in protocols]))
+    if protocols.f.ndim != 2:
+        raise ValueError("run_batch takes a (T, n) batch of protocols")
     ch = ChannelPair(eps, noise_seeds)
     if scheme == "baseline":
-        return run_baseline(p, ch, code)
+        return run_baseline(protocols, ch, code)
     if scheme == "scheme1":
-        return run_scheme1(p, ch, code, part)
-    return run_scheme2(p, ch, code, m=m_override)
+        return run_scheme1(protocols, ch, code, part)
+    return run_scheme2(protocols, ch, code, m=m_override)
 
 
 def run_trial(
@@ -174,47 +181,54 @@ def run_trial(
     m_override: Optional[int] = None,
 ) -> SimulationReport:
     """One trial, run as a batch of one."""
-    return run_batch(scheme, [protocol], eps, code, [noise_seed], m_override)[0]
+    batch = Protocol(protocol.f[None], protocol.g[None])
+    return run_batch(scheme, batch, eps, code, [noise_seed], m_override)[0]
 
 
 def cell_reports(
     cfg: ExperimentConfig, code: CodeSpec, n: int, eps: float, cell: int
 ) -> Iterator[SimulationReport]:
     """The reports of one cell's trials, in trial order, run in batches of a
-    window of trials.  scheme1 partitions ``_LOOKAHEAD_WINDOWS`` windows in
-    one call and runs each block count's trials in full windows but its last.
-    A report is yielded as soon as every earlier trial's report exists."""
+    window of trials.  A window's seeds come from one hash and its protocols
+    from one draw.  scheme1 partitions ``_LOOKAHEAD_WINDOWS`` windows in one
+    call and runs each block count's trials in full windows but its last.  A
+    report is yielded as soon as every earlier trial's report exists."""
     drawn = isinstance(code, RandomLinear) and code.code_seed is None
     rows = max(n, 1 << code.k if drawn else 0)
     size = max(1, _BATCH_ROUNDS // rows)
     span = size * (_LOOKAHEAD_WINDOWS if cfg.scheme == "scheme1" else 1)
+    # trial t's entropy is (cfg.seed, cell, t): the first two are fixed for
+    # the cell, and a trial index is one word
+    words, lengths = entropy_words([cfg.seed, cell])
+    prefix = np.concatenate([w[:k] for w, k in zip(words, lengths)])
+    if cfg.protocols is not None:
+        fixed = Protocol(np.stack([q.f for q in cfg.protocols]),
+                         np.stack([q.g for q in cfg.protocols]))
     for lo in range(0, cfg.trials, span):
-        trials = range(lo, min(lo + span, cfg.trials))
-        seeds = [
-            [int(x) for x in np.random.SeedSequence(entropy=(cfg.seed, cell, t))
-             .generate_state(3, np.uint64)]
-            for t in trials
-        ]
-        if cfg.protocols is not None:
-            protocols = [cfg.protocols[t % len(cfg.protocols)] for t in trials]
+        trials = np.arange(lo, min(lo + span, cfg.trials))
+        entropy = np.empty((len(trials), len(prefix) + 1), np.uint32)
+        entropy[:, :-1], entropy[:, -1] = prefix, trials
+        p_seeds, noise_seeds, code_seeds = seed_states(entropy, None, 3).T.tolist()
+        if cfg.protocols is None:
+            window = gen_uniform_protocol(n, p_seeds)
         else:
-            protocols = [gen_uniform_protocol(n, p_seed) for p_seed, _, _ in seeds]
-        keys = [0] * len(protocols)
+            window = Protocol(fixed.f[trials % len(fixed.f)], fixed.g[trials % len(fixed.f)])
+        keys = [0] * len(trials)
         if cfg.scheme == "scheme1":
-            parts = find_partition(np.stack([q.f for q in protocols]))
+            parts = find_partition(window.f)
             keys = [q.p for q in parts]
         groups = [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
-        protocols, reports, done = dict(enumerate(protocols)), {}, 0
+        reports, done = {}, 0
         for batch in sorted(g[j : j + size] for g in groups for j in range(0, len(g), size)):
             batch_code = code
             if drawn:
-                batch_code = replace(code, code_seed=tuple(seeds[i][2] for i in batch))
+                batch_code = replace(code, code_seed=tuple(code_seeds[i] for i in batch))
             part = None
             if cfg.scheme == "scheme1":
                 part = Partition(np.stack([parts[i].starts for i in batch]), parts[0].part_a_width)
             reports.update(zip(batch, run_batch(
-                cfg.scheme, [protocols.pop(i) for i in batch], eps, batch_code,
-                [seeds[i][1] for i in batch], cfg.m_override, part,
+                cfg.scheme, Protocol(window.f[batch], window.g[batch]), eps, batch_code,
+                [noise_seeds[i] for i in batch], cfg.m_override, part,
             )))
             while done in reports:
                 yield reports.pop(done)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _seeds
 
 
 class TransmitFn(enum.IntEnum):
@@ -120,14 +120,42 @@ def simulate_reference(p: Protocol) -> Transcript:
     return Transcript(a, b)
 
 
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_PCG_MASK = (1 << 128) - 1
+
+
 def gen_uniform_protocol(n: int, seed) -> Protocol:
-    """Protocol with all 2n functions drawn iid uniform over the four codes."""
+    """Protocol with all 2n functions drawn iid uniform over the four codes,
+    as ``rng = default_rng(seed)`` draws f, then g, with ``rng.integers(1, 5,
+    n, np.uint8)``.  seed is one seed, or a sequence of seeds for a ``(T, n)``
+    batch with row t drawn from seed t.
+
+    The seeds' PCG64 states come from one ``_seeds.seed_states`` call, and
+    one PCG64 is reused for every row.  numpy draws a uint8 in 1..4 as 1 plus
+    the top two bits of the next byte of its 32-bit stream (Lemire's method
+    never rejects for a range of 4), so f takes the bytes of the first
+    ⌈n/4⌉ 32-bit words and g those of the next ⌈n/4⌉: ⌈n/4⌉ raw 64-bit
+    draws per row."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    f = rng.integers(1, 5, n, dtype=np.uint8)
-    g = rng.integers(1, 5, n, dtype=np.uint8)
-    return Protocol(f, g)
+    lone = np.ndim(seed) == 0
+    states = _seeds.seed_states(*_seeds.entropy_words([seed] if lone else seed), 4).tolist()
+    words = -(-n // 4)
+    pcg = np.random.PCG64(0)
+    raw = np.empty((len(states), words), np.uint64)
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(raw, states):
+        # PCG64's seeding step: state 0, step, add the initial state, step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _PCG_MASK
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _PCG_MASK
+        pcg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                     "has_uint32": 0, "uinteger": 0}
+        row[:] = pcg.random_raw(words)
+    codes = raw.astype("<u8", copy=False).view(np.uint8)  # the bytes in stream order
+    codes >>= 6
+    codes += 1
+    f, g = codes[:, :n], codes[:, 4 * words : 4 * words + n]
+    return Protocol(f[0], g[0]) if lone else Protocol(f, g)
 
 
 def serialize_protocol(p: Protocol) -> str:

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .bits import delayed, ints_to_bits
+from .bits import delayed
 from .channel import ChannelPair, DecodeEvent, Direction, UsageLedger, rate_of
 from .coding import (CodeSpec, coded_length, decode_payload, decode_with_ties, encode_payload,
                      payload_blocks, redecode_tied)
@@ -48,12 +48,18 @@ def describe_functions(fns, mode: FnDescMode) -> np.ndarray:
     """Binary description of a function sequence.
 
     TWO_BIT spends two bits per function (00, 01, 10, 11 for the four codes
-    in order).  ONE_BIT_ADDITIVE spends one bit, the XOR offset, and rejects
-    stuck functions.
+    in order), written as two bit-planes into the even and odd positions.
+    ONE_BIT_ADDITIVE spends one bit, the XOR offset, and rejects stuck
+    functions.
     """
     fns = np.asarray(fns, dtype=np.uint8)
     if mode is FnDescMode.TWO_BIT:
-        return ints_to_bits(fns - 1, 2)
+        codes = fns - 1
+        if (codes > 3).any():
+            raise ValueError("function codes must lie in 1..4")
+        bits = np.empty(fns.shape[:-1] + (2 * fns.shape[-1],), np.uint8)
+        bits[..., 0::2], bits[..., 1::2] = codes >> 1, codes & 1
+        return bits
     if np.any(fns >= 3):
         raise ValueError("one-bit descriptions exist only for additive functions")
     return (fns - 1).astype(np.uint8)
@@ -86,7 +92,6 @@ def send(
     payload: np.ndarray,
     direction: Direction,
     stage: str,
-    index: int = 1,
     lengths: Optional[np.ndarray] = None,
     decode: bool = True,
 ) -> np.ndarray:
@@ -95,7 +100,8 @@ def send(
     payload is one message with a lone ledger, or a ``(T, L)`` batch with one
     row per trial and a ledger from new_ledger.  The channel charges each
     row's uses; _book then books its coded blocks, and a DecodeEvent(stage,
-    index, direction) for each row whose decode differs from its payload.
+    1, direction) for each row whose decode differs from its payload: every
+    message of a stage is sent once.
     Returns what the receiver decoded; wrong bits are not fixed.
 
     lengths, one per row, makes the message ragged: row t is its first
@@ -125,7 +131,7 @@ def send(
                             payload.shape[:-1]).ravel().tolist()
     blocks = {s: payload_blocks(code, s) for s in set(sizes)}
     _book(ledger, [blocks[s] for s in sizes],
-          [(t, DecodeEvent(stage, index, direction)) for t in np.flatnonzero(wrong.any(-1))])
+          [(t, DecodeEvent(stage, 1, direction)) for t in np.flatnonzero(wrong.any(-1))])
     return got
 
 

@@ -377,8 +377,14 @@ def lone_reports(scheme, code, n, eps, trials, seed, fixed=()):
     return protocols, reports
 
 
+def stacked(protocols):
+    """One (T, n) Protocol of a list of lone ones, as run_batch takes them."""
+    return ms.Protocol(np.stack([q.f for q in protocols]), np.stack([q.g for q in protocols]))
+
+
 def recorded_batches(monkeypatch):
-    """Make experiment.run_batch note (scheme, protocols, code) of each call."""
+    """Make experiment.run_batch note (scheme, protocols, code) of each call;
+    protocols is the batch's stacked Protocol."""
     calls = []
 
     def recording_batch(scheme, protocols, eps, code, *args):
@@ -418,7 +424,7 @@ def test_batched_cell_equals_lone_trials(monkeypatch, scheme, code_text):
     cfg = ExperimentConfig((n,), (eps,), scheme, code_text, trials, seed=seed)
     batched = list(experiment.cell_reports(cfg, code, n, eps, 0))
     row = run_experiment(cfg)[0]
-    seen = [len(protocols) for _, protocols, _ in calls]
+    seen = [len(protocols.f) for _, protocols, _ in calls]
     protocols, lone = lone_reports(scheme, code, n, eps, trials, seed)
 
     sizes = [3, 3, 2]
@@ -437,6 +443,22 @@ def test_batched_cell_equals_lone_trials(monkeypatch, scheme, code_text):
     assert row.mean_rate == math.fsum(float(r.rate) for r in lone) / trials
     bounds = [ms.union_bound_profile(r.block_profile, rb, eps) for r in lone]
     assert row.lemma1_bound == math.fsum(bounds) / trials
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
+@pytest.mark.parametrize("code_text", ["rep3", "rlc:k=4,rate=1/4"])
+def test_big_master_seed_gives_the_lone_records(scheme, code_text):
+    # (2**64 + 3, cell, trial) is 5 entropy words, more than SeedSequence's
+    # pool of 4: the cell's seeds must still be the ones trial_seeds gets
+    n, eps, trials, seed = 40, 0.05, 6, 2**64 + 3
+    code = ms.parse_code_spec(code_text)
+    cfg = ExperimentConfig((n,), (eps,), scheme, code_text, trials, seed=seed)
+    batched = list(experiment.cell_reports(cfg, code, n, eps, 0))
+    _, lone = lone_reports(scheme, code, n, eps, trials, seed)
+    assert [_record(r) for r in batched] == [_record(r) for r in lone]
+    row = run_experiment(cfg)[0]
+    assert row.failures == sum(not r.ok for r in lone)
+    assert row.mean_rate == math.fsum(float(r.rate) for r in lone) / trials
 
 
 @pytest.mark.parametrize("code_text", ["rep3", "rlc:k=4,rate=1/4"])
@@ -464,7 +486,7 @@ def test_scheme1_batch_with_misdecoded_partitions():
     n_pad = {max(n, int(find_partition(q.f).starts[-1]) + 7) for q in protocols}
     assert len(protocols) > 10 and len(n_pad) > 1
     seeds = list(range(100, 100 + len(protocols)))
-    batch = run_batch("scheme1", protocols, eps, ms.Identity(), seeds)
+    batch = run_batch("scheme1", stacked(protocols), eps, ms.Identity(), seeds)
     lone = [run_trial("scheme1", q, eps, ms.Identity(), s) for q, s in zip(protocols, seeds)]
     assert [_record(r) for r in batch] == [_record(r) for r in lone]
     assert sum(any(e.stage == "partition" for e in r.decode_log) for r in lone) > 3
@@ -475,7 +497,7 @@ def test_batch_reports_share_no_mutable_state(scheme):
     # three protocols of one block count, so scheme1 runs them as one batch
     protocols = [q for q in (ms.gen_uniform_protocol(64, s) for s in range(40))
                  if find_partition(q.f).p == 8][:3]
-    reports = run_batch(scheme, protocols, 0.0, ms.Identity(), [1, 2, 3])
+    reports = run_batch(scheme, stacked(protocols), 0.0, ms.Identity(), [1, 2, 3])
     before = [(list(r.block_profile), list(r.decode_log)) for r in reports]
     reports[0].block_profile.append(99)
     reports[0].decode_log.append(ms.DecodeEvent("probe", 1, ms.Direction.A_TO_B))
@@ -494,13 +516,13 @@ def test_cell_batches_stay_within_the_round_cap(monkeypatch, scheme, code_text, 
     cfg = ExperimentConfig((n,), (0.05,), scheme, code_text, 13, seed=3)
     run_experiment(cfg)
     cap = experiment._BATCH_ROUNDS
-    assert sum(len(protocols) for _, protocols, _ in calls) == 13
+    assert sum(len(protocols.f) for _, protocols, _ in calls) == 13
     for _, protocols, code in calls:
-        assert len(protocols) * n <= cap
+        assert len(protocols.f) * n <= cap
         if isinstance(code, ms.RandomLinear):
-            assert len(code.code_seed) == len(protocols)
-            assert len(protocols) << code.k <= cap
-    assert max(len(protocols) for _, protocols, _ in calls) > 1
+            assert len(code.code_seed) == len(protocols.f)
+            assert len(protocols.f) << code.k <= cap
+    assert max(len(protocols.f) for _, protocols, _ in calls) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +608,14 @@ def test_scheme1_lookahead_runs_full_batches_in_trial_order(monkeypatch, code_te
 def test_run_batch_takes_a_partition_for_scheme1_only():
     q = ms.gen_uniform_protocol(16, 3)
     part = find_partition(q.f[None])[0]
-    stacked = sr.Partition(part.starts[None], part.part_a_width)
-    got = run_batch("scheme1", [q], 0.0, ms.Identity(), [1], None, stacked)
+    batch_part = sr.Partition(part.starts[None], part.part_a_width)
+    got = run_batch("scheme1", stacked([q]), 0.0, ms.Identity(), [1], None, batch_part)
     assert _record(got[0]) == _record(run_trial("scheme1", q, 0.0, ms.Identity(), 1))
     with pytest.raises(ValueError, match="partition"):
-        run_batch("baseline", [q], 0.0, ms.Identity(), [1], None, stacked)
+        run_batch("baseline", stacked([q]), 0.0, ms.Identity(), [1], None, batch_part)
+
+
+def test_run_batch_takes_a_stacked_batch_only():
+    q = ms.gen_uniform_protocol(16, 3)
+    with pytest.raises(ValueError, match="batch of protocols"):
+        run_batch("baseline", q, 0.0, ms.Identity(), [1])

@@ -279,8 +279,8 @@ def test_part_b_matches_per_segment_reference(monkeypatch):
 
     # run_scheme1 runs a lone protocol as a batch of one: record that row,
     # cut to its own length
-    def recording_send(ch, code, ledger, payload, direction, stage, index=1, lengths=None):
-        got = send(ch, code, ledger, payload, direction, stage, index, lengths)
+    def recording_send(ch, code, ledger, payload, direction, stage, lengths=None):
+        got = send(ch, code, ledger, payload, direction, stage, lengths)
         size = payload.shape[-1] if lengths is None else lengths[0]
         sent[stage] = (payload[0, :size].copy(), got[0, :size])
         return got

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,12 @@ def test_two_bit_descriptions():
     assert bits.tolist() == [0, 0, 1, 1]
     assert vertical.describe_functions([Mu.MU2], FnDescMode.TWO_BIT).tolist() == [0, 1]
     assert vertical.describe_functions([Mu.MU3], FnDescMode.TWO_BIT).tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("code", [0, 5, 255])
+def test_two_bit_descriptions_reject_codes_outside_1_to_4(code):
+    with pytest.raises(ValueError, match="1..4"):
+        vertical.describe_functions([[Mu.MU1, Mu.MU2], [code, Mu.MU3]], FnDescMode.TWO_BIT)
 
 
 def test_one_bit_descriptions():
@@ -114,6 +121,17 @@ def test_identity_send_returns_the_channels_copy(trials):
     assert not np.shares_memory(got, payload)
 
 
+def column_send(ch, code, ledger, payload, direction, stage, column, lengths=None):
+    """send, with the DecodeEvents it logs numbered by their column, as the
+    folded exchange numbers them."""
+    logs = [ledger.decode_log] if np.ndim(ledger.uses_ab) == 0 else ledger.decode_log
+    before = [len(log) for log in logs]
+    got = vertical.send(ch, code, ledger, payload, direction, stage, lengths)
+    for log, start in zip(logs, before):
+        log[start:] = [replace(event, index=column) for event in log[start:]]
+    return got
+
+
 def reference_exchange(f_rows, g_rows, start_bits, code, ch, ledger, alice_tail=None,
                        tail_lengths=None):
     """The column loop, one send per column and direction: A column t from
@@ -129,14 +147,14 @@ def reference_exchange(f_rows, g_rows, start_bits, code, ch, ledger, alice_tail=
         if alice_tail is not None and t == width - 1:
             payload = np.concatenate([payload, alice_tail], -1)
             lengths = None if tail_lengths is None else rows + tail_lengths
-        got = vertical.send(ch, code, ledger, payload, ms.Direction.A_TO_B, "vertical_a",
-                            t + 1, lengths)
+        got = column_send(ch, code, ledger, payload, ms.Direction.A_TO_B, "vertical_a",
+                          t + 1, lengths)
         bob_a[..., t] = got[..., :rows]
         if alice_tail is not None and t == width - 1:
             bob_tail = got[..., rows:]
         bob_b[..., t] = eval_fn_array(g_rows[..., t], bob_a[..., t])
-        alice_b[..., t] = vertical.send(ch, code, ledger, bob_b[..., t], ms.Direction.B_TO_A,
-                                        "vertical_b", t + 1)
+        alice_b[..., t] = column_send(ch, code, ledger, bob_b[..., t], ms.Direction.B_TO_A,
+                                      "vertical_b", t + 1)
         prev = alice_b[..., t]
     return vertical.VerticalResult(*views, bob_tail)
 
@@ -423,7 +441,7 @@ def test_ragged_send_equals_lone_sends(family):
         (ms.Direction.B_TO_A, "ragged_b", rng.integers(0, 2, (4, 11)), np.array([3, 0, 11, 6])),
     ]
     ch, led = RecordingChannel(0.2, seeds), vertical.new_ledger(len(seeds))
-    got = [vertical.send(ch, code, led, payload.astype(np.uint8), direction, stage, 1, lengths)
+    got = [vertical.send(ch, code, led, payload.astype(np.uint8), direction, stage, lengths)
            for direction, stage, payload, lengths in messages]
     past = 0  # rows whose decode past their own length reads nonzero
     for t, seed in enumerate(seeds):
