@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,18 +52,18 @@ class DecodeEvent:
 @dataclass
 class UsageLedger:
     """A run's wire record.  Channel uses per direction, which the rate is
-    computed from; the info-bit size of every coded block sent, which the
-    union-bound accounting consumes; and every decode that missed.
+    computed from; how many coded blocks of each info-bit size were sent,
+    which the union-bound accounting consumes; and every decode that missed.
 
-    A lone ledger holds int counts and one flat profile and decode_log.  A
-    batch's ledger (``vertical.new_ledger``) holds one row per trial: int64
-    arrays of counts, and one profile list and one decode_log list per row.
+    A lone ledger holds ints: its uses and a {size: count} dict.  A batch's
+    ledger (``vertical.new_ledger``) holds one row per trial: int64 arrays
+    of uses and of each size's count, and one decode_log list per row.
     row(t) reads trial t's own record.  ``vertical._book`` is the one writer
-    of profiles and logs, and the one reader of which shape a ledger has."""
+    of decode logs, and the one reader of which shape a ledger has."""
 
     uses_ab: int = 0
     uses_ba: int = 0
-    block_profile: list[int] = field(default_factory=list)
+    block_counts: dict[int, int] = field(default_factory=lambda: defaultdict(int))
     decode_log: list[DecodeEvent] = field(default_factory=list)
 
     @property
@@ -70,10 +71,9 @@ class UsageLedger:
         return self.uses_ab + self.uses_ba
 
     def row(self, t: int) -> UsageLedger:
-        """Trial t's own ledger, with plain int counts."""
-        return UsageLedger(
-            int(self.uses_ab[t]), int(self.uses_ba[t]), self.block_profile[t], self.decode_log[t]
-        )
+        """Trial t's own ledger, with plain int uses and its nonzero counts."""
+        counts = {size: n for size, c in self.block_counts.items() if (n := c.item(t))}
+        return UsageLedger(self.uses_ab.item(t), self.uses_ba.item(t), counts, self.decode_log[t])
 
 
 def binary_entropy(q):

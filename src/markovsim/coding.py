@@ -187,13 +187,12 @@ def _rlc_books(code: RandomLinear, payload: np.ndarray, *tables) -> tuple:
     return tables
 
 
-def payload_blocks(code: CodeSpec, info_len: int) -> list[int]:
-    """Info-bit sizes of the coded blocks a payload of info_len bits becomes."""
-    if info_len == 0:
-        return []
+def payload_blocks(code: CodeSpec, info_len):
+    """(size, count): a payload of info_len bits, or each of an array of
+    lengths, becomes count coded blocks of size info bits."""
     if isinstance(code, RandomLinear):
-        return [code.k] * (-(-info_len // code.k))
-    return [info_len]
+        return code.k, -(-info_len // code.k)
+    return info_len, (info_len > 0) * 1
 
 
 def coded_length(code: CodeSpec, info_len):
@@ -365,15 +364,30 @@ def lemma1_bound(l: int, b: int, rate, eps: float) -> float:
     return min(1.0, l * 2.0 ** (-(b / rate) * er))
 
 
-def union_bound_profile(blocks, rate, eps: float) -> float:
-    """lemma1_bound generalized to a mixed profile of block sizes."""
-    blocks = list(blocks)
-    if not blocks or eps == 0:
+def union_bound_profile(counts, code: CodeSpec, eps: float) -> float:
+    """Union bound on any block of a run decoding wrongly: min(1, the sum of
+    count * term(size) over ``counts``, a {size: count} mapping), rounded
+    correctly by math.fsum whatever the order of the counts or the Python.
+    A random linear block of b info bits at rate R takes the ensemble term
+    2**(-(b/R) * Er); a repetition block (identity is r = 1) fails with
+    exactly 1 - (1 - p_r)**b, for p_r = P(Binomial(r, eps) > r/2)."""
+    if eps == 0:
         return 0.0
-    rate = float(rate)
-    er = _exponent(rate, float(eps))
-    total = sum(2.0 ** (-(b / rate) * er) for b in blocks)
-    return min(1.0, total)
+    if isinstance(code, RandomLinear):
+        rate = float(code.rate)
+        er = _exponent(rate, float(eps))
+        terms = [c * 2.0 ** (-(b / rate) * er) for b, c in counts.items()]
+    else:
+        log_ok = _log_bit_ok(getattr(code, "r", 1), float(eps))
+        terms = [-c * math.expm1(b * log_ok) for b, c in counts.items()]
+    return min(1.0, math.fsum(terms))
+
+
+@functools.lru_cache(maxsize=64)
+def _log_bit_ok(r: int, eps: float) -> float:
+    """log(1 - p_r), for p_r = P(Binomial(r, eps) > r/2), a majority vote's bit error."""
+    return math.log1p(-math.fsum(math.comb(r, j) * eps**j * (1 - eps) ** (r - j)
+                                 for j in range(r // 2 + 1, r + 1)))
 
 
 # ---------------------------------------------------------------------------

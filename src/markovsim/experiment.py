@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -29,17 +30,11 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .channel import ChannelPair, shannon_capacity
-from .coding import (
-    CodeSpec,
-    RandomLinear,
-    nominal_rate,
-    parse_code_spec,
-    union_bound_profile,
-)
+from .coding import CodeSpec, RandomLinear, nominal_rate, parse_code_spec, union_bound_profile
 from ._seeds import entropy_words, seed_states
 from .protocol import Protocol, gen_uniform_protocol
 from .report import SimulationReport
-from .scheme_random import Partition, find_partition, run_scheme1
+from .scheme_random import Partition, ceil_isqrt, find_partition, run_scheme1
 from .scheme_regular import run_scheme2
 from .vertical import run_baseline
 
@@ -118,7 +113,7 @@ class ErrorEstimate:
     wilson_hi: float
     mean_rate: float
     capacity: float
-    lemma1_bound: float
+    block_union_bound: float
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ErrorEstimate))
@@ -215,8 +210,8 @@ def cell_reports(
             window = Protocol(fixed.f[trials % len(fixed.f)], fixed.g[trials % len(fixed.f)])
         keys = [0] * len(trials)
         if cfg.scheme == "scheme1":
-            parts = find_partition(window.f)
-            keys = [q.p for q in parts]
+            starts, counts = find_partition(window.f)
+            keys = counts.tolist()
         groups = [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
         reports, done = {}, 0
         for batch in sorted(g[j : j + size] for g in groups for j in range(0, len(g), size)):
@@ -225,7 +220,7 @@ def cell_reports(
                 batch_code = replace(code, code_seed=tuple(code_seeds[i] for i in batch))
             part = None
             if cfg.scheme == "scheme1":
-                part = Partition(np.stack([parts[i].starts for i in batch]), parts[0].part_a_width)
+                part = Partition(starts[batch, : keys[batch[0]]], ceil_isqrt(n))
             reports.update(zip(batch, run_batch(
                 cfg.scheme, Protocol(window.f[batch], window.g[batch]), eps, batch_code,
                 [noise_seeds[i] for i in batch], cfg.m_override, part,
@@ -237,41 +232,20 @@ def cell_reports(
 
 def run_experiment(cfg: ExperimentConfig) -> list[ErrorEstimate]:
     code = validate_config(cfg)
-    rb = nominal_rate(code)
     rows = []
-    cell = 0
-    for n in cfg.n_values:
-        for eps in cfg.eps_values:
-            failures = 0
-            rates = []
-            bounds = []
-            profile = None
-            for report in cell_reports(cfg, code, n, eps, cell):
-                failures += not report.ok
-                rates.append(float(report.rate))
-                # consecutive trials often hold equal profiles: bound one when it changes
-                if report.block_profile != profile:
-                    profile = report.block_profile
-                    bound = union_bound_profile(profile, rb, eps)
-                bounds.append(bound)
-            lo, hi = wilson_interval(failures, cfg.trials)
-            rows.append(
-                ErrorEstimate(
-                    n=n,
-                    epsilon=eps,
-                    scheme=cfg.scheme,
-                    code=cfg.code,
-                    trials=cfg.trials,
-                    failures=failures,
-                    p_hat=failures / cfg.trials,
-                    wilson_lo=lo,
-                    wilson_hi=hi,
-                    mean_rate=math.fsum(rates) / cfg.trials,
-                    capacity=shannon_capacity(eps),
-                    lemma1_bound=math.fsum(bounds) / cfg.trials,
-                )
-            )
-            cell += 1
+    for cell, (n, eps) in enumerate(itertools.product(cfg.n_values, cfg.eps_values)):
+        failures, rates, bounds = 0, [], []
+        for report in cell_reports(cfg, code, n, eps, cell):
+            failures += not report.ok
+            rates.append(float(report.rate))
+            bounds.append(union_bound_profile(report.block_counts, code, eps))
+        lo, hi = wilson_interval(failures, cfg.trials)
+        rows.append(ErrorEstimate(
+            n=n, epsilon=eps, scheme=cfg.scheme, code=cfg.code, trials=cfg.trials,
+            failures=failures, p_hat=failures / cfg.trials, wilson_lo=lo, wilson_hi=hi,
+            mean_rate=math.fsum(rates) / cfg.trials, capacity=shannon_capacity(eps),
+            block_union_bound=math.fsum(bounds) / cfg.trials,
+        ))
     return rows
 
 

@@ -15,7 +15,7 @@ class SimulationReport:
 
     alice/bob are the transcript each party ends up believing in; ok flags
     compare them against the noiseless reference.  The ledger is the run's
-    wire record; decode_log and block_profile read it.
+    wire record; decode_log and block_counts read it.
     """
 
     scheme: str
@@ -32,9 +32,9 @@ class SimulationReport:
         return self.ledger.decode_log
 
     @property
-    def block_profile(self) -> list[int]:
-        """Info-bit size of every coded block that crossed a channel."""
-        return self.ledger.block_profile
+    def block_counts(self) -> dict[int, int]:
+        """How many coded blocks of each info-bit size crossed a channel."""
+        return self.ledger.block_counts
 
     @property
     def ok(self) -> bool:

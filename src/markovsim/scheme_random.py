@@ -26,16 +26,8 @@ from .bits import bits_to_ints, delayed, ints_to_bits
 from .channel import ChannelPair, Direction
 from .coding import CodeSpec
 from .protocol import Protocol, Transcript, TransmitFn, eval_fn_array, lone_or_batch
-from .vertical import (
-    FnDescMode,
-    describe_functions,
-    finish_report,
-    functions_from_bits,
-    new_ledger,
-    offline_simulate,
-    run_vertical_exchange,
-    send,
-)
+from .vertical import (FnDescMode, describe_functions, finish_report, functions_from_bits,
+                       new_ledger, offline_simulate, run_vertical_exchange, send)
 
 
 def ceil_isqrt(n: int) -> int:
@@ -62,12 +54,14 @@ class Partition:
         return self.starts.shape[-1]
 
 
-def find_partition(f, n: int | None = None) -> Partition | list[Partition]:
+def find_partition(f, n: int | None = None):
     """Greedy partition of 1..n driven by the stuck positions of ``f``.
 
-    f is one protocol's functions, or a ``(T, n)`` batch, which gives one
-    Partition per row.  Every row takes its greedy hops together: nxt maps a
-    round to the first stuck round at or after it."""
+    f is one protocol's functions, which gives its Partition, or a ``(T, n)``
+    batch, which gives the ``(T, p_max)`` starts of every row and each row's
+    block count p; a row's starts past its p lie past n.  Every row takes its
+    greedy hops together: nxt maps a round to the first stuck round at or
+    after it."""
     f = np.asarray(f, dtype=np.uint8)
     if n is None:
         n = f.shape[-1]
@@ -82,9 +76,10 @@ def find_partition(f, n: int | None = None) -> Partition | list[Partition]:
     hops = [np.ones(len(rows), np.int32)]
     while (hops[-1] <= n).any():  # a row past n has ended and stays there
         hops.append(nxt[each, hops[-1] + w])
-    starts = np.stack(hops, axis=1)
-    parts = [Partition(row[row <= n].astype(np.int64), w) for row in starts]
-    return parts if f.ndim > 1 else parts[0]
+    starts = np.stack(hops[:-1], axis=1).astype(np.int64)
+    if f.ndim > 1:
+        return starts, (starts <= n).sum(axis=1)
+    return Partition(starts[0], w)  # a lone row's hops stop at its last start
 
 
 def _field_width(n: int) -> int:
@@ -186,10 +181,10 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, part: Partition | 
     ledger = new_ledger(len(p.f))
 
     if part is None:
-        parts = find_partition(p.f, n)
-        if len({q.p for q in parts}) != 1:
+        starts, counts = find_partition(p.f)
+        if (counts != counts[0]).any():
             raise ValueError("the protocols of a batch must share one block count")
-        part = Partition(np.stack([q.starts for q in parts]), w)
+        part = Partition(starts[:, : counts[0]], w)
     elif part.starts.shape[:-1] != p.f.shape[:-1] or part.part_a_width != w:
         raise ValueError(f"partition starts {part.starts.shape} and Part A width "
                          f"{part.part_a_width} do not fit protocols {p.f.shape}")

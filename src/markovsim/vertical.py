@@ -25,6 +25,8 @@ padded to the longest.
 from __future__ import annotations
 
 import enum
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,7 +84,8 @@ def offline_simulate(f, g, b0: int) -> Transcript:
 def new_ledger(trials: int) -> UsageLedger:
     """An empty ledger for a batch, with one row per trial."""
     return UsageLedger(np.zeros(trials, np.int64), np.zeros(trials, np.int64),
-                       [[] for _ in range(trials)], [[] for _ in range(trials)])
+                       defaultdict(lambda: np.zeros(trials, np.int64)),
+                       [[] for _ in range(trials)])
 
 
 def send(
@@ -99,7 +102,7 @@ def send(
 
     payload is one message with a lone ledger, or a ``(T, L)`` batch with one
     row per trial and a ledger from new_ledger.  The channel charges each
-    row's uses; _book then books its coded blocks, and a DecodeEvent(stage,
+    row's uses; its blocks are counted, and _book logs a DecodeEvent(stage,
     1, direction) for each row whose decode differs from its payload: every
     message of a stage is sent once.
     Returns what the receiver decoded; wrong bits are not fixed.
@@ -112,7 +115,7 @@ def send(
     and only a miss inside its length is logged.
 
     With decode=False only the uses are booked, and the received words come
-    back undecoded for the caller to decode and book through _book
+    back undecoded for the caller to decode, count and log
     (run_vertical_exchange).
     """
     uses = inside = None
@@ -127,11 +130,8 @@ def send(
     wrong = got != payload
     if inside is not None:
         wrong &= inside
-    sizes = np.broadcast_to(payload.shape[-1] if lengths is None else lengths,
-                            payload.shape[:-1]).ravel().tolist()
-    blocks = {s: payload_blocks(code, s) for s in set(sizes)}
-    _book(ledger, [blocks[s] for s in sizes],
-          [(t, DecodeEvent(stage, 1, direction)) for t in np.flatnonzero(wrong.any(-1))])
+    _count_blocks(ledger, code, payload.shape[-1] if lengths is None else np.asarray(lengths))
+    _book(ledger, [(t, DecodeEvent(stage, 1, direction)) for t in np.flatnonzero(wrong.any(-1))])
     return got
 
 
@@ -147,15 +147,23 @@ class VerticalResult:
     bob_tail: Optional[np.ndarray] = None
 
 
-def _book(ledger: UsageLedger, blocks: list, misses) -> None:
-    """Append blocks[t] to row t's block profile and each (t, DecodeEvent) of
-    misses to row t's decode log, in order.  A lone ledger is row 0; this is
-    the one place that tells a lone ledger from a batch's."""
-    lone = np.ndim(ledger.uses_ab) == 0
-    profiles = [ledger.block_profile] if lone else ledger.block_profile
-    logs = [ledger.decode_log] if lone else ledger.decode_log
-    for profile, row in zip(profiles, blocks):
-        profile += row
+def _count_blocks(ledger: UsageLedger, code: CodeSpec, lengths, times: int = 1) -> None:
+    """Add ``times`` messages of lengths bits to the ledger's block counts,
+    one update per block size.  lengths is one length, or one per row of a
+    ragged message, whose identity or repetition rows each make one block of
+    their own size."""
+    size, count = payload_blocks(code, lengths)
+    for s in set(np.ravel(size).tolist()):
+        blocks = count * (size == s) * times
+        if np.any(blocks):
+            ledger.block_counts[s] += blocks
+
+
+def _book(ledger: UsageLedger, misses) -> None:
+    """Append each (t, DecodeEvent) of misses to row t's decode log, in
+    order.  A lone ledger is row 0; this is the one place that tells a lone
+    ledger from a batch's."""
+    logs = [ledger.decode_log] if np.ndim(ledger.uses_ab) == 0 else ledger.decode_log
     for t, event in misses:
         logs[t].append(event)
 
@@ -207,13 +215,13 @@ def run_vertical_exchange(
         raise ValueError("start_bits must hold one bit per row")
 
     lead = f_rows.shape[:-2]
-    step = sum(payload_blocks(code, rows))  # bits of a column padded to whole blocks
+    step = math.prod(payload_blocks(code, rows))  # bits of a column padded to whole blocks
     at = (width - 1) * step + rows  # Alice's tail follows her last column
     tail = np.asarray(np.zeros(lead + (0,)) if alice_tail is None else alice_tail, np.uint8)
     sizes = np.broadcast_to(tail.shape[-1] if tail_lengths is None else tail_lengths, lead)
     inside = np.arange(tail.shape[-1]) < sizes[..., None]
     tail = tail * inside
-    a_len, b_len = sum(payload_blocks(code, at + tail.shape[-1])), width * step  # whole blocks
+    a_len, b_len = math.prod(payload_blocks(code, at + tail.shape[-1])), width * step
     got_a = send(ch, code, ledger, np.zeros(lead + (at + tail.shape[-1],), np.uint8),
                  Direction.A_TO_B, "vertical_a",
                  lengths=None if tail_lengths is None else at + sizes, decode=False)
@@ -247,14 +255,13 @@ def run_vertical_exchange(
     if flips_a.any() or flips_b.any():  # the per-column reductions cost more
         wrong[..., 0], wrong[..., 1] = fa.any(-2), fb.any(-2)
         wrong[..., -1, 0] |= (flips_tail & inside).any(-1)
-    col = payload_blocks(code, rows)
-    books = {s: col * 2 * (width - 1) + payload_blocks(code, rows + s) + col
-             for s in set(sizes.ravel().tolist())}
-    # as column-by-column sends would book them: row first, A before B
+    # each column is coded on its own, and Alice's last carries the tail
+    _count_blocks(ledger, code, rows, 2 * width - 1)
+    _count_blocks(ledger, code, rows + (tail.shape[-1] if tail_lengths is None else sizes))
+    # as column-by-column sends would log them: row first, A before B
     misses = zip(*(i.tolist() for i in np.nonzero(wrong.reshape(-1, width, 2))))
-    _book(ledger, [books[s] for s in sizes.ravel().tolist()],
-          [(t, DecodeEvent(("vertical_a", "vertical_b")[d], c + 1, Direction(d)))
-           for t, c, d in misses])
+    _book(ledger, [(t, DecodeEvent(("vertical_a", "vertical_b")[d], c + 1, Direction(d)))
+                   for t, c, d in misses])
     bob_tail = None if alice_tail is None else tail ^ flips_tail
     return VerticalResult(bob_a ^ fa, alice_b, bob_a, alice_b ^ fb, bob_tail)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -82,11 +83,11 @@ def test_rlc_needs_seed_before_use():
 
 def test_payload_split_accounting():
     code = ms.RandomLinear(4, Fraction(1, 2), 3)
-    assert ms.coding.payload_blocks(code, 10) == [4, 4, 4]
+    assert ms.coding.payload_blocks(code, 10) == (4, 3)
     assert ms.coding.coded_length(code, 10) == 24
-    assert ms.coding.payload_blocks(ms.Repetition(3), 10) == [10]
+    assert ms.coding.payload_blocks(ms.Repetition(3), 10) == (10, 1)
     assert ms.coding.coded_length(ms.Repetition(3), 10) == 30
-    assert ms.coding.payload_blocks(ms.Identity(), 0) == []
+    assert ms.coding.payload_blocks(ms.Identity(), 0) == (0, 0)
 
 
 def test_payload_round_trip_all_families():
@@ -652,15 +653,41 @@ def test_lemma1_bound_rejects_rates_at_capacity():
 
 
 def test_union_bound_profile():
-    assert ms.union_bound_profile([], Fraction(1, 3), 0.1) == 0.0
-    assert ms.union_bound_profile([64, 64], Fraction(1, 3), 0.0) == 0.0
-    same = ms.union_bound_profile([64] * 8, Fraction(1, 3), 0.05)
+    code = ms.RandomLinear(12, Fraction(1, 3))  # the ensemble term reads the rate only
+    assert ms.union_bound_profile({}, code, 0.1) == 0.0
+    assert ms.union_bound_profile({64: 2}, code, 0.0) == 0.0
+    same = ms.union_bound_profile({64: 8}, code, 0.05)
     assert same == pytest.approx(ms.lemma1_bound(8, 64, Fraction(1, 3), 0.05))
-    mixed = ms.union_bound_profile([64, 128], Fraction(1, 3), 0.05)
+    mixed = ms.union_bound_profile({64: 1, 128: 1}, code, 0.05)
     assert mixed == pytest.approx(
         ms.lemma1_bound(1, 64, Fraction(1, 3), 0.05)
         + ms.lemma1_bound(1, 128, Fraction(1, 3), 0.05)
     )
+
+
+def test_union_bound_is_correctly_rounded_in_any_order():
+    # a mixed profile whose left-to-right float sum misses the correctly
+    # rounded one: the bound is the latter, bit for bit, whatever order the
+    # counts arrive in, so it cannot depend on the Python version's sum
+    code, eps = ms.RandomLinear(12, Fraction(1, 4)), 0.05
+    er = ms.gallager_exponent(ms.ExponentQuery(0.25, eps))
+    counts = {48: 893, 16: 930, 12: 442, 24: 434}
+    terms = [c * 2.0 ** (-(b / 0.25) * er) for b, c in counts.items()]
+    want = min(1.0, math.fsum(terms))
+    assert sum(terms) != want
+    for order in itertools.permutations(counts.items()):
+        assert ms.union_bound_profile(dict(order), code, eps) == want
+
+
+def test_union_bound_of_bitwise_codes_is_their_exact_block_error():
+    # identity blocks fail unless no bit flips; rep3 ones unless no majority does
+    assert ms.union_bound_profile({10: 2, 3: 1}, ms.Identity(), 0.01) == pytest.approx(
+        2 * (1 - 0.99**10) + (1 - 0.99**3), rel=1e-14)
+    p3 = 3 * 0.1**2 * 0.9 + 0.1**3
+    assert ms.union_bound_profile({10: 2}, ms.Repetition(3), 0.1) == pytest.approx(
+        2 * (1 - (1 - p3) ** 10), rel=1e-14)
+    assert ms.union_bound_profile({500: 2}, ms.Repetition(3), 0.1) == 1.0  # clamped
+    assert ms.union_bound_profile({10: 2}, ms.Repetition(3), 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

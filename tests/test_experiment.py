@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import markovsim as ms
 from markovsim import cli, experiment
@@ -96,7 +97,7 @@ def test_noiseless_experiment_rows():
     assert [r.n for r in rows] == [16, 32]
     for r in rows:
         assert r.failures == 0 and r.p_hat == 0.0
-        assert r.lemma1_bound == 0.0 and r.capacity == 1.0
+        assert r.block_union_bound == 0.0 and r.capacity == 1.0
         assert r.mean_rate == pytest.approx(2 / 3)
         assert r.wilson_lo == 0.0 and r.wilson_hi < 1.0
 
@@ -122,7 +123,7 @@ def test_noisy_cell_is_coherent():
     assert 0 < row.failures <= 50
     assert row.wilson_lo <= row.p_hat <= row.wilson_hi
     assert row.capacity == pytest.approx(ms.shannon_capacity(0.1))
-    assert row.lemma1_bound > 0
+    assert row.block_union_bound > 0
 
 
 def test_csv_emit_shape():
@@ -130,7 +131,7 @@ def test_csv_emit_shape():
     text = emit(rows, "csv")
     assert text.startswith(
         "n,epsilon,scheme,code,trials,failures,p_hat,wilson_lo,wilson_hi,"
-        "mean_rate,capacity,lemma1_bound\n"
+        "mean_rate,capacity,block_union_bound\n"
     )
     parsed = list(csv.DictReader(io.StringIO(text)))
     assert len(parsed) == 1
@@ -350,7 +351,7 @@ def _record(rep):
         [v.tolist() for v in (rep.alice.a, rep.alice.b, rep.bob.a, rep.bob.b)],
         (rep.alice_ok, rep.bob_ok, rep.ok),
         (rep.ledger.uses_ab, rep.ledger.uses_ba),
-        list(rep.block_profile),
+        dict(rep.block_counts),
         list(rep.decode_log),
         rep.rate,
     )
@@ -438,11 +439,43 @@ def test_batched_cell_equals_lone_trials(monkeypatch, scheme, code_text):
     assert [_record(r) for r in batched] == [_record(r) for r in lone]
     assert any(r.decode_log for r in lone)  # the noise did reach the decodes
 
-    rb = ms.nominal_rate(code)
     assert row.failures == sum(not r.ok for r in lone)
     assert row.mean_rate == math.fsum(float(r.rate) for r in lone) / trials
-    bounds = [ms.union_bound_profile(r.block_profile, rb, eps) for r in lone]
-    assert row.lemma1_bound == math.fsum(bounds) / trials
+    bounds = [ms.union_bound_profile(r.block_counts, code, eps) for r in lone]
+    assert row.block_union_bound == math.fsum(bounds) / trials
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
+@pytest.mark.parametrize("code_text", ["rep3", "rep5", "rlc:k=12,rate=1/4,seed=7"])
+def test_bound_column_is_each_codes_block_error(scheme, code_text):
+    # repetition blocks of b bits fail with exactly 1 - (1 - p_r)**b, p_r the
+    # chance that a majority of r copies flips; random linear ones take the
+    # ensemble term 2**(-(b/R) * Er)
+    n, eps, trials, seed = 40, 0.05, 6, 8
+    code = ms.parse_code_spec(code_text)
+    row = run_experiment(ExperimentConfig((n,), (eps,), scheme, code_text, trials, seed=seed))[0]
+    _, lone = lone_reports(scheme, code, n, eps, trials, seed)
+    if isinstance(code, ms.RandomLinear):
+        er = ms.gallager_exponent(ms.ExponentQuery(float(code.rate), eps))
+
+        def term(b):
+            return 2.0 ** (-(b / float(code.rate)) * er)
+    else:
+        p_r = stats.binom.sf(code.r // 2, code.r, eps)
+
+        def term(b):
+            return 1 - (1 - p_r) ** b
+    bounds = [min(1.0, sum(c * term(b) for b, c in r.block_counts.items())) for r in lone]
+    assert row.block_union_bound == pytest.approx(sum(bounds) / trials, rel=1e-12)
+    if scheme == "baseline":
+        assert 0 < row.block_union_bound < 1
+
+
+def test_bound_column_covers_the_rep3_error_it_once_missed():
+    # the ensemble bound reported 1.5e-34 for this cell against a p_hat of 0.99
+    row = run_experiment(ExperimentConfig((256,), (0.05,), "baseline", "rep3", 100, seed=3))[0]
+    assert row.p_hat == 0.99
+    assert row.block_union_bound == 1.0
 
 
 @pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
@@ -498,12 +531,13 @@ def test_batch_reports_share_no_mutable_state(scheme):
     protocols = [q for q in (ms.gen_uniform_protocol(64, s) for s in range(40))
                  if find_partition(q.f).p == 8][:3]
     reports = run_batch(scheme, stacked(protocols), 0.0, ms.Identity(), [1, 2, 3])
-    before = [(list(r.block_profile), list(r.decode_log)) for r in reports]
-    reports[0].block_profile.append(99)
+    before = [(dict(r.block_counts), list(r.decode_log)) for r in reports]
+    reports[0].block_counts[99] = 1
     reports[0].decode_log.append(ms.DecodeEvent("probe", 1, ms.Direction.A_TO_B))
-    assert [(list(r.block_profile), list(r.decode_log)) for r in reports[1:]] == before[1:]
+    assert [(dict(r.block_counts), list(r.decode_log)) for r in reports[1:]] == before[1:]
     for r in reports:
         assert all(type(v) is int for v in (r.ledger.uses_ab, r.ledger.uses_ba, r.ledger.total))
+        assert all(type(c) is int for c in r.block_counts.values())
 
 
 @pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
@@ -607,8 +641,8 @@ def test_scheme1_lookahead_runs_full_batches_in_trial_order(monkeypatch, code_te
 
 def test_run_batch_takes_a_partition_for_scheme1_only():
     q = ms.gen_uniform_protocol(16, 3)
-    part = find_partition(q.f[None])[0]
-    batch_part = sr.Partition(part.starts[None], part.part_a_width)
+    starts, counts = find_partition(q.f[None])
+    batch_part = sr.Partition(starts[:, : counts[0]], sr.ceil_isqrt(16))
     got = run_batch("scheme1", stacked([q]), 0.0, ms.Identity(), [1], None, batch_part)
     assert _record(got[0]) == _record(run_trial("scheme1", q, 0.0, ms.Identity(), 1))
     with pytest.raises(ValueError, match="partition"):

@@ -5,7 +5,7 @@ Two records are pinned for every cell of the grid (scheme x code x eps x n):
 - the CLI's CSV and JSON output, one invocation per cell, so that a cell
   that raises cannot hide the others;
 - a SHA-256 over every ``run_trial`` record of the cell: both views, the ok
-  flags, the ledger, the rate, the decode log and the block profile.  A trial
+  flags, the ledger, the rate, the decode log and the block counts.  A trial
   that raises is recorded by its exception type.
 
 One ``--protocol-file`` run is pinned as well.  To rewrite the files under
@@ -109,7 +109,7 @@ def trial_record(cell, t: int) -> dict:
         "ledger": [rep.ledger.uses_ab, rep.ledger.uses_ba],
         "rate": str(rep.rate),
         "decode_log": [[e.stage, e.index, int(e.direction)] for e in rep.decode_log],
-        "block_profile": [int(b) for b in rep.block_profile],
+        "block_counts": sorted([int(s), int(c)] for s, c in rep.block_counts.items()),
     }
 
 

@@ -110,31 +110,33 @@ def test_find_partition_batch_equals_rows(n):
         "sparse": np.where(share[0] < 0.02, stuck[0], additive[0]),
         "dense": np.where(share[1] < 0.9, stuck[1], additive[1]),
     }
-    counts = set()
+    seen = set()
     for name, batch in batches.items():
         for lo in range(0, len(batch), 250):
             chunk = batch[lo : lo + 250]
-            parts = sr.find_partition(chunk)
-            assert len(parts) == len(chunk)
-            for f, part in zip(chunk, parts):
-                assert part.starts.tolist() == greedy_starts(f), name
-                assert part.part_a_width == sr.ceil_isqrt(n)
-                counts.add(part.p)
+            starts, counts = sr.find_partition(chunk)
+            assert starts.shape == (len(chunk), counts.max()) and counts.shape == (len(chunk),)
+            for f, row, p in zip(chunk, starts, counts):
+                assert row[:p].tolist() == greedy_starts(f), name
+                assert (row[p:] > n).all()
+                seen.add(int(p))
         # a lone protocol gives one Partition, the one its batch row gets
         for f in batch[::25]:
             lone = sr.find_partition(f)
             assert isinstance(lone, sr.Partition)
             assert lone.starts.tolist() == greedy_starts(f)
-    assert len(counts) > (n > 1)  # the batches mix block counts
+            assert lone.part_a_width == sr.ceil_isqrt(n)
+    assert len(seen) > (n > 1)  # the batches mix block counts
 
 
 def test_partition_steps_take_a_batch():
     # a batch of partitions with one block count: the message, the layout
     # and the padded length of each row are those of the row alone
     n, w = 64, 8
-    parts = [q for q in sr.find_partition(
-        np.random.default_rng(14).integers(1, 5, (300, n), dtype=np.uint8)) if q.p == 8]
-    batch = sr.Partition(np.stack([q.starts for q in parts]), w)
+    starts, counts = sr.find_partition(
+        np.random.default_rng(14).integers(1, 5, (300, n), dtype=np.uint8))
+    batch = sr.Partition(starts[counts == 8, :8], w)
+    parts = [sr.Partition(row, w) for row in batch.starts]
     n_pad = sr._padded_len(batch, n)
     assert len(set(n_pad.tolist())) > 1
     width = int(n_pad.max())
@@ -450,7 +452,7 @@ def test_scheme1_failure_rate_within_union_bound():
         rep = sr.run_scheme1(p, ms.ChannelPair(eps, s_noise), code)
         fails += not rep.ok
         bounds.append(
-            ms.union_bound_profile(rep.block_profile, Fraction(1, 3), eps)
+            ms.union_bound_profile(rep.block_counts, code, eps)
         )
     p_hat = fails / trials
     assert p_hat <= sum(bounds) / trials

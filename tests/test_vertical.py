@@ -159,6 +159,11 @@ def reference_exchange(f_rows, g_rows, start_bits, code, ch, ledger, alice_tail=
     return vertical.VerticalResult(*views, bob_tail)
 
 
+def block_counts(ledger) -> dict:
+    """A ledger's block counts as {size: count, or a list of one per row}."""
+    return {s: np.asarray(c).tolist() for s, c in ledger.block_counts.items() if np.any(c)}
+
+
 # code families of the folded exchange; each random linear one holds one
 # seed alone and one seed per trial in a batch: k = 3 at rate 1/4, a
 # tie-heavy k = 4 at rate 1/2, and a singular G (rate 1, every block ties)
@@ -177,8 +182,8 @@ FAMILIES = {
 @pytest.mark.parametrize("tail", ["none", "ragged", "full", "empty"])
 @pytest.mark.parametrize("trials", [None, 4])
 def test_folded_exchange_equals_the_column_loop(family, eps, tail, trials, monkeypatch):
-    # views, Bob's tail, per-row uses, block profile order and decode log
-    # order (row, then column, A before B) all as the loop leaves them; a
+    # views, Bob's tail, per-row uses, block counts and decode log order
+    # (row, then column, A before B) all as the loop leaves them; a
     # lone exchange keeps a scalar ledger.  "ragged" tails have lengths 0..8,
     # "empty" ones are no bits at all, as when Part B is empty
     code = FAMILIES[family](lambda seeds: seeds[0] if trials is None else seeds)
@@ -204,9 +209,8 @@ def test_folded_exchange_equals_the_column_loop(family, eps, tail, trials, monke
     for exchange in (vertical.run_vertical_exchange, reference_exchange):
         ledger = ms.UsageLedger() if trials is None else vertical.new_ledger(trials)
         # earlier entries in the ledger stay first and untouched
-        for prof, log in ([(ledger.block_profile, ledger.decode_log)] if trials is None
-                          else zip(ledger.block_profile, ledger.decode_log)):
-            prof.append(99)
+        ledger.block_counts[99] += 1
+        for log in [ledger.decode_log] if trials is None else ledger.decode_log:
             log.append(ms.DecodeEvent("earlier", 1, ms.Direction.B_TO_A))
         with monkeypatch.context() as m:
             m.setattr(vertical._kernels, "markov_chain", counting_chain)
@@ -227,10 +231,11 @@ def test_folded_exchange_equals_the_column_loop(family, eps, tail, trials, monke
             assert got[:size].tolist() == want[:size].tolist()
     assert np.array_equal(fold_led.uses_ab, loop_led.uses_ab)
     assert np.array_equal(fold_led.uses_ba, loop_led.uses_ba)
-    assert fold_led.block_profile == loop_led.block_profile
+    assert block_counts(fold_led) == block_counts(loop_led)
     assert fold_led.decode_log == loop_led.decode_log
     if trials is None:
         assert type(fold_led.uses_ab) is int and type(fold_led.uses_ba) is int
+        assert all(type(c) is int for c in fold_led.block_counts.values())
     if eps == 0.2:  # the logs compared above were not empty
         assert any(fold_led.decode_log) if trials else len(fold_led.decode_log) > 1
     # the loop makes no chain call; a bitwise code needs one, and a singular
@@ -372,7 +377,7 @@ def test_folded_exchange_sends_each_direction_once():
         assert res.alice_b.tolist() == [[1, 0], [0, 1]]
         assert res.bob_a.tolist() == res.alice_a.tolist()
         assert res.bob_b.tolist() == res.alice_b.tolist()
-        assert (led.uses_ab, led.uses_ba, led.block_profile) == (wire, wire, [2, 2, 2, 2])
+        assert (led.uses_ab, led.uses_ba, led.block_counts) == (wire, wire, {2: 4})
         assert led.decode_log == []
 
 
@@ -481,7 +486,7 @@ def test_exchange_ledger_and_profile_accounting():
     # A columns: 3 bits -> one k=4 block, last column 3+2 bits -> two blocks
     assert led.uses_ab == 8 + 16
     assert led.uses_ba == 8 + 8
-    assert led.block_profile == [4, 4, 4, 4, 4]
+    assert led.block_counts == {4: 5}
     assert res.bob_tail.tolist() == [1, 0]
 
 
@@ -551,7 +556,7 @@ def test_exchange_failure_rate_within_union_bound():
             ok = ok and np.array_equal(res.bob_a[r], want.a)
         fails += not ok
         if bound is None:
-            bound = ms.union_bound_profile(led.block_profile, Fraction(1, 2), eps)
+            bound = ms.union_bound_profile(led.block_counts, code, eps)
     p_hat = fails / trials
     assert 0 < p_hat <= bound
 
@@ -575,7 +580,7 @@ def test_baseline_rate_is_two_thirds_with_identity():
     p = ms.gen_uniform_protocol(40, 1)
     rep = vertical.run_baseline(p, ms.ChannelPair(0.1, 5), ms.Identity())
     assert rep.rate == Fraction(2, 3)
-    assert rep.block_profile == [80, 40]
+    assert rep.block_counts == {80: 1, 40: 1}
     assert rep.scheme == "baseline" and rep.n == 40
 
 
@@ -586,7 +591,7 @@ def test_baseline_rate_scales_with_code():
     rep = vertical.run_baseline(p, ms.ChannelPair(0.05, 6), ms.RandomLinear(8, Fraction(1, 2), 3))
     # 64 desc bits -> 8 blocks of 16, 32 transcript bits -> 4 blocks of 16
     assert rep.rate == Fraction(64, 192)
-    assert rep.block_profile == [8] * 12
+    assert rep.block_counts == {8: 12}
 
 
 def test_baseline_flags_are_honest_under_noise():
