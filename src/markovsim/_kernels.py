@@ -1,12 +1,12 @@
 """The hot loops, in numpy: chain evaluation, packed ML search, and the
 certified shortcut in front of that search.
 
-``markov_chain`` computes every view that is a whole chain: the noiseless
-reference, Bob's view in the baseline and in scheme1 (whose Part A rounds
-enter as stuck codes that replay the bits he decoded), scheme2's block ends,
-and the folded vertical exchange (codes with each column's channel flips
-XORed in).  Views that are read off received bits, such as Alice's, need no
-chain: each A bit is one ``eval_fn_array`` of the B bit before it.
+``markov_chain`` computes every view that is a whole chain: Bob's view in
+the baseline and in scheme1 (whose Part A rounds enter as stuck codes that
+replay the bits he decoded), scheme2's block ends, and the folded vertical
+exchange (codes with each column's channel flips XORed in).  Views read off
+received bits, such as Alice's, need no chain, and nor do the reports' checks:
+each bit is one ``eval_fn_array`` of the bit before it, round by round.
 
 All take a leading trial axis: ``markov_chain`` runs one chain per row of a
 ``(T, n)`` batch.  Both decode kernels have one contract: ``(T, …)`` arrays,

@@ -114,7 +114,8 @@ class Transcript:
 def simulate_reference(p: Protocol) -> Transcript:
     """Noiseless transcript of ``p`` (of each protocol of a batch) from B_0 = 0.
 
-    This is the ground truth every scheme run is compared against.
+    This is the ground truth of every scheme run.  The reports check each
+    view round by round (vertical.finish_report), which is equivalent.
     """
     a, b = _kernels.markov_chain(p.f, p.g, 0)
     return Transcript(a, b)

@@ -14,8 +14,8 @@ class SimulationReport:
     """Everything a Monte Carlo harness needs from one simulated run.
 
     alice/bob are the transcript each party ends up believing in; ok flags
-    compare them against the noiseless reference.  The ledger is the run's
-    wire record; decode_log and block_counts read it.
+    check them round by round, which equals comparing with the noiseless
+    reference.  The ledger is the run's wire record, read by decode_log and block_counts.
     """
 
     scheme: str

@@ -594,16 +594,76 @@ def test_baseline_rate_scales_with_code():
     assert rep.block_counts == {8: 12}
 
 
-def test_baseline_flags_are_honest_under_noise():
+@pytest.mark.parametrize("scheme, eps", [("baseline", 0.2), ("baseline", 0.02),
+                                         ("scheme1", 0.02), ("scheme2", 0.02)])
+def test_baseline_flags_are_honest_under_noise(scheme, eps):
+    run = getattr(ms, f"run_{scheme}")
     ref_p = ms.gen_uniform_protocol(24, 3)
     ref = ms.simulate_reference(ref_p)
-    hits = 0
+    seen = set()
     for seed in range(40):
-        rep = vertical.run_baseline(ref_p, ms.ChannelPair(0.2, seed), ms.Identity())
+        rep = run(ref_p, ms.ChannelPair(eps, seed), ms.Identity())
         alice_match = np.array_equal(rep.alice.a, ref.a) and np.array_equal(
             rep.alice.b, ref.b
         )
         bob_match = np.array_equal(rep.bob.a, ref.a) and np.array_equal(rep.bob.b, ref.b)
         assert rep.alice_ok == alice_match and rep.bob_ok == bob_match
-        hits += not rep.ok
-    assert hits > 0  # eps 0.2 uncoded must break some runs
+        seen.add(rep.ok)
+    assert False in seen  # eps 0.2 uncoded must break some runs, and so must 0.02
+    if eps < 0.2:
+        assert True in seen  # while some runs at 0.02 get through
+
+
+# ---------------------------------------------------------------------------
+# the reports' round-by-round check
+
+
+def adversarial_views(p):
+    """(T, n) views of p's batch: the reference; the chain from b0 = 1,
+    which follows every round but the first; and the reference with one bit
+    of a or b, at the first or the last round, flipped or made a byte of 2 or
+    255 with the reference's low bit."""
+    ref = ms.simulate_reference(p)
+    views = [ref, vertical.offline_simulate(p.f, p.g, 1)]
+    for at in (0, -1):
+        for change in (lambda x: x ^ 1, lambda x: 2 + 253 * x):
+            for half in (0, 1):
+                ab = [ref.a.copy(), ref.b.copy()]
+                ab[half][:, at] = change(ab[half][:, at])
+                views.append(ms.Transcript(*ab))
+    return views
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 257])
+@pytest.mark.parametrize("trials", [1, 5])
+def test_report_flags_equal_the_reference_comparison(n, trials, monkeypatch):
+    p = ms.gen_uniform_protocol(n, range(10 * n, 10 * n + trials))
+    f = p.f.copy()
+    f[::2, 0] = Mu.MU2  # an additive first round, where b0 = 1 leaves the reference
+    p = ms.Protocol(f, p.g)
+    ref = ms.simulate_reference(p)
+    views = adversarial_views(p)
+    chains = []
+    monkeypatch.setattr(vertical._kernels, "markov_chain", lambda *args: chains.append(args))
+    ledger = vertical.new_ledger(trials)
+    ledger.uses_ab += 1  # a rate needs a channel use
+    seen = set()
+    for i, (alice, bob) in enumerate(zip(views, views[1:] + views[:1])):
+        reports = vertical.finish_report("test", p, alice, bob, ledger)
+        for t, rep in enumerate(reports):
+            for view, flag in ((alice, rep.alice_ok), (bob, rep.bob_ok)):
+                assert flag == (np.array_equal(view.a[t], ref.a[t])
+                                and np.array_equal(view.b[t], ref.b[t])), (i, t)
+                seen.add(flag)
+    assert chains == [] and seen == {False, True}
+
+
+@pytest.mark.parametrize("scheme, chains", [("baseline", 1), ("scheme2", 2)])
+def test_noiseless_batch_chains(scheme, chains, kernel_calls):
+    # the baseline runs only Bob's offline chain; scheme2 only its block ends
+    # and one exchange pass: no chain for the reports
+    calls, _ = kernel_calls
+    p = ms.gen_uniform_protocol(256, range(4))
+    reports = getattr(ms, f"run_{scheme}")(p, ms.ChannelPair(0.0, range(4)), ms.Identity())
+    assert all(rep.ok for rep in reports)
+    assert [name for name, _ in calls].count("markov_chain") == chains
