@@ -24,6 +24,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Iterator, Optional, Sequence
 
@@ -34,7 +35,7 @@ from .coding import CodeSpec, RandomLinear, nominal_rate, parse_code_spec, union
 from ._seeds import entropy_words, seed_states
 from .protocol import Protocol, gen_uniform_protocol
 from .report import SimulationReport
-from .scheme_random import Partition, ceil_isqrt, find_partition, run_scheme1
+from .scheme_random import find_partition, run_scheme1
 from .scheme_regular import run_scheme2
 from .vertical import run_baseline
 
@@ -77,6 +78,8 @@ class ExperimentConfig:
                         *(("n_values", n) for n in self.n_values)):
             if not isinstance(v, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
+        if not all(isinstance(eps, numbers.Real) for eps in self.eps_values):
+            raise ValueError(f"eps_values must be real numbers, got {self.eps_values!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed < 0:
@@ -147,23 +150,23 @@ def run_batch(
     code: CodeSpec,
     noise_seeds: Sequence[int],
     m_override: Optional[int] = None,
-    part: Optional[Partition] = None,
+    starts: Optional[np.ndarray] = None,
 ) -> list[SimulationReport]:
     """Run a ``(T, n)`` batch of protocols together: trial t on row t with
     noise seed noise_seeds[t], and with code t when the code's seed is a
     tuple.  Returns one report per trial.  scheme1's protocols share one
-    block count (part, if given, is their stacked partition); only scheme2
-    takes m_override."""
+    block count (starts, if given, are their ``(T, p)`` block starts); only
+    scheme2 takes m_override."""
     _check_m_override(scheme, m_override)
-    if part is not None and scheme != "scheme1":
-        raise ValueError(f"a partition is scheme1's input; {scheme} takes none")
+    if starts is not None and scheme != "scheme1":
+        raise ValueError(f"partition starts are scheme1's input; {scheme} takes none")
     if protocols.f.ndim != 2:
         raise ValueError("run_batch takes a (T, n) batch of protocols")
     ch = ChannelPair(eps, noise_seeds)
     if scheme == "baseline":
         return run_baseline(protocols, ch, code)
     if scheme == "scheme1":
-        return run_scheme1(protocols, ch, code, part)
+        return run_scheme1(protocols, ch, code, starts)
     return run_scheme2(protocols, ch, code, m=m_override)
 
 
@@ -218,12 +221,10 @@ def cell_reports(
             batch_code = code
             if drawn:
                 batch_code = replace(code, code_seed=tuple(code_seeds[i] for i in batch))
-            part = None
-            if cfg.scheme == "scheme1":
-                part = Partition(starts[batch, : keys[batch[0]]], ceil_isqrt(n))
             reports.update(zip(batch, run_batch(
                 cfg.scheme, Protocol(window.f[batch], window.g[batch]), eps, batch_code,
-                [noise_seeds[i] for i in batch], cfg.m_override, part,
+                [noise_seeds[i] for i in batch], cfg.m_override,
+                starts[batch, : keys[batch[0]]] if cfg.scheme == "scheme1" else None,
             )))
             while done in reports:
                 yield reports.pop(done)

@@ -8,11 +8,13 @@ the rest is Part B and provably contains no stuck function of Alice's.
 Because every block after the first opens at a stuck function, the blocks are
 independent rows and Part A can be run as a vertical column exchange.  Part B
 is additive for Alice, so one bit per function describes it; Bob then runs
-Part B offline seeded by his last Part A column and ships his half back.  When
-the partition has too few blocks for vertical coding to pay
-(p <= ceil(n**0.25)), the whole protocol is instead simulated
-non-interactively from function descriptions: two bits per Part A function,
-one per Part B function.
+Part B offline seeded by his last Part A column and ships his half back.
+Bob keeps each row of his decode of the block starts that is a well-formed
+partition fitting later message sizes; any other row gets even starts 1,
+1 + w, ... (w = ceil(sqrt(n))).  When the partition has too few blocks for
+vertical coding to pay (p <= ceil(n**0.25)), the whole protocol is instead
+simulated non-interactively from function descriptions: two bits per Part A
+function, one per Part B function.
 """
 
 from __future__ import annotations
@@ -96,36 +98,21 @@ def encode_partition(part: Partition, n: int) -> np.ndarray:
     return ints_to_bits(np.concatenate([count, part.starts - 1], -1), w)
 
 
-def decode_partition(bits, n: int) -> Partition:
-    """Inverse of encode_partition.  Rejects malformed content (ValueError)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    w = _field_width(n)
-    if bits.size < w or bits.size % w:
-        raise ValueError("partition message has a broken length")
-    fields = bits_to_ints(bits, w)
-    p = int(fields[0])
-    if p < 1 or p != fields.size - 1:
-        raise ValueError("partition block count is out of range")
-    starts = fields[1:] + 1
-    gap = ceil_isqrt(n)
-    if starts[0] != 1 or starts.max() > n or np.any(np.diff(starts) < gap):
-        raise ValueError("partition starts are out of range or closer than sqrt(n)")
-    return Partition(starts.astype(np.int64), gap)
-
-
-def _bob_partition(bits, n: int, p: int, n_pad: int) -> Partition:
-    """Bob's block layout from his decode of the partition message.  He reads
-    p and n_pad off the sizes of later messages (p-bit columns and an
-    (n_pad - p*w)-bit tail, or p*w + n_pad description bits with n_pad - n <
-    w); a decode that is rejected or disagrees falls back to even starts."""
-    w = ceil_isqrt(n)
-    try:
-        part = decode_partition(bits, n)
-        if part.p == p and _padded_len(part, n) == n_pad:
-            return part
-    except ValueError:
-        pass
-    return Partition(1 + w * np.arange(p), w)
+def decode_partition(bits, n: int, n_pad) -> Partition:
+    """Bob's block starts from each partition message (one per row of a
+    batch), with p the message's field count less one.  A row's decode is
+    kept when its count is p and its starts begin at 1, stay within n, lie
+    w = ceil(sqrt(n)) or more apart and pad to n_pad, which Bob reads off the
+    length of Alice's Part B tail or descriptions; any other row gets even
+    starts 1, 1 + w, ....  A message of broken length raises ValueError."""
+    fields = bits_to_ints(bits, _field_width(n))  # whole fields only
+    p, w = fields.shape[-1] - 1, ceil_isqrt(n)
+    if p < 1:
+        raise ValueError("partition message holds no block start")
+    got = Partition(fields[..., 1:] + 1, w)
+    ok = ((fields[..., 0] == p) & (got.starts[..., 0] == 1) & (got.starts <= n).all(-1)
+          & (np.diff(got.starts, axis=-1) >= w).all(-1) & (_padded_len(got, n) == n_pad))
+    return Partition(np.where(ok[..., None], got.starts, 1 + w * np.arange(p)), w)
 
 
 def _runs(lo: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -162,7 +149,7 @@ def _pad_fns(fns: np.ndarray, n_pad: int) -> np.ndarray:
 
 
 @lone_or_batch
-def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, part: Partition | None = None):
+def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, starts: np.ndarray | None = None):
     """Simulate ``p`` over ``ch`` using the stuck-partition scheme.
 
     The protocol is padded with stuck rounds so the last block reaches full
@@ -174,20 +161,20 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, part: Partition | 
     A batched ``p`` gives one report per row.  Its rows must share one block
     count p, which sets the size of every message but the last in each
     direction; those depend on each row's padded length and are sent ragged.
-    A ``part`` given is the batch's stacked partition, else it is found here.
+    ``starts`` are the batch's ``(T, p)`` block starts, found here if not given.
     """
     n = p.n
     w = ceil_isqrt(n)
     ledger = new_ledger(len(p.f))
 
-    if part is None:
+    if starts is None:
         starts, counts = find_partition(p.f)
         if (counts != counts[0]).any():
             raise ValueError("the protocols of a batch must share one block count")
-        part = Partition(starts[:, : counts[0]], w)
-    elif part.starts.shape[:-1] != p.f.shape[:-1] or part.part_a_width != w:
-        raise ValueError(f"partition starts {part.starts.shape} and Part A width "
-                         f"{part.part_a_width} do not fit protocols {p.f.shape}")
+        starts = starts[:, : counts[0]]
+    elif starts.shape[:-1] != p.f.shape[:-1]:
+        raise ValueError(f"partition starts {starts.shape} do not fit protocols {p.f.shape}")
+    part = Partition(starts, w)
     n_pad = _padded_len(part, n)
     # every row is laid out over the batch's longest padded length: its last
     # Part B runs on past its own n_pad, into padding that no message carries
@@ -196,10 +183,7 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, part: Partition | 
     pg = _pad_fns(p.g, width)
 
     got = send(ch, code, ledger, encode_partition(part, n), Direction.A_TO_B, "partition")
-    part_bob = Partition(
-        np.stack([_bob_partition(bits, n, part.p, size).starts for bits, size in zip(got, n_pad)]),
-        w,
-    )
+    part_bob = decode_partition(got, n, n_pad)
 
     a_idx, b_idx = split_parts(part, width)
     a_idx_bob, b_idx_bob = split_parts(part_bob, width)

@@ -55,6 +55,9 @@ def test_config_validation():
         ExperimentConfig((), (0.0,), "baseline", "identity", 1)
     with pytest.raises(ValueError):
         ExperimentConfig((16,), (), "baseline", "identity", 1)
+    # named up front, not by a TypeError inside ChannelPair
+    with pytest.raises(ValueError, match="eps_values must be real numbers"):
+        ExperimentConfig((8,), ("0.1",), "baseline", "rep3", 2)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -640,13 +643,14 @@ def test_scheme1_lookahead_runs_full_batches_in_trial_order(monkeypatch, code_te
 
 
 def test_run_batch_takes_a_partition_for_scheme1_only():
+    # the partition is given as the batch's (T, p) block starts
     q = ms.gen_uniform_protocol(16, 3)
     starts, counts = find_partition(q.f[None])
-    batch_part = sr.Partition(starts[:, : counts[0]], sr.ceil_isqrt(16))
-    got = run_batch("scheme1", stacked([q]), 0.0, ms.Identity(), [1], None, batch_part)
+    starts = starts[:, : counts[0]]
+    got = run_batch("scheme1", stacked([q]), 0.0, ms.Identity(), [1], None, starts)
     assert _record(got[0]) == _record(run_trial("scheme1", q, 0.0, ms.Identity(), 1))
     with pytest.raises(ValueError, match="partition"):
-        run_batch("baseline", stacked([q]), 0.0, ms.Identity(), [1], None, batch_part)
+        run_batch("baseline", stacked([q]), 0.0, ms.Identity(), [1], None, starts)
 
 
 def test_run_batch_takes_a_stacked_batch_only():

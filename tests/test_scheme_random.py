@@ -160,21 +160,20 @@ def test_scheme1_batch_needs_one_block_count():
 
 
 def test_scheme1_takes_a_fitting_partition_only():
-    # a given partition stands in for finding it; one whose row count or
-    # Part A width does not fit the batch is rejected
-    n, w = 64, 8
+    # given (T, p) block starts stand in for finding them; starts whose row
+    # count or shape does not fit the batch are rejected
+    n = 64
     protocols = [q for q in (ms.gen_uniform_protocol(n, s) for s in range(40))
                  if sr.find_partition(q.f).p == 8][:3]
     p = ms.Protocol(np.stack([q.f for q in protocols]), np.stack([q.g for q in protocols]))
-    part = sr.Partition(np.stack([sr.find_partition(q.f).starts for q in protocols]), w)
+    starts = np.stack([sr.find_partition(q.f).starts for q in protocols])
 
     def run(given):
         reports = sr.run_scheme1(p, ms.ChannelPair(0.1, [1, 2, 3]), ms.Identity(), given)
         return [(r.bob.a.tolist(), r.bob.b.tolist(), r.ledger.total) for r in reports]
 
-    assert run(part) == run(None)
-    for bad in (sr.Partition(part.starts[:2], w), sr.Partition(part.starts, w - 1),
-                sr.Partition(part.starts[0], w)):
+    assert run(starts) == run(None)
+    for bad in (starts[:2], starts[0]):
         with pytest.raises(ValueError, match="partition starts .* do not fit"):
             run(bad)
 
@@ -199,28 +198,37 @@ def test_partition_codec_round_trip():
     for n in (1, 2, 16, 100, 257):
         for _ in range(30):
             part = sr.find_partition(rng.integers(1, 5, n).astype(np.uint8))
-            back = sr.decode_partition(sr.encode_partition(part, n), n)
+            back = sr.decode_partition(sr.encode_partition(part, n), n, sr._padded_len(part, n))
             assert back.starts.tolist() == part.starts.tolist()
             assert back.part_a_width == part.part_a_width
 
 
+def fields(*values, n=16):
+    """A partition message of the given raw fields (start - 1 after the count)."""
+    return ints_to_bits(list(values), sr._field_width(n))
+
+
 def test_partition_decode_rejects_malformed():
+    # a malformed decode is not an error: Bob falls back to even starts
+    # (n = 16: 4-bit fields, Part A width 4); only a message that is not a
+    # count and whole start fields raises
     with pytest.raises(ValueError):
-        sr.decode_partition(np.zeros(7, np.uint8), 16)  # not a field multiple
+        sr.decode_partition(np.zeros(7, np.uint8), 16, 16)  # not a field multiple
     with pytest.raises(ValueError):
-        sr.decode_partition(np.zeros(4, np.uint8), 16)  # count 0
-    # count says 2 but only one start follows
-    bad = np.concatenate([ints_to_bits([2], 4), ints_to_bits([0], 4)])
-    with pytest.raises(ValueError):
-        sr.decode_partition(bad, 16)
-    # first start not 1
-    bad = np.concatenate([ints_to_bits([1], 4), ints_to_bits([3], 4)])
-    with pytest.raises(ValueError):
-        sr.decode_partition(bad, 16)
-    # non-increasing starts
-    bad = np.concatenate([ints_to_bits([2], 4), ints_to_bits([0, 0], 4)])
-    with pytest.raises(ValueError):
-        sr.decode_partition(bad, 16)
+        sr.decode_partition(np.zeros(4, np.uint8), 16, 16)  # no start field
+    ok = fields(2, 0, 8)  # starts 1 and 9, unlike the even 1 and 5
+    assert sr.decode_partition(ok, 16, 16).starts.tolist() == [1, 9]
+    for bad in (
+        fields(0, 0, 8),  # count 0
+        fields(3, 0, 8),  # count says 3 but only two starts follow
+        fields(2, 3, 8),  # first start not 1
+        fields(2, 0, 0),  # non-increasing starts
+    ):
+        assert sr.decode_partition(bad, 16, 16).starts.tolist() == [1, 5]
+    # n = 12 still has 4-bit fields, so a start can lie past n: 13 here
+    assert sr.decode_partition(fields(2, 0, 12, n=12), 12, 16).starts.tolist() == [1, 5]
+    # a well-formed decode that does not pad to n_pad
+    assert sr.decode_partition(ok, 16, 17).starts.tolist() == [1, 5]
 
 
 def test_split_parts_example():
@@ -242,26 +250,87 @@ def test_split_parts_covers_every_round_once():
 
 
 def test_partition_decode_rejects_starts_closer_than_sqrt_n():
-    # n = 16: Part A width 4, so starts 1 and 4 would overlap Part A
-    close = np.concatenate([ints_to_bits([2], 4), ints_to_bits([0, 3], 4)])
-    with pytest.raises(ValueError):
-        sr.decode_partition(close, 16)
-    ok = np.concatenate([ints_to_bits([2], 4), ints_to_bits([0, 4], 4)])
-    assert sr.decode_partition(ok, 16).starts.tolist() == [1, 5]
+    # n = 16: Part A width 4, so starts 1 and 4 would overlap Part A and
+    # Bob falls back to even starts; gaps of 4 and 5 are kept
+    assert sr.decode_partition(fields(3, 0, 3, 9), 16, 16).starts.tolist() == [1, 5, 9]
+    assert sr.decode_partition(fields(3, 0, 4, 9), 16, 16).starts.tolist() == [1, 5, 10]
 
 
 def test_bob_partition_uses_only_the_decode_and_message_sizes():
     n, w = 64, 8
     decoded = sr.Partition(np.array([1, 12, 30]), w)
     bits = sr.encode_partition(decoded, n)
-    # a well-formed decode that fits p and n_pad is taken as it is, even
-    # where Alice's own starts differ
-    assert sr._bob_partition(bits, n, 3, 64).starts.tolist() == [1, 12, 30]
-    # one that disagrees with p or n_pad, or is rejected, gives even starts
-    assert sr._bob_partition(bits, n, 4, 64).starts.tolist() == [1, 9, 17, 25]
-    assert sr._bob_partition(bits, n, 3, 65).starts.tolist() == [1, 9, 17]
-    rejected = np.zeros(bits.size, np.uint8)  # block count 0
-    assert sr._bob_partition(rejected, n, 2, 64).starts.tolist() == [1, 9]
+    # a well-formed decode that fits p (the message's field count less
+    # one) and n_pad is taken as it is, even where Alice's own starts differ
+    assert sr.decode_partition(bits, n, 64).starts.tolist() == [1, 12, 30]
+    # one that disagrees with p or n_pad, or is malformed, gives even starts
+    miscounted = np.concatenate([fields(4, n=n), bits[6:]])
+    assert sr.decode_partition(miscounted, n, 64).starts.tolist() == [1, 9, 17]
+    assert sr.decode_partition(bits, n, 65).starts.tolist() == [1, 9, 17]
+    malformed = np.zeros(18, np.uint8)  # block count 0, two starts of 1
+    assert sr.decode_partition(malformed, n, 64).starts.tolist() == [1, 9]
+
+
+def _layout_row(bits, n, p, n_pad):
+    """Reference: Bob's layout of one message, decoded field by field with a
+    ValueError on malformed content, which falls back to even starts.
+    Returns the starts and whether the decode was kept."""
+    w = sr.ceil_isqrt(n)
+    try:
+        width = max(1, (n - 1).bit_length())
+        values = [int("".join(map(str, bits[i : i + width])), 2)
+                  for i in range(0, len(bits), width)]
+        starts = [v + 1 for v in values[1:]]
+        if values[0] != len(starts) or starts[0] != 1 or max(starts) > n:
+            raise ValueError("partition block count or starts out of range")
+        if any(b - a < w for a, b in zip(starts, starts[1:])):
+            raise ValueError("partition starts closer than sqrt(n)")
+        if len(starts) == p and max(n, starts[-1] + w - 1) == n_pad:
+            return starts, True
+    except ValueError:
+        pass
+    return [1 + w * i for i in range(p)], False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 16, 64, 100, 257, 4096])
+def test_partition_batch_decode_equals_per_row_reference(n):
+    # valid messages hit by bit flips, decoded against agreeing and wrong
+    # padded lengths: the batch decode is the reference row by row, and a
+    # lone message decodes to its batch row
+    rng = np.random.default_rng(n)
+    starts, counts = sr.find_partition(rng.integers(1, 5, (120, n), dtype=np.uint8))
+    seen = {"kept": 0, "fallback": 0}
+    for p in np.unique(counts).tolist():
+        part = sr.Partition(starts[counts == p, :p], sr.ceil_isqrt(n))
+        sent = sr.encode_partition(part, n)
+        for flip in (0, 0.01, 0.05, 0.2, 0.5):
+            got = sent ^ (rng.random(sent.shape) < flip).astype(np.uint8)
+            n_pad = sr._padded_len(part, n) + rng.choice([0, 0, 0, 1, -1, 2, -2], len(got))
+            batch = sr.decode_partition(got, n, n_pad)
+            assert batch.starts.shape == part.starts.shape
+            for t, (bits, size) in enumerate(zip(got, n_pad)):
+                ref, kept = _layout_row(bits.tolist(), n, p, size)
+                assert batch.starts[t].tolist() == ref
+                assert sr.decode_partition(bits, n, size).starts.tolist() == ref
+                seen["kept" if kept else "fallback"] += 1
+    assert all(seen.values()), seen
+
+
+def test_scheme1_decodes_a_batch_of_partitions_at_once(monkeypatch):
+    # one call for the whole batch, with its (T, L) messages
+    calls, decode = [], sr.decode_partition
+
+    def spy(bits, *args):
+        calls.append(np.shape(bits))
+        return decode(bits, *args)
+
+    monkeypatch.setattr(sr, "decode_partition", spy)
+    n = 64
+    protocols = [q for q in (ms.gen_uniform_protocol(n, s) for s in range(40))
+                 if sr.find_partition(q.f).p == 8][:5]
+    p = ms.Protocol(np.stack([q.f for q in protocols]), np.stack([q.g for q in protocols]))
+    sr.run_scheme1(p, ms.ChannelPair(0.05, list(range(5))), ms.Repetition(3))
+    assert calls == [(5, 9 * sr._field_width(n))]
 
 
 def test_scheme1_misdecoded_partition_does_not_raise():
@@ -316,7 +385,7 @@ def test_part_b_matches_per_segment_reference(monkeypatch):
         n_pad = sr._padded_len(part, n)
         pad = np.full(n_pad - n, 3, np.uint8)
         pf, pg = np.concatenate([p.f, pad]), np.concatenate([p.g, pad])
-        part_bob = sr._bob_partition(sent["partition"][1], n, part.p, n_pad)
+        part_bob = sr.decode_partition(sent["partition"][1], n, n_pad)
         reply, reply_got = sent["part_b"]
 
         a_idx, b_idx = sr.split_parts(part, n_pad)
