@@ -9,7 +9,10 @@ received bits, such as Alice's, need no chain, and nor do the reports' checks:
 each bit is one ``eval_fn_array`` of the bit before it, round by round.
 
 All take a leading trial axis: ``markov_chain`` runs one chain per row of a
-``(T, n)`` batch.  Both decode kernels have one contract: ``(T, …)`` arrays,
+``(T, n)`` batch, or of any leading shape such as the folded exchange's
+``(T, rows, width)``, as one segmented XOR scan over a packed bit stream of
+n + 1 rounds per row, whose stuck round 0 carries the row's entering bit.
+Both decode kernels have one contract: ``(T, …)`` arrays,
 with every received sub-block of trial t, for every trial of a batch,
 checked against trial t's own tables, so a message costs one call whatever
 its length and however many trials carry it.  A code shared by all trials
@@ -34,6 +37,8 @@ or ``vertical.run_vertical_exchange``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # ---------------------------------------------------------------------------
@@ -44,6 +49,9 @@ import numpy as np
 # Every code c carries one bit x = (c-1) & 1: the XOR offset when c <= 2, the
 # output when c >= 3.  So c applied to y is x ^ (y & (c <= 2)).
 
+_SHIFTS = tuple(np.uint64(1 << k) for k in range(6))  # a word's segmented scan
+_TOP = np.uint64(63)
+
 
 def markov_chain(f: np.ndarray, g: np.ndarray, b0=0):
     """Run the two-party recursion A_i = f_i(B_{i-1}), B_i = g_i(A_i).
@@ -53,27 +61,43 @@ def markov_chain(f: np.ndarray, g: np.ndarray, b0=0):
     uint8 arrays of the same shape.
 
     Round i composes into one map B_{i-1} -> B_i that is stuck when f_i or g_i
-    is, and whose bit is x_g ^ (x_f & (g <= 2)).  Counting b0 as a stuck round
-    0, B_i is the bit of the latest stuck round XOR the bits of the additive
-    rounds after it, that is the prefix XOR up to i XOR the prefix XOR before
-    that stuck round.  One prefix XOR and one running maximum over stuck
-    rounds, each tagged 2j + (prefix XOR before j), give every B bit, and
-    every A bit then follows from its B_{i-1}.
+    is, and whose bit h_i is x_g ^ (x_f & (g <= 2)).  Counting b0 as a stuck
+    round 0, B_i is a prefix XOR of h that restarts at every stuck round: a
+    segmented scan.  Every row's n + 1 rounds are laid end to end in one bit
+    stream, so each row starts at its own stuck round 0 and no carry crosses
+    from one row into the next.  h and the stuck flags are packed into
+    little-endian uint64 words, and six shift steps scan each word.  A word's
+    last bit, given a zero carry, and whether it holds a stuck round, follow
+    the same recursion over words: one prefix XOR and one running maximum
+    over stuck words, each tagged 2w + (prefix XOR before w), give every
+    word's entering bit.  That bit is XORed into the bits before the word's
+    first stuck round, and every A bit then follows from its B_{i-1}.
     """
     f = np.asarray(f, dtype=np.uint8)
     g = np.asarray(g, dtype=np.uint8)
-    n = f.shape[-1]
+    lead, n = f.shape[:-1], f.shape[-1]
+    size = math.prod(lead) * (n + 1)
+    words = -(-size // 64)
+    stream = np.zeros((2, 64 * words), np.uint8)
+    h, stuck = stream[:, :size].reshape((2,) + lead + (n + 1,))
     xf = (f - 1) & 1
-    h = np.empty(f.shape[:-1] + (n + 1,), np.uint8)
-    h[..., 0] = b0
-    h[..., 1:] = ((g - 1) & 1) ^ (xf & (g <= 2))
-    stuck = np.ones(h.shape, bool)
-    stuck[..., 1:] = (f >= 3) | (g >= 3)
-    pref = np.bitwise_xor.accumulate(h, axis=-1)
-    tag = np.arange(0, 2 * n + 2, 2, dtype=np.int32) | (pref ^ h)
-    tag *= stuck
+    h[..., 0], stuck[..., 0] = b0, 1
+    np.bitwise_xor((g - 1) & 1, xf & (g <= 2), out=h[..., 1:])
+    np.bitwise_or(f >= 3, g >= 3, out=stuck[..., 1:])
+    v, s = pack_bits(stream)
+    for d in _SHIFTS:  # bit i takes the XOR back to the word's latest stuck round
+        v ^= (v << d) & ~s
+        s |= s << d
+    last = v >> _TOP
+    pref = np.bitwise_xor.accumulate(last)
+    tag = np.arange(0, 2 * words, 2, dtype=np.uint64)
+    tag |= pref ^ last
+    tag *= s >> _TOP
+    carry = np.zeros(words, np.uint64)  # the bit entering each word
+    carry[1:] = pref[:-1] ^ (np.maximum.accumulate(tag[:-1]) & 1)
+    v ^= ~s * carry
     # b[..., i] is B_i, with b[..., 0] = b0
-    b = pref ^ (np.maximum.accumulate(tag, axis=-1).astype(np.uint8) & 1)
+    b = np.unpackbits(v.view(np.uint8), bitorder="little", count=size).reshape(h.shape)
     return xf ^ (b[..., :-1] & (f <= 2)), b[..., 1:]
 
 

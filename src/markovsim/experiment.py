@@ -9,12 +9,15 @@ one vectorised hash (``_seeds.seed_states``) and its protocols from one
 ``gen_uniform_protocol`` call; the streams are those numpy gives trial by
 trial.
 
-A cell's trials run in batches of up to ``_BATCH_ROUNDS`` rounds: each
-message of a batch carries every trial's payload at once, with each trial's
-own noise and code, so a trial gets exactly the result ``run_trial`` gives it
-alone (a batch of one).  scheme1's message sizes depend on each protocol's
-block count p, so it draws ``_LOOKAHEAD_WINDOWS`` windows of trials at once,
-partitions each trial once, and runs each p's trials in full batches.
+A cell's trials run in batches of up to ``_BATCH_ROUNDS`` rounds, a window
+of trials: each message of a batch carries every trial's payload at once,
+with each trial's own noise and code, so a trial gets exactly the result
+``run_trial`` gives it alone (a batch of one).  Every scheme draws
+``_LOOKAHEAD_WINDOWS`` windows of trials at once, a look-ahead, so one hash
+and one protocol draw serve them all.  baseline and scheme2 run a
+look-ahead's windows in trial order.  scheme1's message sizes depend on each
+protocol's block count p, so it partitions a look-ahead's trials in one
+call, each trial once, and runs each p's trials in full batches.
 """
 
 from __future__ import annotations
@@ -44,9 +47,12 @@ SCHEMES = ("baseline", "scheme1", "scheme2")
 # A batch holds at most this many rounds (trials x protocol length) and, with
 # a drawn random linear code, at most this many codebook rows.  That bounds
 # the memory a batch takes to about 1.5 MB: 8 trials at n = 4096 or with a
-# drawn k = 12 code, 128 at n = 256.
+# drawn k = 12 code, 128 at n = 256.  The protocols of a look-ahead's
+# windows are held beside it, 2 bytes a round: at most 256 KB.
 _BATCH_ROUNDS = 1 << 15
-_LOOKAHEAD_WINDOWS = 4  # scheme1 windows drawn at once, to fill its batches per block count
+# Windows drawn at once: one seed hash and one protocol draw serve them all,
+# and scheme1 fills its batches per block count from them.
+_LOOKAHEAD_WINDOWS = 4
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -187,14 +193,15 @@ def cell_reports(
     cfg: ExperimentConfig, code: CodeSpec, n: int, eps: float, cell: int
 ) -> Iterator[SimulationReport]:
     """The reports of one cell's trials, in trial order, run in batches of a
-    window of trials.  A window's seeds come from one hash and its protocols
-    from one draw.  scheme1 partitions ``_LOOKAHEAD_WINDOWS`` windows in one
+    window of trials.  A look-ahead, ``_LOOKAHEAD_WINDOWS`` windows, takes
+    its seeds from one hash and its protocols from one draw.  baseline and
+    scheme2 run its windows in trial order; scheme1 partitions it in one
     call and runs each block count's trials in full windows but its last.  A
     report is yielded as soon as every earlier trial's report exists."""
     drawn = isinstance(code, RandomLinear) and code.code_seed is None
     rows = max(n, 1 << code.k if drawn else 0)
     size = max(1, _BATCH_ROUNDS // rows)
-    span = size * (_LOOKAHEAD_WINDOWS if cfg.scheme == "scheme1" else 1)
+    span = size * _LOOKAHEAD_WINDOWS
     # trial t's entropy is (cfg.seed, cell, t): the first two are fixed for
     # the cell, and a trial index is one word
     words, lengths = entropy_words([cfg.seed, cell])

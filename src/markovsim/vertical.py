@@ -40,6 +40,8 @@ from .coding import (CodeSpec, coded_length, decode_payload, decode_with_ties, e
 from .protocol import Protocol, Transcript, eval_fn_array, lone_or_batch
 from .report import SimulationReport
 
+_DIRECTIONS = tuple(Direction)  # indexed by a direction's value, faster than Direction(d)
+
 
 class FnDescMode(enum.Enum):
     TWO_BIT = "two_bit"
@@ -260,7 +262,7 @@ def run_vertical_exchange(
     _count_blocks(ledger, code, rows + (tail.shape[-1] if tail_lengths is None else sizes))
     # as column-by-column sends would log them: row first, A before B
     misses = zip(*(i.tolist() for i in np.nonzero(wrong.reshape(-1, width, 2))))
-    _book(ledger, [(t, DecodeEvent(("vertical_a", "vertical_b")[d], c + 1, Direction(d)))
+    _book(ledger, [(t, DecodeEvent(("vertical_a", "vertical_b")[d], c + 1, _DIRECTIONS[d]))
                    for t, c, d in misses])
     bob_tail = None if alice_tail is None else tail ^ flips_tail
     return VerticalResult(bob_a ^ fa, alice_b, bob_a, alice_b ^ fb, bob_tail)

@@ -415,11 +415,11 @@ def lookahead_batches(keys, size, span):
 @pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
 @pytest.mark.parametrize("code_text", ["rep3", "rlc:k=4,rate=1/4"])
 def test_batched_cell_equals_lone_trials(monkeypatch, scheme, code_text):
-    # a window holds 3 trials here, so 8 trials run in windows of 3, 3 and 2;
-    # a window is one batch, but scheme1 draws _LOOKAHEAD_WINDOWS windows at
-    # once and runs each block count p's trials in windows of 3, since p sets
-    # its message sizes.  Every record must equal the one run_trial gives the
-    # trial alone, seeded as the harness seeds it
+    # a window holds 3 trials here, and all 8 trials fall in one look-ahead
+    # of _LOOKAHEAD_WINDOWS windows: baseline and scheme2 run them in windows
+    # of 3, 3 and 2, and scheme1 runs each block count p's trials in windows
+    # of 3, since p sets its message sizes.  Every record must equal the one
+    # run_trial gives the trial alone, seeded as the harness seeds it
     n, eps, trials, seed = 40, 0.05, 8, 17
     code = ms.parse_code_spec(code_text)
     rows = max(n, 1 << code.k if isinstance(code, ms.RandomLinear) else 0)
@@ -563,7 +563,51 @@ def test_cell_batches_stay_within_the_round_cap(monkeypatch, scheme, code_text, 
 
 
 # ---------------------------------------------------------------------------
-# scheme1's look-ahead
+# the look-ahead: _LOOKAHEAD_WINDOWS windows drawn at once, for every scheme
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
+def test_each_lookahead_draws_its_seeds_and_protocols_once(monkeypatch, scheme):
+    # windows of 3 trials and look-aheads of 12: 29 trials span three
+    # look-aheads, the last one short.  Each takes one seed hash and one
+    # protocol draw, and its first report still comes right after its first
+    # batch
+    n, eps, seed, size, trials = 40, 0.05, 29, 3, 29
+    code = ms.parse_code_spec("rep3")
+    monkeypatch.setattr(experiment, "_BATCH_ROUNDS", size * n)
+    span = size * experiment._LOOKAHEAD_WINDOWS
+    protocols, lone = lone_reports(scheme, code, n, eps, trials, seed)
+    hashed, drawn, noted = [], [], []
+    real_hash, real_draw = experiment.seed_states, experiment.gen_uniform_protocol
+
+    def hashing(entropy, *args):
+        hashed.append(len(entropy))
+        return real_hash(entropy, *args)
+
+    def drawing(n, seeds):
+        drawn.append(len(seeds))
+        return real_draw(n, seeds)
+
+    def noting_batch(scheme, protocols, eps, code, noise_seeds, *args):
+        noted.append(list(noise_seeds))
+        return run_batch(scheme, protocols, eps, code, noise_seeds, *args)
+
+    monkeypatch.setattr(experiment, "seed_states", hashing)
+    monkeypatch.setattr(experiment, "gen_uniform_protocol", drawing)
+    monkeypatch.setattr(experiment, "run_batch", noting_batch)
+    cfg = ExperimentConfig((n,), (eps,), scheme, "rep3", trials, seed=seed)
+    cell = experiment.cell_reports(cfg, code, n, eps, 0)
+    first = next(cell)
+    assert hashed == drawn == [span] and len(noted) == 1
+    batched = [first, *cell]
+    assert hashed == drawn == [span, span, trials - 2 * span]
+    assert [_record(r) for r in batched] == [_record(r) for r in lone]
+
+    trial_of = {trial_seeds(seed, t)[1]: t for t in range(trials)}
+    keys = [0] * trials  # baseline and scheme2 run each look-ahead in trial order
+    if scheme == "scheme1":
+        keys = [find_partition(q.f).p for q in protocols]
+    assert [[trial_of[s] for s in b] for b in noted] == lookahead_batches(keys, size, span)
 
 
 def spied_partitions(monkeypatch):

@@ -65,9 +65,58 @@ def test_batched_chain_equals_row_by_row():
             assert np.array_equal(a[t], at) and np.array_equal(b[t], bt)
 
 
+def _assert_rows_match_brute(f, g, b0):
+    """markov_chain on a (..., n) batch equals _brute_chain on every row,
+    with b0 a scalar or one bit per row."""
+    a, b = _kernels.markov_chain(f, g, b0)
+    assert a.shape == b.shape == f.shape and a.dtype == b.dtype == np.uint8
+    starts = np.broadcast_to(b0, f.shape[:-1]).reshape(-1)
+    for fr, gr, ar, br, b0r in zip(f.reshape(-1, f.shape[-1]), g.reshape(-1, f.shape[-1]),
+                                   a.reshape(-1, f.shape[-1]), b.reshape(-1, f.shape[-1]), starts):
+        want_a, want_b = _brute_chain(fr, gr, int(b0r))
+        assert np.array_equal(ar, want_a) and np.array_equal(br, want_b)
+
+
+def test_chain_across_word_edges():
+    # the packed stream holds n + 1 rounds per row, so these rows start and
+    # end at every offset within a 64-bit word, and long rows span many words
+    rng = np.random.default_rng(16)
+    for n in (1, 63, 64, 65, 4096, 4097):
+        f, g = rng.integers(1, 5, (2, 3, n)).astype(np.uint8)
+        _assert_rows_match_brute(f, g, rng.integers(0, 2, 3).astype(np.uint8))
+        _assert_rows_match_brute(f, g, 1)
+
+
+def test_chain_folded_rows_straddle_words():
+    # the folded exchange's (T, rows, width) calls, with one start bit per
+    # (trial, row): at widths 62-65 consecutive rows meet inside a word
+    rng = np.random.default_rng(17)
+    for width in (62, 63, 64, 65):
+        f, g = rng.integers(1, 5, (2, 3, 5, width)).astype(np.uint8)
+        _assert_rows_match_brute(f, g, rng.integers(0, 2, (3, 5)).astype(np.uint8))
+
+
+def test_chain_all_additive_and_all_stuck_rows():
+    rng = np.random.default_rng(18)
+    for n in (63, 64, 65, 4097):
+        # no stuck round after round 0: b0's carry crosses every word of
+        # its row
+        f, g = rng.integers(1, 3, (2, 4, n)).astype(np.uint8)
+        _assert_rows_match_brute(f, g, np.array([0, 1, 1, 0], np.uint8))
+        # every round stuck, in f, in g or in both
+        f, g = rng.integers(3, 5, (2, 4, n)).astype(np.uint8)
+        f[0] = rng.integers(1, 3, n)
+        g[1] = rng.integers(1, 3, n)
+        _assert_rows_match_brute(f, g, np.array([1, 0, 1, 0], np.uint8))
+
+
 def test_chain_empty_input():
     a, b = _kernels.markov_chain(np.empty(0, np.uint8), np.empty(0, np.uint8), 0)
     assert a.size == 0 and b.size == 0
+    for shape in ((0, 64), (0, 5, 65)):  # no trials
+        f = np.ones(shape, np.uint8)
+        a, b = _kernels.markov_chain(f, f, np.zeros(shape[:-1], np.uint8))
+        assert a.shape == b.shape == shape
 
 
 def test_pack_bits_round_trip():
