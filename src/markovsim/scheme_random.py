@@ -3,7 +3,10 @@
 The round range 1..n is cut into blocks: each block after the first begins at
 the first index at least ceil(sqrt(n)) past the previous block's start where
 Alice's function is stuck.  A block's first ceil(sqrt(n)) rounds form Part A;
-the rest is Part B and provably contains no stuck function of Alice's.
+the rest is Part B and provably contains no stuck function of Alice's.  The
+layout is one boolean Part A mask per party over the padded rounds; read in
+row-major order, which is ascending round order, it gives every row its
+p * ceil(sqrt(n)) Part A rounds and its complement the Part B rounds.
 
 Because every block after the first opens at a stuck function, the blocks are
 independent rows and Part A can be run as a vertical column exchange.  Part B
@@ -115,24 +118,25 @@ def decode_partition(bits, n: int, n_pad) -> Partition:
     return Partition(np.where(ok[..., None], got.starts, 1 + w * np.arange(p)), w)
 
 
-def _runs(lo: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ranges lo[i], lo[i] + 1, ..., lo[i] + lengths[i] - 1."""
-    shift = np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
-    return np.arange(shift.size, dtype=np.int64) + shift
+def _part_a_mask(part: Partition, width: int) -> np.ndarray:
+    """Boolean ``(..., width)`` mask of rounds 1..width: each block opens with
+    min(its length, the Part A width) Part A rounds; the rest is Part B."""
+    ends = np.full(part.starts.shape[:-1] + (1,), width + 1)
+    lengths = np.diff(part.starts, axis=-1, append=ends)
+    a_len = np.minimum(lengths, part.part_a_width)
+    runs = np.stack([a_len, lengths - a_len], axis=-1).ravel()
+    return np.repeat(np.tile([True, False], a_len.size), runs).reshape(ends.shape[:-1] + (width,))
 
 
 def split_parts(part: Partition, n: int):
-    """1-based index arrays (part_a, part_b), one row each per row of a
-    batched partition; blocks shorter than the Part A width contribute all
-    their indices to Part A.  In a batch every row's Part A must be equally
-    long, as it is when no block is short."""
-    starts = part.starts
-    ends = np.full(starts.shape[:-1] + (1,), n + 1)
-    lengths = np.diff(starts, axis=-1, append=ends)
-    a_len = np.minimum(lengths, part.part_a_width)
-    lead = starts.shape[:-1] + (-1,)
-    a_idx = _runs(starts.ravel(), a_len.ravel()).reshape(lead)
-    return a_idx, _runs((starts + a_len).ravel(), (lengths - a_len).ravel()).reshape(lead)
+    """1-based rounds (part_a, part_b) of 1..n read off the Part A mask in
+    row-major, so ascending, order, one row each per row of a batched
+    partition.  A block shorter than the Part A width lies wholly in Part A;
+    a batch needs none, so that every row holds p * ceil(sqrt(n)) of them."""
+    a = _part_a_mask(part, n)
+    rounds = np.broadcast_to(np.arange(1, n + 1), a.shape)
+    lead = a.shape[:-1] + (-1,)
+    return rounds[a].reshape(lead), rounds[~a].reshape(lead)
 
 
 def _padded_len(part: Partition, n: int):
@@ -185,15 +189,14 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, starts: np.ndarray
     got = send(ch, code, ledger, encode_partition(part, n), Direction.A_TO_B, "partition")
     part_bob = decode_partition(got, n, n_pad)
 
-    a_idx, b_idx = split_parts(part, width)
-    a_idx_bob, b_idx_bob = split_parts(part_bob, width)
-    row = np.arange(len(n_pad))[:, None]
+    # each party's layout: p * w Part A rounds in every row, the rest Part B
+    a, a_bob = _part_a_mask(part, width), _part_a_mask(part_bob, width)
+    T = len(n_pad)
     b_len = n_pad - part.p * w  # each row's own Part B
     # Alice's Part B functions; past a row's b_len lies stuck padding, which
     # has no one-bit description, so MU1 stands in there (neither path sends it)
-    pf_b = np.where(
-        np.arange(b_idx.shape[1]) < b_len[:, None], pf[row, b_idx - 1], int(TransmitFn.MU1)
-    )
+    pf_b = np.where(np.arange(width - part.p * w) < b_len[:, None], pf[~a].reshape(T, -1),
+                    int(TransmitFn.MU1))
 
     f_bob = np.empty(pf.shape, np.uint8)  # Bob's estimate of Alice's functions
     alice_b = np.empty(pf.shape, np.uint8)
@@ -201,9 +204,9 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, starts: np.ndarray
     if part.p > _ceil_root4(n):
         # vertical Part A, appended one-bit descriptions for Part B
         res = run_vertical_exchange(
-            pf[row, a_idx - 1].reshape(-1, part.p, w),
-            pg[row, a_idx_bob - 1].reshape(-1, part.p, w),
-            np.zeros((len(row), part.p), np.uint8),
+            pf[a].reshape(T, part.p, w),
+            pg[a_bob].reshape(T, part.p, w),
+            np.zeros((T, part.p), np.uint8),
             code,
             ch,
             ledger,
@@ -212,36 +215,32 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, starts: np.ndarray
         )
         # stuck codes replay the Part A bits Bob decoded, so his one chain
         # below enters each Part B stretch from his last vertical column
-        f_bob[row, a_idx_bob - 1] = int(TransmitFn.MU3) + res.bob_a.reshape(len(row), -1)
-        f_bob[row, b_idx_bob - 1] = functions_from_bits(
-            res.bob_tail, FnDescMode.ONE_BIT_ADDITIVE
-        )
-        alice_b[row, a_idx - 1] = res.alice_b.reshape(len(row), -1)
-        reply_bob, reply_alice, reply_len, stage = b_idx_bob - 1, b_idx - 1, b_len, "part_b"
+        f_bob[a_bob] = int(TransmitFn.MU3) + res.bob_a.ravel()
+        f_bob[~a_bob] = functions_from_bits(res.bob_tail, FnDescMode.ONE_BIT_ADDITIVE).ravel()
+        alice_b[a] = res.alice_b.ravel()
+        reply_bob, reply_alice, reply_len, stage = ~a_bob, ~a, b_len, "part_b"
     else:
         # too few blocks: ship all function descriptions and simulate offline
         desc = np.concatenate(
             [
-                describe_functions(pf[row, a_idx - 1], FnDescMode.TWO_BIT),
+                describe_functions(pf[a].reshape(T, -1), FnDescMode.TWO_BIT),
                 describe_functions(pf_b, FnDescMode.ONE_BIT_ADDITIVE),
             ],
             -1,
         )
-        a_bits = 2 * a_idx.shape[1]
+        a_bits = 2 * part.p * w
         got = send(
             ch, code, ledger, desc, Direction.A_TO_B, "descriptions", lengths=a_bits + b_len
         )
-        f_bob[row, a_idx_bob - 1] = functions_from_bits(got[:, :a_bits], FnDescMode.TWO_BIT)
-        f_bob[row, b_idx_bob - 1] = functions_from_bits(
-            got[:, a_bits:], FnDescMode.ONE_BIT_ADDITIVE
-        )
-        reply_bob = reply_alice = np.arange(width)
+        f_bob[a_bob] = functions_from_bits(got[:, :a_bits], FnDescMode.TWO_BIT).ravel()
+        f_bob[~a_bob] = functions_from_bits(got[:, a_bits:], FnDescMode.ONE_BIT_ADDITIVE).ravel()
+        reply_bob = reply_alice = np.ones(pf.shape, bool)
         reply_len, stage = n_pad, "transcript_b"
 
     bob = offline_simulate(f_bob, pg, 0)
-    alice_b[row, reply_alice] = send(
-        ch, code, ledger, bob.b[row, reply_bob], Direction.B_TO_A, stage, lengths=reply_len
-    )
+    got = send(ch, code, ledger, bob.b[reply_bob].reshape(T, -1), Direction.B_TO_A, stage,
+               lengths=reply_len)
+    alice_b[reply_alice] = got.ravel()
     alice_a = eval_fn_array(pf, delayed(alice_b))
 
     return finish_report(

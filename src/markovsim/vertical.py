@@ -52,18 +52,17 @@ def describe_functions(fns, mode: FnDescMode) -> np.ndarray:
     """Binary description of a function sequence.
 
     TWO_BIT spends two bits per function (00, 01, 10, 11 for the four codes
-    in order), written as two bit-planes into the even and odd positions.
+    in order), high bit first: each function's pair is packed as one
+    little-endian uint16 and viewed as its two bytes.
     ONE_BIT_ADDITIVE spends one bit, the XOR offset, and rejects stuck
     functions.
     """
     fns = np.asarray(fns, dtype=np.uint8)
     if mode is FnDescMode.TWO_BIT:
-        codes = fns - 1
+        codes = (fns - 1).astype(np.uint16)
         if (codes > 3).any():
             raise ValueError("function codes must lie in 1..4")
-        bits = np.empty(fns.shape[:-1] + (2 * fns.shape[-1],), np.uint8)
-        bits[..., 0::2], bits[..., 1::2] = codes >> 1, codes & 1
-        return bits
+        return ((codes >> 1) | (codes & 1) << 8).astype("<u2", copy=False).view(np.uint8)
     if np.any(fns >= 3):
         raise ValueError("one-bit descriptions exist only for additive functions")
     return (fns - 1).astype(np.uint8)
@@ -73,7 +72,8 @@ def functions_from_bits(bits, mode: FnDescMode) -> np.ndarray:
     """Inverse of describe_functions; total on any bit pattern."""
     bits = np.asarray(bits, dtype=np.uint8)
     if mode is FnDescMode.TWO_BIT:
-        return ((bits[..., 0::2] << 1) | bits[..., 1::2]) + 1
+        v = bits.view("<u2")  # each function's pair, high bit in the low byte
+        return (((v & 1) << 1 | v >> 8) + 1).astype(np.uint8)
     return (bits + 1).astype(np.uint8)
 
 

@@ -59,6 +59,22 @@ def test_vertical_exchange_has_one_path():
     assert "RandomLinear" not in names
 
 
+def test_scheme1_layout_has_one_home():
+    # scheme1's Part A / Part B layout is built in one place, the Part A
+    # mask: split_parts reads its index arrays off it and run_scheme1 moves
+    # every bit through it, with no index arrays of its own
+    tree = ast.parse((Path(ms.__file__).parent / "scheme_random.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def calls(name):
+        return {node.func.id for node in ast.walk(funcs[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+    assert "_runs" not in funcs
+    assert "_part_a_mask" in calls("split_parts")
+    assert "_part_a_mask" in calls("run_scheme1") and "split_parts" not in calls("run_scheme1")
+
+
 def test_decode_kernels_take_one_input_shape():
     # the kernels take per-trial (T, ...) tables only; a shared code is
     # viewed per trial by their caller, so no kernel broadcasts or reads ndim

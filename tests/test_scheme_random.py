@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -247,6 +248,47 @@ def test_split_parts_covers_every_round_once():
         a_idx, b_idx = sr.split_parts(part, n_pad)
         merged = np.sort(np.concatenate([a_idx, b_idx]))
         assert merged.tolist() == list(range(1, n_pad + 1))
+
+
+def layout_by_blocks(starts, w, n):
+    """Block-by-block reference layout of rounds 1..n, built without the
+    package: each block's first w rounds (fewer if it ends sooner) are Part
+    A and the rest of it Part B."""
+    part_a, part_b = [], []
+    for s, nxt in zip(starts, list(starts[1:]) + [n + 1]):
+        part_a += range(s, min(s + w, nxt))
+        part_b += range(min(s + w, nxt), nxt)
+    return part_a, part_b
+
+
+@pytest.mark.parametrize("n", [1, 9, 64, 257, 4096])
+def test_split_parts_matches_a_per_block_layout(n):
+    # greedy partitions of uniform, sparse and dense rows and Bob's even
+    # fallback starts, each grouped by block count into one batch: laid out
+    # over the batch's widest padded length every row's Part A is p * w
+    # long; laid out over n alone, a short last block lies wholly in Part A
+    rng = np.random.default_rng(n + 26)
+    w = math.isqrt(n - 1) + 1
+    share = rng.random((3, 60, n))
+    rows = np.concatenate([
+        rng.integers(1, 5, (60, n)),
+        np.where(share[0] < 0.02, rng.integers(3, 5, (60, n)), rng.integers(1, 3, (60, n))),
+        np.where(share[1] < 0.9, rng.integers(3, 5, (60, n)), rng.integers(1, 3, (60, n))),
+    ]).astype(np.uint8)
+    starts, counts = sr.find_partition(rows)
+    short_last = 0
+    for p in np.unique(counts).tolist():
+        group = starts[counts == p, :p]
+        group = np.concatenate([group, 1 + w * np.arange(p)[None]])  # Bob's fallback
+        width = max(n, int(group[:, -1].max()) + w - 1)
+        a_idx, b_idx = sr.split_parts(sr.Partition(group, w), width)
+        assert a_idx.shape == (len(group), p * w) and b_idx.shape == (len(group), width - p * w)
+        for row, a_row, b_row in zip(group.tolist(), a_idx, b_idx):
+            assert (a_row.tolist(), b_row.tolist()) == layout_by_blocks(row, w, width)
+            a_lone, b_lone = sr.split_parts(sr.Partition(np.array(row), w), n)
+            assert (a_lone.tolist(), b_lone.tolist()) == layout_by_blocks(row, w, n)
+            short_last += row[-1] + w - 1 > n
+    assert short_last > 0 or n == 1
 
 
 def test_partition_decode_rejects_starts_closer_than_sqrt_n():

@@ -34,6 +34,21 @@ def test_two_bit_descriptions():
     assert vertical.describe_functions([Mu.MU3], FnDescMode.TWO_BIT).tolist() == [1, 0]
 
 
+def test_two_bit_descriptions_of_a_batch_and_a_column_slice():
+    # a (T, L) batch is described row by row, bit-planes at the even and odd
+    # positions, and decodes from a column slice of a wider message, as
+    # scheme1 reads the Part A descriptions that open its message
+    rng = np.random.default_rng(26)
+    fns = rng.integers(1, 5, (5, 33)).astype(np.uint8)
+    bits = vertical.describe_functions(fns, FnDescMode.TWO_BIT)
+    assert bits.shape == (5, 66) and bits.dtype == np.uint8
+    assert np.array_equal(bits[:, 0::2], (fns - 1) >> 1)
+    assert np.array_equal(bits[:, 1::2], (fns - 1) & 1)
+    wider = np.concatenate([bits, rng.integers(0, 2, (5, 7), dtype=np.uint8)], axis=1)
+    back = vertical.functions_from_bits(wider[:, :66], FnDescMode.TWO_BIT)
+    assert back.dtype == np.uint8 and np.array_equal(back, fns)
+
+
 @pytest.mark.parametrize("code", [0, 5, 255])
 def test_two_bit_descriptions_reject_codes_outside_1_to_4(code):
     with pytest.raises(ValueError, match="1..4"):
