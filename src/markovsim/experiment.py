@@ -12,7 +12,8 @@ trial.
 A cell's trials run in batches of up to ``_BATCH_ROUNDS`` rounds, a window
 of trials: each message of a batch carries every trial's payload at once,
 with each trial's own noise and code, so a trial gets exactly the result
-``run_trial`` gives it alone (a batch of one).  Every scheme draws
+``run_trial`` gives it alone (a batch of one).  A batch gives one report,
+whose arrays the harness reduces.  Every scheme draws
 ``_LOOKAHEAD_WINDOWS`` windows of trials at once, a look-ahead, so one hash
 and one protocol draw serve them all.  baseline and scheme2 run a
 look-ahead's windows in trial order.  scheme1's message sizes depend on each
@@ -82,7 +83,7 @@ class ExperimentConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         for name, v in (("trials", self.trials), ("seed", self.seed),
                         *(("n_values", n) for n in self.n_values)):
-            if not isinstance(v, (int, np.integer)):
+            if not np.issubdtype(type(v), np.integer):  # a bool is not
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if not all(isinstance(eps, numbers.Real) for eps in self.eps_values):
             raise ValueError(f"eps_values must be real numbers, got {self.eps_values!r}")
@@ -102,11 +103,11 @@ class ExperimentConfig:
         _check_m_override(self.scheme, self.m_override)
 
 
-def _check_m_override(scheme: str, m_override: Optional[int]) -> None:
-    if m_override is not None and scheme != "scheme2":
+def _check_m_override(scheme: str, m: Optional[int]) -> None:
+    if m is not None and scheme != "scheme2":
         raise ValueError(f"--m-override sets scheme2's block length; {scheme} has none")
-    if not (m_override is None or isinstance(m_override, (int, np.integer)) and m_override > 0):
-        raise ValueError(f"m_override must be an integer of at least 1, got {m_override!r}")
+    if not (m is None or np.issubdtype(type(m), np.integer) and m > 0):  # a bool is not
+        raise ValueError(f"m_override must be an integer of at least 1, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,10 @@ def run_batch(
     noise_seeds: Sequence[int],
     m_override: Optional[int] = None,
     starts: Optional[np.ndarray] = None,
-) -> list[SimulationReport]:
+) -> SimulationReport:
     """Run a ``(T, n)`` batch of protocols together: trial t on row t with
     noise seed noise_seeds[t], and with code t when the code's seed is a
-    tuple.  Returns one report per trial.  scheme1's protocols share one
+    tuple.  Returns one batch report.  scheme1's protocols share one
     block count (starts, if given, are their ``(T, p)`` block starts); only
     scheme2 takes m_override."""
     _check_m_override(scheme, m_override)
@@ -186,18 +187,18 @@ def run_trial(
 ) -> SimulationReport:
     """One trial, run as a batch of one."""
     batch = Protocol(protocol.f[None], protocol.g[None])
-    return run_batch(scheme, batch, eps, code, [noise_seed], m_override)[0]
+    return run_batch(scheme, batch, eps, code, [noise_seed], m_override).row(0)
 
 
 def cell_reports(
     cfg: ExperimentConfig, code: CodeSpec, n: int, eps: float, cell: int
-) -> Iterator[SimulationReport]:
-    """The reports of one cell's trials, in trial order, run in batches of a
-    window of trials.  A look-ahead, ``_LOOKAHEAD_WINDOWS`` windows, takes
-    its seeds from one hash and its protocols from one draw.  baseline and
-    scheme2 run its windows in trial order; scheme1 partitions it in one
-    call and runs each block count's trials in full windows but its last.  A
-    report is yielded as soon as every earlier trial's report exists."""
+) -> Iterator[tuple[np.ndarray, SimulationReport]]:
+    """(trial indices, report) of each batch of a window of one cell's
+    trials, as soon as it has run.  A look-ahead, ``_LOOKAHEAD_WINDOWS``
+    windows, takes its seeds from one hash and its protocols from one draw.
+    baseline and scheme2 run its windows in trial order; scheme1 partitions
+    it in one call and runs each block count's trials in full windows but
+    its last, in the order of their first trials."""
     drawn = isinstance(code, RandomLinear) and code.code_seed is None
     rows = max(n, 1 << code.k if drawn else 0)
     size = max(1, _BATCH_ROUNDS // rows)
@@ -223,19 +224,15 @@ def cell_reports(
             starts, counts = find_partition(window.f)
             keys = counts.tolist()
         groups = [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
-        reports, done = {}, 0
         for batch in sorted(g[j : j + size] for g in groups for j in range(0, len(g), size)):
             batch_code = code
             if drawn:
                 batch_code = replace(code, code_seed=tuple(code_seeds[i] for i in batch))
-            reports.update(zip(batch, run_batch(
+            yield trials[batch], run_batch(
                 cfg.scheme, Protocol(window.f[batch], window.g[batch]), eps, batch_code,
                 [noise_seeds[i] for i in batch], cfg.m_override,
                 starts[batch, : keys[batch[0]]] if cfg.scheme == "scheme1" else None,
-            )))
-            while done in reports:
-                yield reports.pop(done)
-                done += 1
+            )
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ErrorEstimate]:
@@ -243,10 +240,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ErrorEstimate]:
     rows = []
     for cell, (n, eps) in enumerate(itertools.product(cfg.n_values, cfg.eps_values)):
         failures, rates, bounds = 0, [], []
-        for report in cell_reports(cfg, code, n, eps, cell):
-            failures += not report.ok
-            rates.append(float(report.rate))
-            bounds.append(union_bound_profile(report.block_counts, code, eps))
+        for _, report in cell_reports(cfg, code, n, eps, cell):
+            failures += int((~report.ok).sum())
+            rates += (2 * n / report.ledger.total).tolist()  # correctly rounded: float(rate)
+            counts = report.block_counts
+            bounds += [union_bound_profile({s: c for s, c in zip(counts, row) if c}, code, eps)
+                       for row in zip(*(c.tolist() for c in counts.values()))]
         lo, hi = wilson_interval(failures, cfg.trials)
         rows.append(ErrorEstimate(
             n=n, epsilon=eps, scheme=cfg.scheme, code=cfg.code, trials=cfg.trials,

@@ -87,12 +87,12 @@ class Protocol:
 
 
 def lone_or_batch(scheme):
-    """Let a scheme of (T, n) batches run a lone protocol as a batch of one."""
+    """Let a scheme of (T, n) batches run a lone protocol as its batch's row 0."""
 
     @functools.wraps(scheme)
     def run(p: Protocol, *args, **kwargs):
         if p.f.ndim == 1:
-            return scheme(Protocol(p.f[None], p.g[None]), *args, **kwargs)[0]
+            return scheme(Protocol(p.f[None], p.g[None]), *args, **kwargs).row(0)
         return scheme(p, *args, **kwargs)
 
     return run
@@ -104,7 +104,7 @@ class Transcript:
     row of a batch).
 
     ``a`` and ``b`` are the uint8 arrays the schemes computed, held as they
-    are, not copied; the reports of a batch hold row views of its arrays.
+    are, not copied; a batch report's rows hold row views of its arrays.
     """
 
     a: np.ndarray

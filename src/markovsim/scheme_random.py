@@ -162,7 +162,7 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, starts: np.ndarray
     logged and their wrong bits propagate, so a misdecoded partition shows
     up as a wrong transcript on Bob's side.
 
-    A batched ``p`` gives one report per row.  Its rows must share one block
+    A batched ``p`` gives one batch report.  Its rows must share one block
     count p, which sets the size of every message but the last in each
     direction; those depend on each row's padded length and are sent ragged.
     ``starts`` are the batch's ``(T, p)`` block starts, found here if not given.

@@ -177,12 +177,12 @@ def predictor_exchange(
 @lone_or_batch
 def run_scheme2(
     p: Protocol, ch: ChannelPair, code: CodeSpec, m: int | None = None
-) -> SimulationReport | list[SimulationReport]:
+) -> SimulationReport:
     """Simulate ``p`` over ``ch`` with the equal-block predictor scheme.
 
     m defaults to ceil(sqrt(n)); the protocol is padded with stuck rounds to
     a multiple of m and the padding is stripped from the reported views.
-    A batched ``p`` gives one report per row.
+    A batched ``p`` gives one batch report.
     """
     n = p.n
     if m is None:

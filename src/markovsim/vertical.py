@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _kernels
 from .bits import delayed
-from .channel import ChannelPair, DecodeEvent, Direction, UsageLedger, rate_of
+from .channel import ChannelPair, DecodeEvent, Direction, UsageLedger
 from .coding import (CodeSpec, coded_length, decode_payload, decode_with_ties, encode_payload,
                      payload_blocks, redecode_tied)
 from .protocol import Protocol, Transcript, eval_fn_array, lone_or_batch
@@ -54,8 +54,8 @@ def describe_functions(fns, mode: FnDescMode) -> np.ndarray:
     TWO_BIT spends two bits per function (00, 01, 10, 11 for the four codes
     in order), high bit first: each function's pair is packed as one
     little-endian uint16 and viewed as its two bytes.
-    ONE_BIT_ADDITIVE spends one bit, the XOR offset, and rejects stuck
-    functions.
+    ONE_BIT_ADDITIVE spends one bit, the XOR offset, and rejects every code
+    but the additive 1 and 2.
     """
     fns = np.asarray(fns, dtype=np.uint8)
     if mode is FnDescMode.TWO_BIT:
@@ -63,9 +63,10 @@ def describe_functions(fns, mode: FnDescMode) -> np.ndarray:
         if (codes > 3).any():
             raise ValueError("function codes must lie in 1..4")
         return ((codes >> 1) | (codes & 1) << 8).astype("<u2", copy=False).view(np.uint8)
-    if np.any(fns >= 3):
-        raise ValueError("one-bit descriptions exist only for additive functions")
-    return (fns - 1).astype(np.uint8)
+    offsets = fns - 1  # uint8: code 0 wraps to 255
+    if np.any(offsets > 1):
+        raise ValueError("one-bit descriptions exist only for additive functions, codes 1..2")
+    return offsets
 
 
 def functions_from_bits(bits, mode: FnDescMode) -> np.ndarray:
@@ -274,39 +275,24 @@ def finish_report(
     alice_view: Transcript,
     bob_view: Transcript,
     ledger: UsageLedger,
-) -> list[SimulationReport]:
+) -> SimulationReport:
     """Check both views of a batch round by round, A_i = f_i(B_{i-1}) from
-    B_0 = 0 and B_i = g_i(A_i), and wrap up: one SimulationReport per row,
-    each with its own ledger row.  A view passes every round exactly when it
-    is the noiseless reference (by induction; eval_fn_array gives only 0, 1)."""
+    B_0 = 0 and B_i = g_i(A_i), and wrap up the batch's one SimulationReport,
+    with ``(T,)`` ok flags.  A view passes every round exactly when it is
+    the noiseless reference (by induction; eval_fn_array gives only 0, 1)."""
     alice_ok, bob_ok = (((v.a == eval_fn_array(p.f, delayed(v.b)))
                          & (v.b == eval_fn_array(p.g, v.a))).all(-1)
                         for v in (alice_view, bob_view))
-    rows = [ledger.row(t) for t in range(len(p.f))]
-    return [
-        SimulationReport(
-            scheme,
-            p.n,
-            Transcript(alice_view.a[t], alice_view.b[t]),
-            Transcript(bob_view.a[t], bob_view.b[t]),
-            bool(alice_ok[t]),
-            bool(bob_ok[t]),
-            row,
-            rate_of(row, p.n),
-        )
-        for t, row in enumerate(rows)
-    ]
+    return SimulationReport(scheme, p.n, alice_view, bob_view, alice_ok, bob_ok, ledger)
 
 
 @lone_or_batch
-def run_baseline(
-    p: Protocol, ch: ChannelPair, code: CodeSpec
-) -> SimulationReport | list[SimulationReport]:
+def run_baseline(p: Protocol, ch: ChannelPair, code: CodeSpec) -> SimulationReport:
     """Non-interactive simulation: Alice ships all her functions, Bob runs
     the whole chain alone and ships back his half of the transcript.
 
     Costs 2n + n coded info bits, hence rate 2/3 with the identity code.
-    A batched ``p`` gives one report per row.
+    A batched ``p`` gives one batch report.
     """
     ledger = new_ledger(len(p.f))
     desc = describe_functions(p.f, FnDescMode.TWO_BIT)

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +62,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("seed", 1.5), ("trials", 2.5), ("n_values", (8.5,)), ("n_values", (8, np.float64(16))),
+    # a bool is an int to Python, and the CSV printed trials as True
+    ("trials", True), ("seed", False), ("n_values", (8, True)),
 ])
 def test_config_rejects_non_integer_fields(field, value):
     # named up front, not by numpy's TypeError inside run_experiment
@@ -322,7 +324,7 @@ def test_run_trial_rejects_m_override_outside_scheme2(scheme):
     assert run_trial("scheme2", protocol, 0.0, ms.Identity(), 0, m_override=3).ok
 
 
-@pytest.mark.parametrize("m", [2.5, 0, -3, np.float64(4)])
+@pytest.mark.parametrize("m", [2.5, 0, -3, np.float64(4), True])
 def test_config_rejects_bad_m_override(m):
     # named up front: 2.5 once failed with numpy's TypeError and 0 with
     # "block length must be positive", both inside run_experiment
@@ -358,6 +360,23 @@ def _record(rep):
         list(rep.decode_log),
         rep.rate,
     )
+
+
+def trial_reports(cell):
+    """Each trial's lone report, in trial order, from the (trial indices,
+    report) batches of cell_reports; every trial must come exactly once."""
+    rows = {}
+    for trials, report in cell:
+        for i, t in enumerate(trials.tolist()):
+            assert t not in rows
+            rows[t] = report.row(i)
+    assert sorted(rows) == list(range(len(rows)))
+    return [rows[t] for t in range(len(rows))]
+
+
+def batch_rows(report):
+    """The lone reports of a batch report's rows, in row order."""
+    return [report.row(t) for t in range(len(report.ok))]
 
 
 def trial_seeds(seed, t):
@@ -426,7 +445,7 @@ def test_batched_cell_equals_lone_trials(monkeypatch, scheme, code_text):
     monkeypatch.setattr(experiment, "_BATCH_ROUNDS", 3 * rows + 2)
     calls = recorded_batches(monkeypatch)
     cfg = ExperimentConfig((n,), (eps,), scheme, code_text, trials, seed=seed)
-    batched = list(experiment.cell_reports(cfg, code, n, eps, 0))
+    batched = trial_reports(experiment.cell_reports(cfg, code, n, eps, 0))
     row = run_experiment(cfg)[0]
     seen = [len(protocols.f) for _, protocols, _ in calls]
     protocols, lone = lone_reports(scheme, code, n, eps, trials, seed)
@@ -489,7 +508,7 @@ def test_big_master_seed_gives_the_lone_records(scheme, code_text):
     n, eps, trials, seed = 40, 0.05, 6, 2**64 + 3
     code = ms.parse_code_spec(code_text)
     cfg = ExperimentConfig((n,), (eps,), scheme, code_text, trials, seed=seed)
-    batched = list(experiment.cell_reports(cfg, code, n, eps, 0))
+    batched = trial_reports(experiment.cell_reports(cfg, code, n, eps, 0))
     _, lone = lone_reports(scheme, code, n, eps, trials, seed)
     assert [_record(r) for r in batched] == [_record(r) for r in lone]
     row = run_experiment(cfg)[0]
@@ -504,7 +523,7 @@ def test_scheme1_cell_mixes_both_branches(code_text):
     n, eps, trials, seed = 9, 0.1, 60, 23
     code = ms.parse_code_spec(code_text)
     cfg = ExperimentConfig((n,), (eps,), "scheme1", code_text, trials, seed=seed)
-    batched = list(experiment.cell_reports(cfg, code, n, eps, 0))
+    batched = trial_reports(experiment.cell_reports(cfg, code, n, eps, 0))
     protocols, lone = lone_reports("scheme1", code, n, eps, trials, seed)
     assert {find_partition(q.f).p for q in protocols} == {1, 2, 3}
     assert [_record(r) for r in batched] == [_record(r) for r in lone]
@@ -524,7 +543,7 @@ def test_scheme1_batch_with_misdecoded_partitions():
     seeds = list(range(100, 100 + len(protocols)))
     batch = run_batch("scheme1", stacked(protocols), eps, ms.Identity(), seeds)
     lone = [run_trial("scheme1", q, eps, ms.Identity(), s) for q, s in zip(protocols, seeds)]
-    assert [_record(r) for r in batch] == [_record(r) for r in lone]
+    assert [_record(r) for r in batch_rows(batch)] == [_record(r) for r in lone]
     assert sum(any(e.stage == "partition" for e in r.decode_log) for r in lone) > 3
 
 
@@ -533,7 +552,7 @@ def test_batch_reports_share_no_mutable_state(scheme):
     # three protocols of one block count, so scheme1 runs them as one batch
     protocols = [q for q in (ms.gen_uniform_protocol(64, s) for s in range(40))
                  if find_partition(q.f).p == 8][:3]
-    reports = run_batch(scheme, stacked(protocols), 0.0, ms.Identity(), [1, 2, 3])
+    reports = batch_rows(run_batch(scheme, stacked(protocols), 0.0, ms.Identity(), [1, 2, 3]))
     before = [(dict(r.block_counts), list(r.decode_log)) for r in reports]
     reports[0].block_counts[99] = 1
     reports[0].decode_log.append(ms.DecodeEvent("probe", 1, ms.Direction.A_TO_B))
@@ -541,6 +560,24 @@ def test_batch_reports_share_no_mutable_state(scheme):
     for r in reports:
         assert all(type(v) is int for v in (r.ledger.uses_ab, r.ledger.uses_ba, r.ledger.total))
         assert all(type(c) is int for c in r.block_counts.values())
+        assert type(r.rate) is Fraction and type(r.ok) is bool
+    views = [v for r in reports for v in (r.alice.a, r.alice.b, r.bob.a, r.bob.b)]
+    assert not any(np.shares_memory(u, v) for i, u in enumerate(views) for v in views[i + 1:])
+    # the rate is derived from the ledger, not stored beside it
+    assert "rate" not in {f.name for f in fields(ms.SimulationReport)}
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
+def test_harness_reduces_batches_without_rows(monkeypatch, scheme):
+    # a cell of several batches is reduced as arrays: no lone report and no
+    # ledger row is built for any trial
+    calls = recorded_batches(monkeypatch)
+    monkeypatch.setattr(experiment, "_BATCH_ROUNDS", 3 * 40)
+    made = []
+    for cls in (ms.SimulationReport, ms.UsageLedger):
+        monkeypatch.setattr(cls, "row", lambda self, t, cls=cls: made.append(cls))
+    run_experiment(ExperimentConfig((40,), (0.05,), scheme, "rep3", 11, seed=4))
+    assert len(calls) > 3 and made == []
 
 
 @pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
@@ -599,15 +636,17 @@ def test_each_lookahead_draws_its_seeds_and_protocols_once(monkeypatch, scheme):
     cell = experiment.cell_reports(cfg, code, n, eps, 0)
     first = next(cell)
     assert hashed == drawn == [span] and len(noted) == 1
-    batched = [first, *cell]
+    batches = [first, *cell]
     assert hashed == drawn == [span, span, trials - 2 * span]
-    assert [_record(r) for r in batched] == [_record(r) for r in lone]
+    assert [_record(r) for r in trial_reports(batches)] == [_record(r) for r in lone]
 
     trial_of = {trial_seeds(seed, t)[1]: t for t in range(trials)}
     keys = [0] * trials  # baseline and scheme2 run each look-ahead in trial order
     if scheme == "scheme1":
         keys = [find_partition(q.f).p for q in protocols]
-    assert [[trial_of[s] for s in b] for b in noted] == lookahead_batches(keys, size, span)
+    ran = [[trial_of[s] for s in b] for b in noted]
+    assert ran == lookahead_batches(keys, size, span)
+    assert [ts.tolist() for ts, _ in batches] == ran  # each batch as it ran
 
 
 def spied_partitions(monkeypatch):
@@ -666,14 +705,16 @@ def test_scheme1_lookahead_runs_full_batches_in_trial_order(monkeypatch, code_te
     monkeypatch.setattr(experiment, "run_batch", noting_batch)
     cell = experiment.cell_reports(cfg, code, n, eps, 0)
     first = next(cell)
-    assert len(noted) == 1  # trial 0's report comes as soon as its batch ran
+    # trial 0's report comes as soon as its batch ran
+    assert len(noted) == 1 and first[0][0] == 0
     batched = [first, *cell]
-    assert [_record(r) for r in batched] == [_record(r) for r in lone]
+    assert [_record(r) for r in trial_reports(batched)] == [_record(r) for r in lone]
 
     # every batch holds one look-ahead's trials of one block count, and is
     # full unless it is the last of its block count in its look-ahead
     trial_of = {trial_seeds(seed, t)[1]: t for t in range(trials)}
     batches = [[trial_of[s] for s in b] for b in noted]
+    assert [ts.tolist() for ts, _ in batched] == batches
     p_of = [find_partition(q.f).p for q in protocols]
     assert sorted(t for b in batches for t in b) == list(range(trials))
     last = {}
@@ -692,7 +733,7 @@ def test_run_batch_takes_a_partition_for_scheme1_only():
     starts, counts = find_partition(q.f[None])
     starts = starts[:, : counts[0]]
     got = run_batch("scheme1", stacked([q]), 0.0, ms.Identity(), [1], None, starts)
-    assert _record(got[0]) == _record(run_trial("scheme1", q, 0.0, ms.Identity(), 1))
+    assert _record(got.row(0)) == _record(run_trial("scheme1", q, 0.0, ms.Identity(), 1))
     with pytest.raises(ValueError, match="partition"):
         run_batch("baseline", stacked([q]), 0.0, ms.Identity(), [1], None, starts)
 

@@ -170,8 +170,9 @@ def test_scheme1_takes_a_fitting_partition_only():
     starts = np.stack([sr.find_partition(q.f).starts for q in protocols])
 
     def run(given):
-        reports = sr.run_scheme1(p, ms.ChannelPair(0.1, [1, 2, 3]), ms.Identity(), given)
-        return [(r.bob.a.tolist(), r.bob.b.tolist(), r.ledger.total) for r in reports]
+        report = sr.run_scheme1(p, ms.ChannelPair(0.1, [1, 2, 3]), ms.Identity(), given)
+        return [(r.bob.a.tolist(), r.bob.b.tolist(), r.ledger.total)
+                for r in map(report.row, range(3))]
 
     assert run(starts) == run(None)
     for bad in (starts[:2], starts[0]):

@@ -60,6 +60,10 @@ def test_one_bit_descriptions():
     assert bits.tolist() == [0, 1]
     with pytest.raises(ValueError):
         vertical.describe_functions([Mu.MU3], FnDescMode.ONE_BIT_ADDITIVE)
+    # code 0 once came out as 255, which is not a bit
+    for code in (0, 3, 4, 5, 255):
+        with pytest.raises(ValueError, match="1..2"):
+            vertical.describe_functions(np.array([code, 1, 2]), FnDescMode.ONE_BIT_ADDITIVE)
 
 
 @pytest.mark.parametrize("mode", [FnDescMode.TWO_BIT, FnDescMode.ONE_BIT_ADDITIVE])
@@ -405,8 +409,8 @@ def test_scheme2_batch_makes_five_transmits(n, code):
     protocols = [ms.gen_uniform_protocol(n, s) for s in range(3)]
     p = ms.Protocol(np.stack([q.f for q in protocols]), np.stack([q.g for q in protocols]))
     ch = RecordingChannel(0.05, range(3))
-    reports = ms.run_scheme2(p, ch, code)
-    assert len(ch.sent) == 3 + 2 and len(reports) == 3
+    report = ms.run_scheme2(p, ch, code)
+    assert len(ch.sent) == 3 + 2 and report.ok.shape == (3,)
 
 
 def test_folded_scheme1_part_a_makes_two_transmits():
@@ -661,11 +665,12 @@ def test_report_flags_equal_the_reference_comparison(n, trials, monkeypatch):
     chains = []
     monkeypatch.setattr(vertical._kernels, "markov_chain", lambda *args: chains.append(args))
     ledger = vertical.new_ledger(trials)
-    ledger.uses_ab += 1  # a rate needs a channel use
     seen = set()
     for i, (alice, bob) in enumerate(zip(views, views[1:] + views[:1])):
-        reports = vertical.finish_report("test", p, alice, bob, ledger)
-        for t, rep in enumerate(reports):
+        report = vertical.finish_report("test", p, alice, bob, ledger)
+        assert report.alice_ok.shape == report.bob_ok.shape == (trials,)
+        for t in range(trials):
+            rep = report.row(t)
             for view, flag in ((alice, rep.alice_ok), (bob, rep.bob_ok)):
                 assert flag == (np.array_equal(view.a[t], ref.a[t])
                                 and np.array_equal(view.b[t], ref.b[t])), (i, t)
@@ -679,6 +684,6 @@ def test_noiseless_batch_chains(scheme, chains, kernel_calls):
     # and one exchange pass: no chain for the reports
     calls, _ = kernel_calls
     p = ms.gen_uniform_protocol(256, range(4))
-    reports = getattr(ms, f"run_{scheme}")(p, ms.ChannelPair(0.0, range(4)), ms.Identity())
-    assert all(rep.ok for rep in reports)
+    report = getattr(ms, f"run_{scheme}")(p, ms.ChannelPair(0.0, range(4)), ms.Identity())
+    assert report.ok.tolist() == [True] * 4
     assert [name for name, _ in calls].count("markov_chain") == chains
