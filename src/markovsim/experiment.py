@@ -244,8 +244,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ErrorEstimate]:
             failures += int((~report.ok).sum())
             rates += (2 * n / report.ledger.total).tolist()  # correctly rounded: float(rate)
             counts = report.block_counts
-            bounds += [union_bound_profile({s: c for s, c in zip(counts, row) if c}, code, eps)
-                       for row in zip(*(c.tolist() for c in counts.values()))]
+            per_trial = list(zip(*(c.tolist() for c in counts.values())))
+            once = {row: union_bound_profile({s: c for s, c in zip(counts, row) if c}, code, eps)
+                    for row in set(per_trial)}
+            bounds += [once[row] for row in per_trial]
         lo, hi = wilson_interval(failures, cfg.trials)
         rows.append(ErrorEstimate(
             n=n, epsilon=eps, scheme=cfg.scheme, code=cfg.code, trials=cfg.trials,

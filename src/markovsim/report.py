@@ -46,6 +46,8 @@ class SimulationReport:
     @property
     def rate(self) -> Fraction:
         """A lone report's rate 2n / (channel uses), as an exact rational."""
+        if np.ndim(self.alice_ok):
+            raise ValueError("a batch report has one rate per trial: read row(t).rate")
         return rate_of(self.ledger, self.n)
 
     def row(self, t: int) -> SimulationReport:

@@ -64,9 +64,12 @@ def find_partition(f, n: int | None = None):
 
     f is one protocol's functions, which gives its Partition, or a ``(T, n)``
     batch, which gives the ``(T, p_max)`` starts of every row and each row's
-    block count p; a row's starts past its p lie past n.  Every row takes its
-    greedy hops together: nxt maps a round to the first stuck round at or
-    after it."""
+    block count p; a row's starts past its p are n + 1.  The rows lie end to
+    end, each as its rounds 1..n and a stuck sentinel for round n + 1, and
+    take their greedy hops together: one binary search of the flat stuck
+    positions for the first at or after each start + w, clamped to the row's
+    sentinel, where a row that has ended stays.  A hop moves
+    w = ceil(sqrt(n)) rounds or more, so (n - 1) // w hops find every start."""
     f = np.asarray(f, dtype=np.uint8)
     if n is None:
         n = f.shape[-1]
@@ -74,17 +77,18 @@ def find_partition(f, n: int | None = None):
         raise ValueError("n must equal the number of functions and be positive")
     w = ceil_isqrt(n)
     rows = f.reshape(-1, n)
-    nxt = np.full((len(rows), n + w + 2), n + 1, np.int32)
-    nxt[:, 1 : n + 1] = np.where(rows >= 3, np.arange(1, n + 1, dtype=np.int32), n + 1)
-    nxt = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1]
-    each = np.arange(len(rows))
-    hops = [np.ones(len(rows), np.int32)]
-    while (hops[-1] <= n).any():  # a row past n has ended and stays there
-        hops.append(nxt[each, hops[-1] + w])
-    starts = np.stack(hops[:-1], axis=1).astype(np.int64)
+    stuck = np.ones((len(rows), n + 1), bool)  # column n: the sentinels
+    stuck[:, :n] = rows >= 3
+    pos = np.flatnonzero(stuck)
+    sentinel = np.arange(n, stuck.size, n + 1)
+    hops = [sentinel - n]
+    for _ in range((n - 1) // w):
+        hops.append(pos[pos.searchsorted(np.minimum(hops[-1] + w, sentinel))])
+    starts = np.stack(hops, axis=1) - (sentinel - n - 1)[:, None]
+    counts = (starts <= n).sum(axis=1)
     if f.ndim > 1:
-        return starts, (starts <= n).sum(axis=1)
-    return Partition(starts[0], w)  # a lone row's hops stop at its last start
+        return starts[:, : counts.max()], counts
+    return Partition(starts[0, : counts[0]], w)
 
 
 def _field_width(n: int) -> int:

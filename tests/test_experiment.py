@@ -567,6 +567,40 @@ def test_batch_reports_share_no_mutable_state(scheme):
     assert "rate" not in {f.name for f in fields(ms.SimulationReport)}
 
 
+@pytest.mark.parametrize("trials", [1, 3])
+def test_batch_report_rate_points_to_the_row_rate(trials):
+    # a batch report has one rate per trial, so asking the batch for one
+    # rate is an error that names the row's, at T = 1 too; a row keeps its
+    # exact Fraction
+    protocols = stacked([ms.gen_uniform_protocol(16, s) for s in range(trials)])
+    report = run_batch("baseline", protocols, 0.0, ms.Identity(), list(range(trials)))
+    with pytest.raises(ValueError, match=r"row\(t\)\.rate"):
+        report.rate
+    rates = [report.row(t).rate for t in range(trials)]
+    assert rates == [Fraction(2, 3)] * trials and all(type(r) is Fraction for r in rates)
+
+
+def test_bound_is_taken_once_per_distinct_block_counts(monkeypatch):
+    # every trial of a rep3 baseline batch sends the same blocks, so a cell
+    # of 3 batches takes 3 bounds, not 11, and its column is still the mean
+    # of one bound per trial
+    calls = recorded_batches(monkeypatch)
+    monkeypatch.setattr(experiment, "_BATCH_ROUNDS", 4 * 40)
+    bound, taken = experiment.union_bound_profile, []
+
+    def spy(*args):
+        taken.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(experiment, "union_bound_profile", spy)
+    code, trials, seed = ms.parse_code_spec("rep3"), 11, 4
+    (row,) = run_experiment(ExperimentConfig((40,), (0.05,), "baseline", "rep3", trials, seed))
+    assert len(calls) == 3 and len(taken) == 3
+    _, lone = lone_reports("baseline", code, 40, 0.05, trials, seed)
+    each = [bound(r.block_counts, code, 0.05) for r in lone]
+    assert row.block_union_bound == math.fsum(each) / trials
+
+
 @pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
 def test_harness_reduces_batches_without_rows(monkeypatch, scheme):
     # a cell of several batches is reduced as arrays: no lone report and no

@@ -75,6 +75,18 @@ def test_scheme1_layout_has_one_home():
     assert "_part_a_mask" in calls("run_scheme1") and "split_parts" not in calls("run_scheme1")
 
 
+def test_find_partition_searches_the_stuck_positions():
+    # the greedy partition hops by binary search over the flat stuck
+    # positions, a fixed number of times: no dense next-stuck table built by
+    # an accumulate, and no loop that runs until every row has ended
+    tree = ast.parse((Path(ms.__file__).parent / "scheme_random.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "find_partition")
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(func)}
+    assert "accumulate" not in names and "searchsorted" in names
+    assert not any(isinstance(node, ast.While) for node in ast.walk(func))
+
+
 def test_decode_kernels_take_one_input_shape():
     # the kernels take per-trial (T, ...) tables only; a shared code is
     # viewed per trial by their caller, so no kernel broadcasts or reads ndim

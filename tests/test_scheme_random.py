@@ -130,6 +130,36 @@ def test_find_partition_batch_equals_rows(n):
     assert len(seen) > (n > 1)  # the batches mix block counts
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 17, 4096])
+def test_find_partition_rows_meet_at_their_ends(n):
+    # the rows of a batch lie end to end: a row with no stuck round in its
+    # last w rounds ends early, beside an all-stuck row in both orders, and
+    # a row stuck only at round n puts a stuck round right before its end.
+    # Each row gets the greedy reference's int64 starts, the starts it gets
+    # alone, and n + 1 in every slot past its block count
+    rng = np.random.default_rng(n + 41)
+    w = sr.ceil_isqrt(n)
+    quiet_tail = rng.integers(1, 5, n, dtype=np.uint8)
+    quiet_tail[n - w :] = rng.integers(1, 3, w)
+    all_stuck = rng.integers(3, 5, n, dtype=np.uint8)
+    last_stuck = rng.integers(1, 3, n, dtype=np.uint8)
+    last_stuck[-1] = int(Mu.MU3)
+    uniform = list(rng.integers(1, 5, (6, n), dtype=np.uint8))
+    for batch in ([quiet_tail, all_stuck], [all_stuck, quiet_tail],
+                  [last_stuck, quiet_tail, *uniform, all_stuck, quiet_tail]):
+        batch = np.stack(batch)
+        starts, counts = sr.find_partition(batch)
+        assert starts.dtype == counts.dtype == np.int64
+        assert starts.shape == (len(batch), counts.max())
+        for f, row, p in zip(batch, starts.tolist(), counts.tolist()):
+            ref = greedy_starts(f)
+            assert row[:p] == ref and row[p:] == [n + 1] * (len(row) - p)
+            alone = sr.find_partition(f)
+            assert alone.starts.dtype == np.int64 and alone.starts.tolist() == ref
+            assert sr.find_partition(f[None])[0].tolist() == [ref]
+    assert greedy_starts(all_stuck) == list(range(1, n + 1, w))
+
+
 def test_partition_steps_take_a_batch():
     # a batch of partitions with one block count: the message, the layout
     # and the padded length of each row are those of the row alone
