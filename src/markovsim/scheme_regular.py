@@ -1,14 +1,14 @@
 """Simulation scheme with equal blocks and a block-end predictor.
 
-The rounds are cut into n/m consecutive blocks of m.  Within one block, look
-at the latest stuck function on each side: everything after it is additive,
-so the block's final B bit collapses to a closed form, a handful of XORs of
-known offsets plus one parity only the other side knows.  Three short coded
-rounds per block (Bob's last-stuck index, Alice's last-stuck index, one
-parity bit) therefore let Alice predict every block's closing B bit before
-any block content is exchanged.  Those predictions make the blocks
-independent rows, and the content itself then runs as a vertical column
-exchange.
+The rounds are cut into n/m consecutive blocks of m.  Within one block, the
+latest stuck function on either side decides: the closing B bit is its output
+XOR every later offset on both sides.  With x = (code - 1) & 1, a round's
+offset or stuck output, that is one suffix parity of x per side, each over a
+range whose only possible stuck round is its first, the deciding one.  Three
+short coded rounds per block (Bob's last-stuck index, Alice's, Bob's parity)
+let Alice predict every block's closing B bit before any block content is
+exchanged.  Those predictions make the blocks independent rows, and the
+content then runs as a vertical column exchange.
 
 Each block maps its entering B bit to its closing one as a constant (a stuck
 function on either side) or as an XOR with a known offset, so the block ends
@@ -20,9 +20,8 @@ Message sizes depend only on (n, m, code), so a batch of protocols of one
 length runs as one: every array below may carry a leading trial axis.
 
 Budget: with field width w = ceil(log2(m+1)) the predictor spends
-(n/m)(2w+1) info bits.  The parity round absorbs Bob's stuck value: he sends
-p_b XOR v_b when the deciding stuck is his, plain p_b when it is Alice's, so
-v_b never needs its own bit.
+(n/m)(2w+1) info bits.  The parity round absorbs Bob's stuck value v_b: when
+the deciding stuck is his, his range starts at it.
 """
 
 from __future__ import annotations
@@ -105,24 +104,19 @@ def predict_last(
     return v_b ^ p_b ^ xor_reduce(a_off[min(s, m):])
 
 
-def _last_stuck(rows: np.ndarray) -> np.ndarray:
-    """1-based index of the last stuck function in each row, 0 if none."""
-    rev = rows[..., ::-1] >= 3
-    return np.where(rev.any(axis=-1), rows.shape[-1] - rev.argmax(axis=-1), 0)
+def _last_stuck(rows: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+    """1-based index of the last stuck function in each row, 0 if none;
+    rounds is 1..m in the smallest dtype that holds m."""
+    stuck_at = ((rows >= 3) * rounds).reshape(-1)
+    last = np.maximum.reduceat(stuck_at, np.arange(0, stuck_at.size, rounds.size))
+    return last.reshape(rows.shape[:-1]).astype(np.int64)
 
 
-def _suffix_xor(rows: np.ndarray) -> np.ndarray:
-    """(..., blocks, m+1) array whose column j is the XOR of the additive
-    offsets of rounds j+1..m of each row; stuck rounds contribute 0."""
-    off = (rows - 1) & 1 & (rows <= 2)
-    suf = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,), np.uint8)
-    np.bitwise_xor.accumulate(off[..., ::-1], axis=-1, out=suf[..., -2::-1])
-    return suf
-
-
-def _at(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """rows[..., r, index[..., r]]: one entry of each row."""
-    return np.take_along_axis(rows, index[..., None], axis=-1)[..., 0]
+def _parity_from(rows: np.ndarray, j: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+    """XOR of x = (code - 1) & 1 over rounds j+1..m of each row.  For an
+    additive code x is its offset; for a stuck one, its stuck output."""
+    x = ((rows - 1) & (rounds > j[..., None].astype(rounds.dtype))).reshape(-1)
+    return np.bitwise_xor.reduceat(x, np.arange(0, x.size, rounds.size)).reshape(j.shape)
 
 
 def predictor_exchange(
@@ -134,6 +128,13 @@ def predictor_exchange(
     batched ``p``).  Requires m to divide the protocol length.  Decoded
     values are used as received; corrupt fields shift predictions and
     surface later as transcript mismatch.
+
+    Each side takes one suffix parity of x = (code - 1) & 1 per block, over
+    a range whose only possible stuck function is its first round.  Bob's σ
+    covers rounds ŝ_a..m if ŝ_a > s_b, all past his last stuck, else s_b..m,
+    so it carries v_b.  Alice's covers s_a..m if s_a > ŝ_b, else ŝ_b+1..m,
+    all past hers.  With neither side stuck both cover the whole block,
+    whose map XORs the entering B bit with their parity.
     """
     n = p.n
     if n % m:
@@ -141,35 +142,28 @@ def predictor_exchange(
     width = m.bit_length()
     f_rows = p.f.reshape(p.f.shape[:-1] + (n // m, m))
     g_rows = p.g.reshape(f_rows.shape)
+    rounds = np.arange(1, m + 1, dtype=np.min_scalar_type(m))
 
-    s_bob = _last_stuck(g_rows)
-    v_bob = np.where(s_bob > 0, _at(g_rows, s_bob - 1) - 3, 0).astype(np.uint8)
-    round1 = ints_to_bits(s_bob, width)
-    got = send(ch, code, ledger, round1, Direction.B_TO_A, "predictor_s_bob")
+    s_bob = _last_stuck(g_rows, rounds)
+    got = send(ch, code, ledger, ints_to_bits(s_bob, width), Direction.B_TO_A, "predictor_s_bob")
     s_bob_hat = bits_to_ints(got, width)
 
-    s_alice = _last_stuck(f_rows)
-    round2 = ints_to_bits(s_alice, width)
-    got = send(ch, code, ledger, round2, Direction.A_TO_B, "predictor_s_alice")
+    s_alice = _last_stuck(f_rows, rounds)
+    got = send(ch, code, ledger, ints_to_bits(s_alice, width), Direction.A_TO_B,
+               "predictor_s_alice")
     s_alice_hat = bits_to_ints(got, width)
 
-    # decoded indices past m leave an empty, clipped parity range
-    g_suf = _suffix_xor(g_rows)
-    parity_at_alice = _at(g_suf, np.clip(s_alice_hat - 1, 0, m))
-    sigma = np.where(s_alice_hat > s_bob, parity_at_alice, v_bob ^ _at(g_suf, s_bob))
+    # a decoded index past m fits the dtype of rounds, as m's field width
+    # does, and leaves an empty range
+    j_bob = np.where(s_alice_hat > s_bob, s_alice_hat - 1, np.maximum(s_bob - 1, 0))
+    sigma = _parity_from(g_rows, j_bob, rounds)
     sigma_hat = send(ch, code, ledger, sigma, Direction.B_TO_A, "predictor_parity")
 
-    # each block's map: stuck at `const` if either side is stuck in it, else
-    # XOR with `offset` (sigma carries v_b where needed); chained, g = identity
-    f_suf = _suffix_xor(f_rows)
-    alice_last = _at(f_rows, s_alice - 1) - 3  # read only where s_alice > 0
-    const = np.where(
-        s_alice > s_bob_hat,
-        alice_last ^ _at(f_suf, s_alice),
-        _at(f_suf, np.minimum(s_bob_hat, m)),
-    ) ^ sigma_hat
-    offset = f_suf[..., 0] ^ sigma_hat
-    codes = np.where(np.maximum(s_alice, s_bob_hat) > 0, 3 + const, 1 + offset)
+    # each block's map: stuck at x (code 3 + x) if either side is stuck in
+    # it, else XOR with x (code 1 + x); chained, g = identity
+    j_alice = np.where(s_alice > s_bob_hat, s_alice - 1, s_bob_hat)
+    x = _parity_from(f_rows, j_alice, rounds) ^ sigma_hat
+    codes = np.where(np.maximum(s_alice, s_bob_hat) > 0, 3 + x, 1 + x)
     _, ends = _kernels.markov_chain(codes, np.ones_like(codes), 0)
     return ends
 

@@ -117,16 +117,19 @@ def send(
     encode_payload pads it.  Each row is charged its own uses and blocks,
     and only a miss inside its length is logged.
 
-    With decode=False only the uses are booked, and the received words come
-    back undecoded for the caller to decode, count and log
-    (run_vertical_exchange).
+    With decode=False the payload must be zeros, which every (linear) code
+    maps to zero words, sent without encoding.  Only the uses are booked,
+    and the received words come back undecoded for the caller to decode,
+    count and log (run_vertical_exchange).
     """
     uses = inside = None
     if lengths is not None:
         inside = np.arange(payload.shape[-1]) < np.asarray(lengths)[..., None]
         payload = payload * inside
         uses = coded_length(code, lengths)
-    sent = ch.transmit(direction, encode_payload(code, payload), ledger, uses)
+    words = (encode_payload(code, payload) if decode else
+             np.zeros(payload.shape[:-1] + (coded_length(code, payload.shape[-1]),), np.uint8))
+    sent = ch.transmit(direction, words, ledger, uses)
     if not decode:
         return sent
     got = decode_payload(code, sent, payload.shape[-1])

@@ -10,6 +10,8 @@ from scipy import optimize, stats
 import markovsim as ms
 from markovsim import _kernels, coding
 from markovsim.bits import ints_to_bits
+from markovsim.channel import Direction
+from markovsim.vertical import new_ledger, send
 
 
 def test_identity_round_trip():
@@ -114,6 +116,37 @@ def test_empty_payloads_round_trip(code, shape):
     assert coded.shape == shape and coded.dtype == np.uint8
     got = ms.decode_payload(code, coded, 0)
     assert got.shape == shape and got.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "code",
+    [ms.Identity(), ms.Repetition(1), ms.Repetition(3), ms.Repetition(5),
+     ms.RandomLinear(12, Fraction(1, 4), 7),
+     # a stacked batch of drawn codes, singular G among them
+     ms.RandomLinear(2, Fraction(1), tuple(range(1, 9))),
+     ms.RandomLinear(12, Fraction(1, 4), tuple(range(20, 28)))],
+)
+def test_zero_payloads_encode_to_zero_words(code):
+    # every code is linear, so the folded exchange sends zeros of
+    # coded_length in place of encoding its zero payloads
+    if isinstance(code, ms.RandomLinear) and code.k == 2:
+        assert any(_singular(code))
+    rows = 8 if isinstance(code, ms.RandomLinear) and len(code.codebooks) > 1 else 3
+    k = getattr(code, "k", 4)
+    for length in (1, k - 1, k, k + 1, 3 * k + 5):
+        for shape in ((rows, length),) + (((length,),) if rows == 3 else ()):
+            coded = ms.encode_payload(code, np.zeros(shape, np.uint8))
+            assert coded.dtype == np.uint8 and not coded.any()
+            assert coded.shape == shape[:-1] + (coding.coded_length(code, length),)
+        # a ragged zero message crosses as the zero words, each row charged
+        # its own uses
+        lengths = np.arange(rows) % (length + 1)
+        ledger = new_ledger(rows)
+        got = send(ms.ChannelPair(0.0, np.arange(rows)), code, ledger,
+                   np.zeros((rows, length), np.uint8), Direction.A_TO_B, "zeros",
+                   lengths=lengths, decode=False)
+        assert got.shape == (rows, coding.coded_length(code, length)) and not got.any()
+        assert ledger.uses_ab.tolist() == coding.coded_length(code, lengths).tolist()
 
 
 def _ref_decode(G, received):

@@ -87,6 +87,17 @@ def test_find_partition_searches_the_stuck_positions():
     assert not any(isinstance(node, ast.While) for node in ast.walk(func))
 
 
+def test_predictor_reads_one_suffix_parity_per_side():
+    # each side's closing parity is one flat reduceat from its j: no table of
+    # suffix XORs built by an accumulate and read back by gathers
+    tree = ast.parse((Path(ms.__file__).parent / "scheme_regular.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not {"_suffix_xor", "_at"} & set(funcs)
+    names = {getattr(node, "attr", getattr(node, "id", None))
+             for node in ast.walk(funcs["predictor_exchange"])}
+    assert not {"accumulate", "take_along_axis"} & names
+
+
 def test_decode_kernels_take_one_input_shape():
     # the kernels take per-trial (T, ...) tables only; a shared code is
     # viewed per trial by their caller, so no kernel broadcasts or reads ndim

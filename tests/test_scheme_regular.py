@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from markovsim.bits import bits_to_ints, ints_to_bits
 from markovsim.channel import Direction
 from markovsim.protocol import TransmitFn as Mu
 from markovsim.scheme_regular import ParityBranch
-from markovsim.vertical import offline_simulate, send
+from markovsim.vertical import new_ledger, offline_simulate, send
 
 
 class RecordingChannel(ms.ChannelPair):
@@ -210,6 +211,54 @@ def test_predictor_exchange_matches_per_block_reference():
         noisy += bool(led.decode_log)
     # the noisy cases do reach the corrupt fields, past m among them
     assert noisy > len(shapes) // 2 and beyond_m > 10
+
+
+def _stuck_rows(rng, shape, where):
+    """Function codes of the given (T, blocks, m) shape: additive everywhere,
+    stuck everywhere, or stuck at random in each block's first or last
+    round only."""
+    codes = rng.integers(1, 3, shape, dtype=np.uint8)
+    stuck = rng.integers(3, 5, shape, dtype=np.uint8)
+    if where == "all":
+        return stuck
+    if where in ("first", "last"):
+        at = 0 if where == "first" else -1
+        codes[..., at] = np.where(rng.random(shape[:-1]) < 0.5, stuck[..., at], codes[..., at])
+    return codes
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 255, 256, 300])
+def test_batched_predictor_matches_per_block_reference_row_by_row(m):
+    # every row of a (T, n) batch predicts, books and logs as its protocol
+    # would alone; m >= 256 takes 16-bit round indices
+    rng = np.random.default_rng(m)
+    past_m = 0
+    for where, eps, family in itertools.product(
+            ("none", "all", "first", "last"), (0.0, 0.05, 0.45), range(3)):
+        trials, blocks = int(rng.choice((2, 5, 8))), int(rng.integers(1, 4))
+        shape = (trials, blocks, m)
+        f, g = _stuck_rows(rng, shape, where), _stuck_rows(rng, shape, where)
+        p = ms.Protocol(f.reshape(trials, -1), g.reshape(trials, -1))
+        seeds = rng.integers(1 << 30, size=trials)
+        codes = (ms.Identity(), ms.Repetition(3),
+                 ms.RandomLinear(3, Fraction(1, 2), tuple(seeds.tolist())))
+        code = codes[family]
+        led = new_ledger(trials)
+        ends = sg.predictor_exchange(p, m, code, ms.ChannelPair(eps, seeds), led)
+        assert ends.shape == (trials, blocks)
+        for t, seed in enumerate(seeds.tolist()):
+            lone = ms.RandomLinear(3, Fraction(1, 2), seed) if family == 2 else code
+            ref = ms.UsageLedger()
+            want, beyond = predictor_reference(ms.Protocol(p.f[t], p.g[t]), m, lone,
+                                               ms.ChannelPair(eps, seed), ref)
+            assert ends[t].tolist() == want, (m, where, eps, t)
+            row = led.row(t)
+            assert (row.uses_ab, row.uses_ba) == (ref.uses_ab, ref.uses_ba)
+            assert row.block_counts == dict(ref.block_counts)
+            assert row.decode_log == ref.decode_log
+            past_m += beyond
+    # noisy fields decode past m unless m + 1 is a power of two
+    assert (past_m > 0) == bool((m + 1) & m)
 
 
 # ---------------------------------------------------------------------------
