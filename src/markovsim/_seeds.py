@@ -2,8 +2,8 @@
 
 Every random stream of the package is keyed the way numpy keys it: the
 harness's per-trial seeds are ``SeedSequence((seed, cell, trial))``, a
-protocol's generator is ``default_rng(seed)`` and a block of channel noise is
-``Philox(SeedSequence((seed, direction, block)))``.  A ``SeedSequence``
+protocol's generator is ``default_rng(seed)`` and a direction's channel noise
+is ``Philox(SeedSequence((seed, direction)))``.  A ``SeedSequence``
 object runs its hash in a loop of its own for every key, so ``seed_states``
 runs the same hash over a whole batch of entropies in uint32 array
 arithmetic, bit for bit.

@@ -1,12 +1,12 @@
 """A pair of independent binary symmetric channels, one per direction.
 
 Noise is a pure function of (noise_seed, direction, stream position).  Each
-direction's flip stream runs in blocks of 4096: block b of a seed's stream is
-``Generator(Philox(SeedSequence((seed, direction, b)))).random(4096) <
-epsilon``.  Philox is counter-based, so the flips at any position are drawn
-by setting one reused Philox to the block's key and counter; no generator is
-built per block.  Chunking the same bits into different transmit() calls
-therefore cannot change the noise, which keeps whole runs bit-reproducible.
+direction's flip stream is ``Generator(Philox(SeedSequence((seed,
+direction)))).random(L) < epsilon``.  Philox is counter-based, so the flips
+at any position are drawn by setting one reused Philox to the direction's
+key and the position's counter; no generator is built per message.  Chunking
+the same bits into different transmit() calls therefore cannot change the
+noise, which keeps whole runs bit-reproducible.
 
 A channel pair may carry a batch of trials at once: it then holds one noise
 seed per row, and each transmit() sends a ``(T, L)`` array whose row t sees
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _seeds
 
-_BLOCK = 4096  # flips per Philox key, keyed by (seed, direction, block)
+_PIECE = 1 << 16  # positions of a message drawn per row at once
 
 
 class Direction(enum.IntEnum):
@@ -112,72 +112,56 @@ class ChannelPair:
     the noise consumed depends only on the cumulative position.  noise_seed
     is one seed, or a sequence of seeds with one per row of a batch.
 
-    It builds no generator per block.  It keeps epsilon, the seeds' entropy
-    words, the two positions, one reused Philox, and the keys of each
-    direction's last block; every other (row, block) key a message crosses
-    is derived in one ``_seeds.seed_states`` call.
+    It keeps epsilon, the two positions, one reused Philox, and one key per
+    row and direction, all derived at construction in one
+    ``_seeds.seed_states`` call.
     """
 
     def __init__(self, epsilon: float, noise_seed):
-        if not 0 <= epsilon < 0.5:
+        if isinstance(epsilon, bool) or not 0 <= epsilon < 0.5:
             raise ValueError("epsilon must lie in [0, 0.5)")
         self.epsilon = float(epsilon)
         noise_seed = (noise_seed,) if np.ndim(noise_seed) == 0 else noise_seed
         for seed in noise_seed:
-            if not isinstance(seed, (int, np.integer)) or seed < 0:
+            if not np.issubdtype(type(seed), np.integer) or seed < 0:  # a bool is not
                 raise ValueError(f"noise seed must be a non-negative integer, got {seed}")
         self.noise_seeds = tuple(int(s) for s in noise_seed)
         self._pos = [0, 0]
-        self._keys = [(-1, None), (-1, None)]  # per direction: its last block and that block's keys
         if self.epsilon:
-            self._words = _seeds.entropy_words(self.noise_seeds)
+            # (2, rows) keys, SeedSequence((seed, direction)) of each direction and row;
+            # direction 0's word is the zero the padding left
+            seeds, lengths = _seeds.entropy_words(self.noise_seeds)
+            rows, width = seeds.shape
+            words = np.zeros((2, rows, width + 1), np.uint32)
+            words[..., :width] = seeds
+            words[1, np.arange(rows), lengths] = 1
+            keys = _seeds.seed_states(words.reshape(2 * rows, -1), np.tile(lengths + 1, 2), 2)
+            self._keys = keys.reshape(2, rows, 2).tolist()
             self._philox = np.random.Philox(key=0)
             # random() < epsilon as a bound on the raw draw: random() is (raw >> 11) * 2**-53
             self._below = math.ceil(self.epsilon * 2.0**53) << 11
 
-    def _block_keys(self, direction: int, blocks: range) -> np.ndarray:
-        """(rows, len(blocks), 2) Philox keys, from SeedSequence((seed,
-        direction, block)) of each row's seed and each block."""
-        seeds, lengths = self._words
-        rows, width = seeds.shape
-        words = np.zeros((rows, len(blocks), width + 2), np.uint32)
-        words[..., :width] = seeds[:, None]
-        row, col = np.arange(rows)[:, None], np.arange(len(blocks))
-        words[row, col, lengths[:, None]] = direction
-        words[row, col, lengths[:, None] + 1] = blocks  # one word: blocks stay below 2**32
-        keys = _seeds.seed_states(words.reshape(rows * len(blocks), -1),
-                                  np.repeat(lengths + 2, len(blocks)), 2)
-        return keys.reshape(rows, len(blocks), 2)
-
     def _noise(self, direction: int, start: int, count: int) -> np.ndarray:
         """(rows, count) flips at positions [start, start + count) of the
         direction's stream, a pure function of the seeds, direction, start
-        and count.  Block b of a row's stream is what
-        ``Generator(Philox(SeedSequence((seed, direction, b)))).random(_BLOCK)
-        < epsilon`` gives.  Philox is counter-based: each counter step gives 4
-        draws, so position off of a block is reached by setting the counter to
-        off // 4 and dropping off % 4 draws."""
-        first, last = start // _BLOCK, (start + count - 1) // _BLOCK
-        cached, keys = self._keys[direction]
-        if cached != first or last > first:
-            fresh = self._block_keys(direction, range(first + (cached == first), last + 1))
-            keys = fresh if cached != first else np.concatenate([keys, fresh], axis=1)
-        self._keys[direction] = last, keys[:, -1:]
+        and count.  A row's stream is what ``Generator(Philox(SeedSequence((seed,
+        direction)))).random(L) < epsilon`` gives.  Philox is counter-based:
+        each counter step gives 4 draws, so position p is reached by setting
+        the counter to p // 4 and dropping p % 4 draws.  A long message is
+        drawn _PIECE positions at a time, which bounds the raw draws held."""
         philox = self._philox
         state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        keys = self._keys[direction]
         flips = np.empty((len(keys), count), bool)
-        done = 0
-        for block, block_keys in zip(range(first, last + 1), keys.transpose(1, 0, 2).tolist()):
-            off = start + done - block * _BLOCK
-            take = min(_BLOCK - off, count - done)
-            skip = off % 4
-            state["state"]["counter"][0] = off // 4
-            for row, key in zip(flips[:, done : done + take], block_keys):
+        for done in range(0, count, _PIECE):
+            take = min(_PIECE, count - done)
+            skip = (start + done) % 4
+            state["state"]["counter"][0] = (start + done) // 4
+            for row, key in zip(flips[:, done : done + take], keys):
                 state["state"]["key"] = key
                 philox.state = state
                 np.less(philox.random_raw(skip + take)[skip:], self._below, out=row)
-            done += take
         return flips
 
     def transmit(

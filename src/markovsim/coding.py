@@ -58,8 +58,8 @@ class Repetition:
     r: int
 
     def __post_init__(self):
-        if self.r < 1 or self.r % 2 == 0:
-            raise ValueError("repetition factor must be odd and positive")
+        if not np.issubdtype(type(self.r), np.integer) or self.r < 1 or self.r % 2 == 0:
+            raise ValueError(f"repetition factor must be an odd positive integer, got {self.r!r}")
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,13 @@ class RandomLinear:
 
     def __post_init__(self):
         object.__setattr__(self, "rate", Fraction(self.rate))
-        if not (isinstance(self.k, (int, np.integer)) and 1 <= self.k <= ML_SEARCH_CAP):
+        if not (np.issubdtype(type(self.k), np.integer) and 1 <= self.k <= ML_SEARCH_CAP):
             raise ValueError(f"info block length k must be an integer in 1..{ML_SEARCH_CAP}, "
                              f"got {self.k!r}")
         if not 0 < self.rate <= 1:
             raise ValueError("code rate must lie in (0, 1]")
         for seed in self.code_seed if isinstance(self.code_seed, tuple) else (self.code_seed,):
-            if seed is not None and not isinstance(seed, (int, np.integer)):
+            if seed is not None and not np.issubdtype(type(seed), np.integer):
                 raise ValueError(f"code seed must be an integer, got {seed!r}")
             if seed is not None and seed < 0:
                 raise ValueError(f"code seed must be non-negative, got {seed}")

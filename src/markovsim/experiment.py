@@ -85,7 +85,8 @@ class ExperimentConfig:
                         *(("n_values", n) for n in self.n_values)):
             if not np.issubdtype(type(v), np.integer):  # a bool is not
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-        if not all(isinstance(eps, numbers.Real) for eps in self.eps_values):
+        if not all(isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+                   for eps in self.eps_values):
             raise ValueError(f"eps_values must be real numbers, got {self.eps_values!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")

@@ -53,10 +53,35 @@ def test_noise_independent_of_chunking():
     assert np.array_equal(np.concatenate(parts), whole)
 
 
+@pytest.mark.parametrize("seeds, rows", [([3, 2**64 + 5, 0], (3,)), (77, ())])
+def test_noise_keys_are_derived_once_per_pair(monkeypatch, seeds, rows):
+    # both directions' keys come from one hash call at construction; no
+    # message derives more, whichever use counts or piece edges it crosses
+    calls = []
+    real = ms.channel._seeds.seed_states
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ms.channel._seeds, "seed_states", counted)
+    ChannelPair(0.0, seeds).transmit(Direction.A_TO_B, np.zeros(rows + (9000,), np.uint8),
+                                     UsageLedger())
+    assert calls == []
+    ch, led = ChannelPair(0.1, seeds), UsageLedger()
+    assert len(calls) == 1
+    piece = ms.channel._PIECE
+    for size in (4095, 2, 4100, 1, piece - 8197, piece + 9, 3):
+        for direction in Direction:
+            ch.transmit(direction, np.zeros(rows + (size,), np.uint8), led)
+    assert led.uses_ab == led.uses_ba == 2 * piece + 13
+    assert len(calls) == 1
+
+
 def test_batched_rows_see_their_lone_noise():
-    # row t of a batch gets what a lone pair seeded with seed t adds, across
-    # 4096-bit block boundaries, however either side chunks the stream; the
-    # batch charges each message's length once
+    # row t of a batch gets what a lone pair seeded with seed t adds, however
+    # either side chunks the stream; the batch charges each message's length
+    # once
     seeds = [3, 77, 2**63 + 5, 0]
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, (len(seeds), 10_000)).astype(np.uint8)
@@ -119,11 +144,15 @@ def test_epsilon_domain():
         ChannelPair(0.5, 1)
     with pytest.raises(ValueError):
         ChannelPair(-0.01, 1)
+    with pytest.raises(ValueError):
+        ChannelPair(False, 1)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05])
 def test_bad_noise_seeds_rejected_up_front(eps):
-    for seed, shown in ((-1, "-1"), ([1, 2.5], "2.5"), ([4, -7], "-7")):
+    # a bool is an int to Python, and True once keyed the noise as seed 1
+    for seed, shown in ((-1, "-1"), ([1, 2.5], "2.5"), ([4, -7], "-7"), (True, "True"),
+                        ([3, False], "False")):
         with pytest.raises(ValueError, match=f"non-negative integer, got {shown}"):
             ChannelPair(eps, seed)
     p = ms.gen_uniform_protocol(8, 1)

@@ -25,8 +25,10 @@ def test_repetition_encode_decode():
     assert ms.encode_payload(rep3, [1, 0, 1]).tolist() == [1, 1, 1, 0, 0, 0, 1, 1, 1]
     assert ms.decode_payload(rep3, [1, 1, 0], 1).tolist() == [1]
     assert ms.decode_payload(rep3, [0, 1, 0, 1, 1, 1], 2).tolist() == [0, 1]
-    with pytest.raises(ValueError):
-        ms.Repetition(4)
+    # True once built a rep1 code, and 3.0 a rep3 one
+    for r in (4, True, 3.0):
+        with pytest.raises(ValueError, match="repetition factor must be an odd positive integer"):
+            ms.Repetition(r)
     with pytest.raises(ValueError):
         ms.decode_payload(rep3, [1, 1], 1)
 
@@ -275,14 +277,14 @@ def test_rlc_batch_rows_use_their_own_codes():
         ms.decode_payload(stacked, np.zeros((2, stacked.nc), np.uint8), k)
 
 
-@pytest.mark.parametrize("seed", [2.5, (1, 2.0), "3"])
+@pytest.mark.parametrize("seed", [2.5, (1, 2.0), "3", True, (1, True)])
 def test_rlc_rejects_non_integer_code_seeds(seed):
     # a seed that is no integer is named up front, not by numpy at first use
     with pytest.raises(ValueError, match="code seed must be an integer"):
         ms.RandomLinear(4, Fraction(1, 2), seed)
 
 
-@pytest.mark.parametrize("k", [4.0, Fraction(4), "4"])
+@pytest.mark.parametrize("k", [4.0, Fraction(4), "4", True])
 def test_rlc_rejects_non_integer_k(k):
     # RandomLinear(4.0, ...) once built with nc == 8.0 and failed at its
     # first codebooks; k is now named up front, as the seeds are

@@ -58,6 +58,9 @@ def test_config_validation():
     # named up front, not by a TypeError inside ChannelPair
     with pytest.raises(ValueError, match="eps_values must be real numbers"):
         ExperimentConfig((8,), ("0.1",), "baseline", "rep3", 2)
+    # a bool is a real to Python, and the CSV printed epsilon as False
+    with pytest.raises(ValueError, match="eps_values must be real numbers"):
+        ExperimentConfig((8,), (False,), "baseline", "identity", 2)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import markovsim as ms
-from markovsim import _seeds
+from markovsim import _seeds, channel
 
 EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70)
 
@@ -72,27 +72,28 @@ def test_entropy_words_read_ints_as_seed_sequence_does():
         _seeds.entropy_words([3, -1])
 
 
-def numpy_flips(seed, direction, eps, blocks):
-    """The noise of a direction's first blocks, as numpy draws it."""
-    return np.concatenate([
-        np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, direction, b))))
-        .random(4096) < eps
-        for b in range(blocks)
-    ])
+def numpy_flips(seed, direction, eps, count):
+    """The noise of a direction's first count positions, as numpy draws it."""
+    ss = np.random.SeedSequence((seed, direction))
+    return np.random.Generator(np.random.Philox(ss)).random(count) < eps
 
 
+PIECE = channel._PIECE
 OFFSETS = list(range(8)) + list(range(4093, 4100)) + [8190, 8191, 8192]
+OFFSETS += [PIECE - 3, PIECE - 1, PIECE, PIECE + 1, PIECE + 6]
 
 
 @pytest.mark.parametrize("direction", list(ms.Direction))
 def test_flips_equal_philox_at_every_offset(direction):
     # seeds below 2**32, above it and above 2**64 give keys of 3, 4 and 5
-    # words; messages start at offsets 0-7, around the first block edge and
-    # at the second, and reach across blocks
+    # words; messages start at offsets 0-7, around uses 4096 and 8192 and
+    # around the piece edge, and reach across those edges
     seeds, eps = [7, 2**32 + 9, 2**64 + 11], 0.2
-    want = np.stack([numpy_flips(s, int(direction), eps, 4) for s in seeds])
+    counts = (1, 3, 4, 5, 9, 4100, PIECE - 1, PIECE + 1, 2 * PIECE + 3)
+    want = np.stack([numpy_flips(s, int(direction), eps, max(OFFSETS) + max(counts))
+                     for s in seeds])
     for start in OFFSETS:
-        for count in (1, 3, 4, 5, 9, 4100):
+        for count in counts:
             ch, led = ms.ChannelPair(eps, seeds), ms.UsageLedger()
             ch.transmit(direction, np.zeros((len(seeds), start), np.uint8), led)
             got = ch.transmit(direction, np.zeros((len(seeds), count), np.uint8), led)
@@ -101,15 +102,26 @@ def test_flips_equal_philox_at_every_offset(direction):
             lone.transmit(direction, np.zeros(start, np.uint8), ms.UsageLedger())
             got = lone.transmit(direction, np.ones(count, np.uint8), ms.UsageLedger())
             assert np.array_equal(got, 1 - want[count % 3, start : start + count])
+    # SeedSequence pads an entropy shorter than its 4-word pool with zeros, so
+    # below 2**64 a stream's first 4096 flips are those that the key
+    # (seed, direction, 0) gave when each 4096 uses had a key of their own
+    old = np.stack([
+        np.random.Generator(np.random.Philox(np.random.SeedSequence((s, int(direction), 0))))
+        .random(4096) < eps
+        for s in seeds
+    ])
+    assert np.array_equal(want[:2, :4096], old[:2])
+    assert not np.array_equal(want[2, :4096], old[2])
 
 
 def test_flips_equal_philox_over_many_blocks():
+    # 4096-use spans and piece edges, crossed by messages of every size
     seeds, eps = [2**64 + 1, 3], 0.05
-    want = np.stack([numpy_flips(s, 1, eps, 5) for s in seeds])
+    want = np.stack([numpy_flips(s, 1, eps, 19480 + 2 * PIECE + 2) for s in seeds])
     ch, led = ms.ChannelPair(eps, seeds), ms.UsageLedger()
     parts = [ch.transmit(ms.Direction.B_TO_A, np.zeros((2, size), np.uint8), led)
-             for size in (4095, 1, 9000, 3, 5000, 1381)]
-    assert np.array_equal(np.concatenate(parts, axis=1), want[:, :19480])
+             for size in (4095, 1, 9000, 3, 5000, 1381, PIECE - 19480, PIECE + 2, 19480)]
+    assert np.array_equal(np.concatenate(parts, axis=1), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 9, 13, 255, 257, 4097])
