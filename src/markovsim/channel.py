@@ -8,6 +8,12 @@ key and the position's counter; no generator is built per message.  Chunking
 the same bits into different transmit() calls therefore cannot change the
 noise, which keeps whole runs bit-reproducible.
 
+Each message's flips cost one pass over the rows, so a scheme that knows how
+many uses a batch will spend in a direction draws them all at once with
+draw_ahead() and every transmit() inside that span slices the kept draw.
+The span is only a cost hint: noise stays keyed by position, so a transmit
+outside it draws its own flips, and no span can change an output.
+
 A channel pair may carry a batch of trials at once: it then holds one noise
 seed per row, and each transmit() sends a ``(T, L)`` array whose row t sees
 exactly the noise that a lone pair seeded with seed t would add.  All rows
@@ -112,9 +118,10 @@ class ChannelPair:
     the noise consumed depends only on the cumulative position.  noise_seed
     is one seed, or a sequence of seeds with one per row of a batch.
 
-    It keeps epsilon, the two positions, one reused Philox, and one key per
+    It keeps epsilon, the two positions, one reused Philox, one key per
     row and direction, all derived at construction in one
-    ``_seeds.seed_states`` call.
+    ``_seeds.seed_states`` call, and per direction the flips of its last
+    draw_ahead() with their first position.
     """
 
     def __init__(self, epsilon: float, noise_seed):
@@ -127,6 +134,7 @@ class ChannelPair:
                 raise ValueError(f"noise seed must be a non-negative integer, got {seed}")
         self.noise_seeds = tuple(int(s) for s in noise_seed)
         self._pos = [0, 0]
+        self._ahead = [(0, np.empty((len(self.noise_seeds), 0), bool))] * 2
         if self.epsilon:
             # (2, rows) keys, SeedSequence((seed, direction)) of each direction and row;
             # direction 0's word is the zero the padding left
@@ -164,6 +172,15 @@ class ChannelPair:
                 np.less(philox.random_raw(skip + take)[skip:], self._below, out=row)
         return flips
 
+    def draw_ahead(self, direction: Direction, uses: int) -> None:
+        """Draw every row's flips at the direction's next ``uses`` positions
+        now, in one _noise pass, and keep them, replacing any earlier draw of
+        that direction: a later transmit() whose positions all lie inside
+        slices them.  Nothing is drawn without noise or uses."""
+        d = int(direction)
+        if self.epsilon and uses:
+            self._ahead[d] = (self._pos[d], self._noise(d, self._pos[d], uses))
+
     def transmit(
         self, direction: Direction, bits: np.ndarray, ledger: UsageLedger, uses=None
     ) -> np.ndarray:
@@ -176,8 +193,14 @@ class ChannelPair:
             ledger.uses_ab += count if uses is None else uses
         else:
             ledger.uses_ba += count if uses is None else uses
-        start = self._pos[int(direction)]
-        self._pos[int(direction)] = start + count
+        d = int(direction)
+        start = self._pos[d]
+        self._pos[d] = start + count
         if self.epsilon == 0.0 or count == 0:
             return bits.copy()
-        return bits ^ self._noise(int(direction), start, count).reshape(bits.shape)
+        lo, kept = self._ahead[d]
+        if lo <= start and start + count <= lo + kept.shape[1]:
+            flips = kept[:, start - lo : start - lo + count]
+        else:
+            flips = self._noise(d, start, count)
+        return bits ^ flips.reshape(bits.shape)

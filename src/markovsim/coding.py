@@ -77,6 +77,8 @@ class RandomLinear:
     code_seed: Union[None, int, tuple[int, ...]] = None
 
     def __post_init__(self):
+        if isinstance(self.rate, bool):  # Fraction(True) is a rate-1 code
+            raise ValueError("code rate must lie in (0, 1]")
         object.__setattr__(self, "rate", Fraction(self.rate))
         if not (np.issubdtype(type(self.k), np.integer) and 1 <= self.k <= ML_SEARCH_CAP):
             raise ValueError(f"info block length k must be an integer in 1..{ML_SEARCH_CAP}, "
@@ -299,9 +301,9 @@ class ExponentQuery:
     epsilon: float
 
     def __post_init__(self):
-        if not 0 <= self.rate < 1:
+        if isinstance(self.rate, bool) or not 0 <= self.rate < 1:
             raise ValueError("rate must lie in [0, 1)")
-        if not 0 <= self.epsilon < 0.5:
+        if isinstance(self.epsilon, bool) or not 0 <= self.epsilon < 0.5:
             raise ValueError("epsilon must lie in [0, 0.5)")
 
 

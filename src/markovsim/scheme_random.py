@@ -29,10 +29,11 @@ import numpy as np
 
 from .bits import bits_to_ints, delayed, ints_to_bits
 from .channel import ChannelPair, Direction
-from .coding import CodeSpec
+from .coding import CodeSpec, coded_length
 from .protocol import Protocol, Transcript, TransmitFn, eval_fn_array, lone_or_batch
-from .vertical import (FnDescMode, describe_functions, finish_report, functions_from_bits,
-                       new_ledger, offline_simulate, run_vertical_exchange, send)
+from .vertical import (FnDescMode, describe_functions, exchange_layout, finish_report,
+                       functions_from_bits, new_ledger, offline_simulate,
+                       run_vertical_exchange, send)
 
 
 def ceil_isqrt(n: int) -> int:
@@ -190,6 +191,18 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, starts: np.ndarray
     pf = _pad_fns(p.f, width)
     pg = _pad_fns(p.g, width)
 
+    # each direction's flips in one draw, over the partition and the messages
+    # of the branch below; a ragged message spans its longest row
+    vertical = part.p > _ceil_root4(n)
+    head = coded_length(code, (part.p + 1) * _field_width(n))
+    tail = width - part.p * w
+    if vertical:
+        _, _, a_len, b_len = exchange_layout(code, part.p, w, tail)
+        ch.draw_ahead(Direction.A_TO_B, head + coded_length(code, a_len))
+        ch.draw_ahead(Direction.B_TO_A, coded_length(code, b_len) + coded_length(code, tail))
+    else:  # two bits per Part A function, one per Part B; Bob's one reply needs no span
+        ch.draw_ahead(Direction.A_TO_B, head + coded_length(code, part.p * w + width))
+
     got = send(ch, code, ledger, encode_partition(part, n), Direction.A_TO_B, "partition")
     part_bob = decode_partition(got, n, n_pad)
 
@@ -199,13 +212,13 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, starts: np.ndarray
     b_len = n_pad - part.p * w  # each row's own Part B
     # Alice's Part B functions; past a row's b_len lies stuck padding, which
     # has no one-bit description, so MU1 stands in there (neither path sends it)
-    pf_b = np.where(np.arange(width - part.p * w) < b_len[:, None], pf[~a].reshape(T, -1),
+    pf_b = np.where(np.arange(tail) < b_len[:, None], pf[~a].reshape(T, -1),
                     int(TransmitFn.MU1))
 
     f_bob = np.empty(pf.shape, np.uint8)  # Bob's estimate of Alice's functions
     alice_b = np.empty(pf.shape, np.uint8)
 
-    if part.p > _ceil_root4(n):
+    if vertical:
         # vertical Part A, appended one-bit descriptions for Part B
         res = run_vertical_exchange(
             pf[a].reshape(T, part.p, w),

@@ -33,11 +33,11 @@ import numpy as np
 from . import _kernels
 from .bits import bits_to_ints, delayed, ints_to_bits, xor_reduce
 from .channel import ChannelPair, Direction, UsageLedger
-from .coding import CodeSpec
+from .coding import CodeSpec, coded_length
 from .protocol import Protocol, Transcript, lone_or_batch
 from .report import SimulationReport
 from .scheme_random import _pad_fns, ceil_isqrt
-from .vertical import finish_report, new_ledger, run_vertical_exchange, send
+from .vertical import exchange_layout, finish_report, new_ledger, run_vertical_exchange, send
 
 
 def summarize_block_bob(g_slice) -> tuple[int, int]:
@@ -187,9 +187,18 @@ def run_scheme2(
     padded = Protocol(_pad_fns(p.f, n_pad), _pad_fns(p.g, n_pad))
     trials = len(p.f)
 
+    blocks = n_pad // m
+    # each direction's flips in one draw: its predictor fields, then its
+    # message of the exchange
+    _, _, a_len, b_len = exchange_layout(code, blocks, m)
+    fields = coded_length(code, blocks * m.bit_length())
+    ch.draw_ahead(Direction.A_TO_B, fields + coded_length(code, a_len))
+    ch.draw_ahead(Direction.B_TO_A,
+                  fields + coded_length(code, blocks) + coded_length(code, b_len))
+
     ledger = new_ledger(trials)
     ends = predictor_exchange(padded, m, code, ch, ledger)
-    rows = (trials, n_pad // m, m)
+    rows = (trials, blocks, m)
     res = run_vertical_exchange(
         padded.f.reshape(rows), padded.g.reshape(rows), delayed(ends), code, ch, ledger
     )

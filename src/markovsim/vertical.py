@@ -25,6 +25,7 @@ padded to the longest.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -41,6 +42,9 @@ from .protocol import Protocol, Transcript, eval_fn_array, lone_or_batch
 from .report import SimulationReport
 
 _DIRECTIONS = tuple(Direction)  # indexed by a direction's value, faster than Direction(d)
+# one shared record per (stage, column, direction) a decode log holds, built
+# when first logged; typed, so an int direction gets no equal Direction back
+_event = functools.lru_cache(maxsize=None, typed=True)(DecodeEvent)
 
 
 class FnDescMode(enum.Enum):
@@ -137,7 +141,7 @@ def send(
     if inside is not None:
         wrong &= inside
     _count_blocks(ledger, code, payload.shape[-1] if lengths is None else np.asarray(lengths))
-    _book(ledger, [(t, DecodeEvent(stage, 1, direction)) for t in np.flatnonzero(wrong.any(-1))])
+    _book(ledger, [(t, _event(stage, 1, direction)) for t in np.flatnonzero(wrong.any(-1))])
     return got
 
 
@@ -163,6 +167,17 @@ def _count_blocks(ledger: UsageLedger, code: CodeSpec, lengths, times: int = 1) 
         blocks = count * (size == s) * times
         if np.any(blocks):
             ledger.block_counts[s] += blocks
+
+
+def exchange_layout(code: CodeSpec, rows: int, width: int, tail: int = 0):
+    """(step, at, a_len, b_len): how run_vertical_exchange lays out a
+    (rows, width) matrix and a tail of ``tail`` bits.  A column padded to
+    whole blocks takes step bits, Alice's tail starts at bit at, after her
+    last column, and her message and Bob's take a_len and b_len info bits,
+    each padded to whole blocks."""
+    step = math.prod(payload_blocks(code, rows))
+    at = (width - 1) * step + rows
+    return step, at, math.prod(payload_blocks(code, at + tail)), width * step
 
 
 def _book(ledger: UsageLedger, misses) -> None:
@@ -221,13 +236,11 @@ def run_vertical_exchange(
         raise ValueError("start_bits must hold one bit per row")
 
     lead = f_rows.shape[:-2]
-    step = math.prod(payload_blocks(code, rows))  # bits of a column padded to whole blocks
-    at = (width - 1) * step + rows  # Alice's tail follows her last column
     tail = np.asarray(np.zeros(lead + (0,)) if alice_tail is None else alice_tail, np.uint8)
     sizes = np.broadcast_to(tail.shape[-1] if tail_lengths is None else tail_lengths, lead)
     inside = np.arange(tail.shape[-1]) < sizes[..., None]
     tail = tail * inside
-    a_len, b_len = math.prod(payload_blocks(code, at + tail.shape[-1])), width * step
+    step, at, a_len, b_len = exchange_layout(code, rows, width, tail.shape[-1])
     got_a = send(ch, code, ledger, np.zeros(lead + (at + tail.shape[-1],), np.uint8),
                  Direction.A_TO_B, "vertical_a",
                  lengths=None if tail_lengths is None else at + sizes, decode=False)
@@ -266,7 +279,7 @@ def run_vertical_exchange(
     _count_blocks(ledger, code, rows + (tail.shape[-1] if tail_lengths is None else sizes))
     # as column-by-column sends would log them: row first, A before B
     misses = zip(*(i.tolist() for i in np.nonzero(wrong.reshape(-1, width, 2))))
-    _book(ledger, [(t, DecodeEvent(("vertical_a", "vertical_b")[d], c + 1, _DIRECTIONS[d]))
+    _book(ledger, [(t, _event(("vertical_a", "vertical_b")[d], c + 1, _DIRECTIONS[d]))
                    for t, c, d in misses])
     bob_tail = None if alice_tail is None else tail ^ flips_tail
     return VerticalResult(bob_a ^ fa, alice_b, bob_a, alice_b ^ fb, bob_tail)

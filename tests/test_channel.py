@@ -104,6 +104,62 @@ def test_batched_rows_see_their_lone_noise():
             assert 1500 < int((got != bits).sum(axis=1).min())
 
 
+@pytest.mark.parametrize("seeds, rows", [([3, 2**64 + 5, 0], (3,)), (2**64 + 9, ())])
+def test_draw_ahead_never_changes_an_output(monkeypatch, seeds, rows):
+    # (span drawn ahead first, or None; message length), each step run in
+    # both directions in turn: every transmit must get what a pair that draws
+    # per message gets, and only messages outside the last span draw again
+    piece = ms.channel._PIECE
+    plan = [
+        (40, 25), (None, 25),  # the second straddles the kept draw's end
+        (30, 30),  # a span equal to its message
+        (100, 10), (None, 20), (None, 5),  # longer: three messages inside
+        (5, 20),  # shorter
+        (0, 7),  # no span: the one before still ends earlier
+        (None, piece - 300),
+        (500, 200), (None, 300),  # across a piece edge, ending at the span's end
+        (None, 20),
+    ]
+    calls = []
+    real = ChannelPair._noise
+
+    def counted(ch, *args):
+        calls.append(args)
+        return real(ch, *args)
+
+    monkeypatch.setattr(ChannelPair, "_noise", counted)
+    rng = np.random.default_rng(4)
+    ch, led = ChannelPair(0.1, seeds), UsageLedger()
+    plain, plain_led = ChannelPair(0.1, seeds), UsageLedger()
+    for span, size in plan:
+        for direction in Direction:
+            if span is not None:
+                ch.draw_ahead(direction, span)
+            bits = rng.integers(0, 2, rows + (size,)).astype(np.uint8)
+            got = ch.transmit(direction, bits, led)
+            assert np.array_equal(got, plain.transmit(direction, bits, plain_led))
+    assert (led.uses_ab, led.uses_ba) == (plain_led.uses_ab, plain_led.uses_ba)
+    assert len(calls) == 2 * (5 + 5) + 2 * len(plan)
+    # at eps 0 nothing is drawn, ahead or not
+    calls.clear()
+    ch, bits = ChannelPair(0.0, seeds), rng.integers(0, 2, rows + (50,)).astype(np.uint8)
+    ch.draw_ahead(Direction.B_TO_A, 50)
+    assert np.array_equal(ch.transmit(Direction.B_TO_A, bits, led), bits)
+    assert calls == []
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.1, 0.3])
+def test_flip_frequency_of_each_direction_is_epsilon(eps):
+    # over many keys, small and of 2^64 or more, each direction's share of
+    # flipped uses must hold eps within its Wilson interval at z = 4
+    seeds = list(range(1000, 1100)) + [2**64 + 3 * i for i in range(50)]
+    ch, led = ChannelPair(eps, seeds), UsageLedger()
+    for direction in Direction:
+        flips = ch.transmit(direction, np.zeros((len(seeds), 20_000), np.uint8), led)
+        lo, hi = ms.wilson_interval(int(flips.sum()), flips.size, z=4.0)
+        assert lo <= eps <= hi
+
+
 def test_noise_reproducible_and_keyed_by_direction():
     a1 = ChannelPair(0.3, 5).transmit(
         Direction.A_TO_B, np.zeros(5000, np.uint8), UsageLedger()

@@ -779,3 +779,53 @@ def test_run_batch_takes_a_stacked_batch_only():
     q = ms.gen_uniform_protocol(16, 3)
     with pytest.raises(ValueError, match="batch of protocols"):
         run_batch("baseline", q, 0.0, ms.Identity(), [1])
+
+
+@pytest.mark.parametrize("code_text", ["rep3", "rlc:k=5,rate=1/3"])
+@pytest.mark.parametrize("scheme, n, branch", [
+    ("baseline", 64, None),
+    ("scheme2", 64, None),
+    ("scheme2", 257, None),  # padded to 17 blocks of 16
+    ("scheme1", 64, "vertical"),  # p = 8 > 3
+    ("scheme1", 10, "descriptions"),  # p = 2 <= 2
+])
+def test_each_direction_draws_its_noise_once_per_batch(monkeypatch, scheme, n, branch,
+                                                       code_text):
+    # a scheme's draw-ahead spans cover each direction's messages exactly: one
+    # _noise pass over the rows per direction, from position 0 to its last
+    # use.  A wrong span costs time and changes no output, so only this shows
+    # it; the outputs must equal those of a pair that draws per message
+    protocols = ms.gen_uniform_protocol(n, list(range(100, 160)))
+    starts = None
+    if scheme == "scheme1":
+        found, counts = find_partition(protocols.f)
+        few = counts <= sr._ceil_root4(n)
+        p = np.bincount(counts[few == (branch == "descriptions")]).argmax()
+        keep = counts == p
+        protocols = ms.Protocol(protocols.f[keep], protocols.g[keep])
+        starts = found[keep, :p]
+        assert len(set(sr._padded_len(sr.Partition(starts, sr.ceil_isqrt(n)), n))) > 1
+    trials = len(protocols.f)
+    code = ms.parse_code_spec(code_text)
+    if isinstance(code, ms.RandomLinear):
+        code = replace(code, code_seed=tuple(range(7, 7 + trials)))
+    calls = []
+    real = ms.ChannelPair._noise
+
+    def counted(ch, direction, start, count):
+        calls.append((ch, direction, start, count))
+        return real(ch, direction, start, count)
+
+    monkeypatch.setattr(ms.ChannelPair, "_noise", counted)
+    for eps in (0.0, 0.05):
+        got = run_batch(scheme, protocols, eps, code, list(range(trials)), starts=starts)
+        if eps == 0.0:
+            assert calls == []
+    ch = calls[0][0]
+    assert [c[1:] for c in calls] == [(0, 0, ch._pos[0]), (1, 0, ch._pos[1])]
+    monkeypatch.setattr(ms.ChannelPair, "draw_ahead", lambda *args: None)
+    want = run_batch(scheme, protocols, 0.05, code, list(range(trials)), starts=starts)
+    assert [_record(r) for r in batch_rows(got)] == [_record(r) for r in batch_rows(want)]
+    # drawn per message: the baseline sends one per direction, the others more
+    per_message = len(calls) - 2
+    assert per_message == 2 if scheme == "baseline" else per_message > 2
