@@ -125,7 +125,7 @@ class ChannelPair:
     """
 
     def __init__(self, epsilon: float, noise_seed):
-        if isinstance(epsilon, bool) or not 0 <= epsilon < 0.5:
+        if isinstance(epsilon, (bool, np.bool_)) or not 0 <= epsilon < 0.5:
             raise ValueError("epsilon must lie in [0, 0.5)")
         self.epsilon = float(epsilon)
         noise_seed = (noise_seed,) if np.ndim(noise_seed) == 0 else noise_seed

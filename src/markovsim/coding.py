@@ -77,14 +77,16 @@ class RandomLinear:
     code_seed: Union[None, int, tuple[int, ...]] = None
 
     def __post_init__(self):
-        if isinstance(self.rate, bool):  # Fraction(True) is a rate-1 code
+        try:  # Fraction(True) is a rate-1 code, and Fraction(np.True_) a TypeError
+            rate = 0 if isinstance(self.rate, bool) else Fraction(self.rate)
+        except (TypeError, ValueError, OverflowError):
+            rate = 0
+        if not 0 < rate <= 1:
             raise ValueError("code rate must lie in (0, 1]")
-        object.__setattr__(self, "rate", Fraction(self.rate))
+        object.__setattr__(self, "rate", rate)
         if not (np.issubdtype(type(self.k), np.integer) and 1 <= self.k <= ML_SEARCH_CAP):
             raise ValueError(f"info block length k must be an integer in 1..{ML_SEARCH_CAP}, "
                              f"got {self.k!r}")
-        if not 0 < self.rate <= 1:
-            raise ValueError("code rate must lie in (0, 1]")
         for seed in self.code_seed if isinstance(self.code_seed, tuple) else (self.code_seed,):
             if seed is not None and not np.issubdtype(type(seed), np.integer):
                 raise ValueError(f"code seed must be an integer, got {seed!r}")
@@ -301,9 +303,9 @@ class ExponentQuery:
     epsilon: float
 
     def __post_init__(self):
-        if isinstance(self.rate, bool) or not 0 <= self.rate < 1:
+        if isinstance(self.rate, (bool, np.bool_)) or not 0 <= self.rate < 1:
             raise ValueError("rate must lie in [0, 1)")
-        if isinstance(self.epsilon, bool) or not 0 <= self.epsilon < 0.5:
+        if isinstance(self.epsilon, (bool, np.bool_)) or not 0 <= self.epsilon < 0.5:
             raise ValueError("epsilon must lie in [0, 0.5)")
 
 

@@ -197,9 +197,9 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, starts: np.ndarray
     head = coded_length(code, (part.p + 1) * _field_width(n))
     tail = width - part.p * w
     if vertical:
-        _, _, a_len, b_len = exchange_layout(code, part.p, w, tail)
-        ch.draw_ahead(Direction.A_TO_B, head + coded_length(code, a_len))
-        ch.draw_ahead(Direction.B_TO_A, coded_length(code, b_len) + coded_length(code, tail))
+        _, _, alice_len, bob_len = exchange_layout(code, part.p, w, tail)
+        ch.draw_ahead(Direction.A_TO_B, head + coded_length(code, alice_len))
+        ch.draw_ahead(Direction.B_TO_A, coded_length(code, bob_len) + coded_length(code, tail))
     else:  # two bits per Part A function, one per Part B; Bob's one reply needs no span
         ch.draw_ahead(Direction.A_TO_B, head + coded_length(code, part.p * w + width))
 

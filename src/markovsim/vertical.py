@@ -25,7 +25,6 @@ padded to the longest.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -40,11 +39,6 @@ from .coding import (CodeSpec, coded_length, decode_payload, decode_with_ties, e
                      payload_blocks, redecode_tied)
 from .protocol import Protocol, Transcript, eval_fn_array, lone_or_batch
 from .report import SimulationReport
-
-_DIRECTIONS = tuple(Direction)  # indexed by a direction's value, faster than Direction(d)
-# one shared record per (stage, column, direction) a decode log holds, built
-# when first logged; typed, so an int direction gets no equal Direction back
-_event = functools.lru_cache(maxsize=None, typed=True)(DecodeEvent)
 
 
 class FnDescMode(enum.Enum):
@@ -109,9 +103,9 @@ def send(
 
     payload is one message with a lone ledger, or a ``(T, L)`` batch with one
     row per trial and a ledger from new_ledger.  The channel charges each
-    row's uses; its blocks are counted, and _book logs a DecodeEvent(stage,
-    1, direction) for each row whose decode differs from its payload: every
-    message of a stage is sent once.
+    row's uses; its blocks are counted, and if some row's decode differs
+    from its payload, _book logs one DecodeEvent(stage, 1, direction) for
+    every such row: every message of a stage is sent once.
     Returns what the receiver decoded; wrong bits are not fixed.
 
     lengths, one per row, makes the message ragged: row t is its first
@@ -141,7 +135,8 @@ def send(
     if inside is not None:
         wrong &= inside
     _count_blocks(ledger, code, payload.shape[-1] if lengths is None else np.asarray(lengths))
-    _book(ledger, [(t, _event(stage, 1, direction)) for t in np.flatnonzero(wrong.any(-1))])
+    if (missed := wrong.any(-1)).any():
+        _book(ledger, [(DecodeEvent(stage, 1, direction), missed)])
     return got
 
 
@@ -181,12 +176,14 @@ def exchange_layout(code: CodeSpec, rows: int, width: int, tail: int = 0):
 
 
 def _book(ledger: UsageLedger, misses) -> None:
-    """Append each (t, DecodeEvent) of misses to row t's decode log, in
-    order.  A lone ledger is row 0; this is the one place that tells a lone
-    ledger from a batch's."""
+    """Append each (DecodeEvent, missed) of misses, in order, to the log of
+    every row the row mask missed selects: one event per missed message or
+    column, shared by the rows that missed it.  A lone ledger is row 0; this
+    is the one place that tells a lone ledger from a batch's."""
     logs = [ledger.decode_log] if np.ndim(ledger.uses_ab) == 0 else ledger.decode_log
-    for t, event in misses:
-        logs[t].append(event)
+    for event, missed in misses:
+        for t in missed.ravel().nonzero()[0].tolist():
+            logs[t].append(event)
 
 
 def run_vertical_exchange(
@@ -277,10 +274,10 @@ def run_vertical_exchange(
     # each column is coded on its own, and Alice's last carries the tail
     _count_blocks(ledger, code, rows, 2 * width - 1)
     _count_blocks(ledger, code, rows + (tail.shape[-1] if tail_lengths is None else sizes))
-    # as column-by-column sends would log them: row first, A before B
-    misses = zip(*(i.tolist() for i in np.nonzero(wrong.reshape(-1, width, 2))))
-    _book(ledger, [(t, _event(("vertical_a", "vertical_b")[d], c + 1, _DIRECTIONS[d]))
-                   for t, c, d in misses])
+    # one event per missed (column, direction), as column-by-column sends log them
+    _book(ledger, [(DecodeEvent(("vertical_a", "vertical_b")[d], c + 1, Direction(d)),
+                    wrong[..., c, d])
+                   for c, d in np.argwhere(wrong.reshape(-1, width, 2).any(0)).tolist()])
     bob_tail = None if alice_tail is None else tail ^ flips_tail
     return VerticalResult(bob_a ^ fa, alice_b, bob_a, alice_b ^ fb, bob_tail)
 

@@ -200,8 +200,11 @@ def test_epsilon_domain():
         ChannelPair(0.5, 1)
     with pytest.raises(ValueError):
         ChannelPair(-0.01, 1)
-    with pytest.raises(ValueError):
-        ChannelPair(False, 1)
+    # a bool is an int to Python, and numpy's too: ChannelPair(np.False_, 0) once
+    # built a noiseless pair
+    for flag in (False, np.False_, np.True_):
+        with pytest.raises(ValueError):
+            ChannelPair(flag, 1)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05])

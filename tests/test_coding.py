@@ -74,9 +74,11 @@ def test_rlc_tie_breaks_to_smallest_info_word():
     assert ms.decode_payload(code, np.array([0, 1], np.uint8), 1).tolist() == [0]
 
 
-@pytest.mark.parametrize("rate", [True, False, 0, Fraction(3, 2)])
+@pytest.mark.parametrize("rate", [True, False, 0, Fraction(3, 2), np.True_, np.False_, None,
+                                  "half", float("nan"), float("inf")])
 def test_rlc_rejects_rates_outside_0_1(rate):
-    # Fraction(True) is 1: RandomLinear(4, True, 1) once built a rate-1 code
+    # Fraction(True) is 1: RandomLinear(4, True, 1) once built a rate-1 code, and
+    # a rate Fraction cannot read, np.True_ among them, once raised its own error
     with pytest.raises(ValueError, match="code rate must lie in"):
         ms.RandomLinear(4, rate, 1)
     assert ms.RandomLinear(4, 1, 1).nc == 4
@@ -659,7 +661,8 @@ def test_exponent_query_validation():
     with pytest.raises(ValueError):
         ms.ExponentQuery(0.5, 0.5)
     # a bool is an int to Python, and ExponentQuery(False, False) once built
-    for rate, eps in ((False, 0.1), (0.5, False), (False, False), (0.2, True)):
+    for rate, eps in ((False, 0.1), (0.5, False), (False, False), (0.2, True),
+                      (np.False_, np.False_), (np.False_, 0.1), (0.2, np.True_)):
         with pytest.raises(ValueError):
             ms.ExponentQuery(rate, eps)
     ms.ExponentQuery(0.0, 0.0)

@@ -122,3 +122,12 @@ def test_one_decode_path_and_one_booking_path():
                if any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "ndim"
                       and "ledger" in ast.unparse(node) for node in ast.walk(func))]
     assert readers == ["_book"]
+
+
+def test_decode_events_have_no_global_cache():
+    # a miss is booked once per message or column, so no module-level cache
+    # of DecodeEvents and no table of directions stands behind the log
+    tree = ast.parse((Path(ms.__file__).parent / "vertical.py").read_text())
+    names = {getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+             for node in ast.walk(tree)}
+    assert not names & {"functools", "lru_cache", "cache", "_event", "_DIRECTIONS"}

@@ -6,8 +6,10 @@ import pytest
 
 import markovsim as ms
 from markovsim import vertical
+from markovsim.experiment import run_batch
 from markovsim.protocol import TransmitFn as Mu
 from markovsim.protocol import eval_fn_array
+from markovsim.scheme_random import find_partition
 from markovsim.vertical import FnDescMode
 
 
@@ -687,3 +689,46 @@ def test_noiseless_batch_chains(scheme, chains, kernel_calls):
     report = getattr(ms, f"run_{scheme}")(p, ms.ChannelPair(0.0, range(4)), ms.Identity())
     assert report.ok.tolist() == [True] * 4
     assert [name for name, _ in calls].count("markov_chain") == chains
+
+
+# ---------------------------------------------------------------------------
+# decode logs
+
+
+@pytest.fixture
+def built_events(monkeypatch):
+    """Every DecodeEvent the send path builds, in order."""
+    built = []
+
+    def event(*args):
+        built.append(ms.DecodeEvent(*args))
+        return built[-1]
+
+    monkeypatch.setattr(vertical, "DecodeEvent", event)
+    return built
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
+def test_a_noiseless_batch_builds_no_decode_event(scheme, built_events):
+    rows = ms.run_experiment(ms.ExperimentConfig((256,), (0.0,), scheme, "identity", 64, 3))
+    assert rows[0].failures == 0 and built_events == []
+
+
+@pytest.mark.parametrize("scheme", ["baseline", "scheme1", "scheme2"])
+def test_a_noisy_batch_builds_each_missed_event_once(scheme, built_events):
+    # one event per missed message or column, shared by every row that
+    # missed it, and each row's log as its lone trial logs it
+    p = ms.gen_uniform_protocol(256, range(100, 164))
+    if scheme == "scheme1":  # a scheme1 batch shares one block count
+        _, counts = find_partition(p.f)
+        keep = counts == np.bincount(counts).argmax()
+        p = ms.Protocol(p.f[keep], p.g[keep])
+    code = ms.Repetition(3)
+    report = run_batch(scheme, p, 0.05, code, range(len(p.f)))
+    logged = [event for log in report.decode_log for event in log]
+    assert len(set(logged)) > 1
+    assert len(built_events) == len(set(built_events)) and set(built_events) == set(logged)
+    assert {id(event) for event in logged} <= {id(event) for event in built_events}
+    for t in range(len(p.f)):
+        lone = ms.run_trial(scheme, ms.Protocol(p.f[t], p.g[t]), 0.05, code, t)
+        assert lone.decode_log == report.decode_log[t], t
