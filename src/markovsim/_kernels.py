@@ -12,21 +12,20 @@ All take a leading trial axis: ``markov_chain`` runs one chain per row of a
 ``(T, n)`` batch, or of any leading shape such as the folded exchange's
 ``(T, rows, width)``, as one segmented XOR scan over a packed bit stream of
 n + 1 rounds per row, whose stuck round 0 carries the row's entering bit.
-Both decode kernels have one contract: ``(T, …)`` arrays,
-with every received sub-block of trial t, for every trial of a batch,
-checked against trial t's own tables, so a message costs one call whatever
-its length and however many trials carry it.  A code shared by all trials
-is viewed once per trial by the caller, ``coding._rlc_books``.
+Both decode kernels check each received sub-block against its own trial's
+tables, ``(T, …)`` per trial, so a message costs one call whatever its
+length and however many trials carry it.  A code shared by all trials is
+viewed once per trial by the caller, ``coding._rlc_books``.
 
 ``ml_decode_index`` is the one exhaustive search.  ``certified_index`` is
 not a search: it tries one candidate per information set of each code and
 certifies a sub-block when a candidate lies within t = ⌊(d_min − 1)/2⌋ of
-it.  ``coding.decode_with_ties`` runs it on every random-linear message and
-sends the sub-blocks it cannot certify to the search, each trial's in front
-and counted, so the search skips the padding.  The search also reports a
-tie, another codeword at the same least distance; a certified sub-block
-never ties.  Only the search works in chunks, one trial at a time, as only
-its scratch grows as sub-blocks × 2^k; the certified pass runs in one step.
+it.  ``coding.decode_with_ties`` runs it on every sub-block of each trial
+of a random-linear message, and sends the search the list of sub-blocks it
+cannot certify, each with its trial.  The search also reports a tie,
+another codeword at the same least distance; a certified sub-block never
+ties.  Only the search works in chunks, one trial at a time, as only its
+scratch grows as sub-blocks × 2^k; the certified pass runs in one step.
 
 Per-layer timings of ``markov_chain`` and ``ml_decode_index`` are reported
 by the benchmark in ``perfbench/`` as ``kernels.markov_chain.*`` and
@@ -132,22 +131,22 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
-def ml_decode_index(codebook: np.ndarray, received: np.ndarray, counts) -> tuple:
+def ml_decode_index(codebook: np.ndarray, trial, received: np.ndarray) -> tuple:
     """Index of the packed codebook row nearest in Hamming distance to each
     received sub-block, ties to the lowest index, and whether another row
-    ties it.  codebook is ``(T, rows, words)`` and received ``(T, blocks,
-    words)``: trial t is searched in its own codebook, over its first
-    counts[t] sub-blocks only.  Returns int64 index and bool tied, each
-    ``(T, blocks)`` and 0 past the counts."""
-    index, tied = np.zeros(received.shape[:2], np.int64), np.zeros(received.shape[:2], bool)
+    ties it.  codebook is ``(T, rows, words)`` and received ``(N, words)``:
+    sub-block i is searched in trial trial[i]'s codebook, trials ascending.
+    Returns int64 index and bool tied, each ``(N,)``."""
+    index, tied = np.zeros(len(received), np.int64), np.zeros(len(received), bool)
     step = max(1, _CHUNK_ENTRIES // codebook.shape[1])
-    for t, count in enumerate(np.asarray(counts).tolist()):
-        for b in range(0, count, step):
-            d = _distance(received[t, b : min(b + step, count), None], codebook[t])
+    ends = np.searchsorted(trial, np.arange(len(codebook) + 1)).tolist()
+    for t, (start, end) in enumerate(zip(ends, ends[1:])):
+        for b in range(start, end, step):
+            d = _distance(received[b : min(b + step, end), None], codebook[t])
             i, at = d.argmin(axis=-1), np.arange(len(d))
             least = d[at, i]
             d[at, i] = np.iinfo(d.dtype).max  # any row left at the least ties
-            index[t, b : b + len(d)], tied[t, b : b + len(d)] = i, d.min(axis=-1) == least
+            index[b : b + len(d)], tied[b : b + len(d)] = i, d.min(axis=-1) == least
     return index, tied
 
 

@@ -188,6 +188,8 @@ class ChannelPair:
         one row per noise seed, and charge L uses, or ``uses``: one count per
         row of a ragged message whose rows end before L."""
         bits = np.asarray(bits, dtype=np.uint8)
+        if (rows := math.prod(bits.shape[:-1])) != len(self.noise_seeds):
+            raise ValueError(f"{rows} message rows for {len(self.noise_seeds)} noise seeds")
         count = bits.shape[-1]
         if direction == Direction.A_TO_B:
             ledger.uses_ab += count if uses is None else uses

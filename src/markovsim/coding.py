@@ -259,7 +259,7 @@ def decode_with_ties(code: CodeSpec, received, info_len: int) -> tuple:
     info, hit = _kernels.certified_index(books, bits, packed, *sets)
     miss, tied = ~hit, np.zeros(hit.shape, bool)
     if miss.any():
-        info[miss], tied[miss] = _search(books, np.nonzero(miss)[0], packed[miss])
+        info[miss], tied[miss] = _kernels.ml_decode_index(books, np.nonzero(miss)[0], packed[miss])
     info = ints_to_bits(info, code.k).reshape(received.shape[:-1] + (-1,))
     return info[..., :info_len], tied.reshape(received.shape[:-1] + (-1,))
 
@@ -276,21 +276,10 @@ def redecode_tied(code: RandomLinear, received, sent, bits, tied) -> np.ndarray:
     (books,) = _rlc_books(code, tied)
     x = bits_to_ints(np.reshape(sent, tied.shape + (code.k,))[t, j], code.k)  # (n, 1)
     words = _kernels.pack_bits(np.reshape(received, tied.shape + (code.nc,))[t, j])
-    index = _search(books, t, words ^ books[t, x[:, 0]])[0]
+    index = _kernels.ml_decode_index(books, t, words ^ books[t, x[:, 0]])[0]
     out = bits.copy()
     out.reshape(tied.shape + (code.k,))[t, j] = ints_to_bits(index[:, None] ^ x, code.k)
     return out
-
-
-def _search(books, trial, words) -> tuple:
-    """ml_decode_index's (index, tied) of each packed words[i] of trial
-    trial[i], trials ascending, with each trial's words in front and counted."""
-    counts = np.bincount(trial, minlength=len(books))
-    slot = np.arange(len(trial)) - (np.cumsum(counts) - counts)[trial]
-    front = np.zeros((len(books), counts.max(), words.shape[-1]), np.uint64)
-    front[trial, slot] = words
-    index, tied = _kernels.ml_decode_index(books, front, counts)
-    return index[trial, slot], tied[trial, slot]
 
 
 # ---------------------------------------------------------------------------

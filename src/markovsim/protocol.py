@@ -51,14 +51,15 @@ def eval_fn_array(codes: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 
 
 def _as_fn_codes(seq) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.uint8)
+    arr = np.asarray(seq)
     if arr.ndim not in (1, 2):
         raise ValueError("function sequence must be one row or a batch of rows")
     if arr.size == 0:
         raise ValueError("protocol length must be at least 1")
-    if arr.min() < 1 or arr.max() > 4:
+    # only integers are codes: a float, string or bool is never cast into one
+    if arr.dtype.kind not in "iu" or arr.min() < 1 or arr.max() > 4:
         raise ValueError("function codes must lie in 1..4")
-    arr = arr.copy()
+    arr = arr.astype(np.uint8)
     arr.flags.writeable = False
     return arr
 
@@ -138,10 +139,16 @@ def gen_uniform_protocol(n: int, seed) -> Protocol:
     never rejects for a range of 4), so f takes the bytes of the first
     ⌈n/4⌉ 32-bit words and g those of the next ⌈n/4⌉: ⌈n/4⌉ raw 64-bit
     draws per row."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     lone = np.ndim(seed) == 0
-    states = _seeds.seed_states(*_seeds.entropy_words([seed] if lone else seed), 4).tolist()
+    seeds = [seed] if lone else seed
+    for s in seeds:  # a bool is an int, and np.bool_ no np.integer
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
+            raise ValueError(f"protocol seed must be a non-negative integer, got {s!r}")
+    states = _seeds.seed_states(*_seeds.entropy_words(seeds), 4).tolist()
     words = -(-n // 4)
     pcg = np.random.PCG64(0)
     raw = np.empty((len(states), words), np.uint64)

@@ -13,6 +13,7 @@ from markovsim import (
     rate_of,
     shannon_capacity,
 )
+from markovsim.experiment import run_batch
 
 
 def test_noiseless_channel_is_identity():
@@ -218,6 +219,25 @@ def test_bad_noise_seeds_rejected_up_front(eps):
     with pytest.raises(ValueError, match="got -5"):
         ms.run_trial("baseline", p, eps, ms.Identity(), noise_seed=-5)
     assert ChannelPair(eps, np.array([0, 2**63], np.uint64)).noise_seeds == (0, 2**63)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_message_rows_must_match_the_noise_seeds(eps):
+    # a 3-row message on a 2-seed pair once ran at eps 0 and failed in a
+    # reshape at eps > 0; a lone message is one row
+    led = UsageLedger()
+    for seeds, shape in (([1, 2], (3, 4)), (7, (3, 4)), (7, (2, 1, 4)), ([1, 2], (4,)),
+                         ([1, 2, 3], (2, 4))):
+        rows = 1 if len(shape) == 1 else int(np.prod(shape[:-1]))
+        with pytest.raises(ValueError, match=f"{rows} message rows for {np.size(seeds)} noise"):
+            ChannelPair(eps, seeds).transmit(Direction.A_TO_B, np.zeros(shape, np.uint8), led)
+    assert led.total == 0
+    ChannelPair(eps, [1, 2]).transmit(Direction.A_TO_B, np.zeros((2, 4), np.uint8), led)
+    ChannelPair(eps, 7).transmit(Direction.B_TO_A, np.zeros(4, np.uint8), led)
+    ChannelPair(eps, [7]).transmit(Direction.B_TO_A, np.zeros((1, 4), np.uint8), led)
+    p = ms.gen_uniform_protocol(8, range(3))
+    with pytest.raises(ValueError, match="3 message rows for 1 noise seeds"):
+        run_batch("baseline", p, eps, ms.Identity(), [7])
 
 
 def test_binary_entropy_values():

@@ -384,8 +384,9 @@ def _exhaustive(code, received, info_len):
     rx = received.reshape(-1, received.shape[-1] // code.nc, code.nc)
     packed = _kernels.pack_bits(rx)
     books = np.broadcast_to(code.codebooks, (len(rx),) + code.codebooks.shape[1:])
-    info = ints_to_bits(_kernels.ml_decode_index(books, packed, [packed.shape[1]] * len(rx))[0],
-                        code.k)
+    trial = np.repeat(np.arange(len(rx)), packed.shape[1])
+    index = _kernels.ml_decode_index(books, trial, packed.reshape(-1, packed.shape[-1]))[0]
+    info = ints_to_bits(index, code.k)
     return info.reshape(received.shape[:-1] + (-1,))[..., :info_len]
 
 

@@ -156,7 +156,7 @@ def test_ml_decode_tie_goes_to_lowest_index():
     # 3 sits on rows 1 and 3; 1 is one flip from rows 0, 1 and 2; 7 is one
     # flip from rows 1, 2 and 3; 6 is two flips from every row
     rc = np.array([[3], [1], [5], [7], [6]], dtype=np.uint64)
-    assert _kernels.ml_decode_index(cb[None], rc[None], [5])[0][0].tolist() == [1, 0, 2, 1, 0]
+    assert _kernels.ml_decode_index(cb[None], np.zeros(5, int), rc)[0].tolist() == [1, 0, 2, 1, 0]
 
 
 def test_ml_decode_index_matches_bruteforce():
@@ -180,8 +180,8 @@ def test_ml_decode_index_matches_bruteforce():
         rx_bits = cb_bits[rng.integers(0, rows, blocks)].copy()
         rx_bits ^= (rng.random(rx_bits.shape) < 0.1).astype(np.uint8)
         got = _kernels.ml_decode_index(
-            _kernels.pack_bits(cb_bits[None]), _kernels.pack_bits(rx_bits[None]), [blocks]
-        )[0][0]
+            _kernels.pack_bits(cb_bits[None]), np.zeros(blocks, int), _kernels.pack_bits(rx_bits)
+        )[0]
         want = _brute_ml(cb_bits, rx_bits)
         assert got.shape == (blocks,)
         assert np.array_equal(got, want)
@@ -206,15 +206,16 @@ def test_ml_decode_stacked_codebooks_equal_per_trial_calls():
         rx_bits ^= (rng.random(rx_bits.shape) < 0.1).astype(np.uint8)
         books = np.stack([_kernels.pack_bits(c) for c in cb_bits])
         rx = np.stack([_kernels.pack_bits(r) for r in rx_bits])
-        full = [blocks] * trials
-        got = _kernels.ml_decode_index(books, rx, full)[0]
-        shared = _kernels.ml_decode_index(np.broadcast_to(books[:1], books.shape), rx, full)[0]
-        assert got.shape == shared.shape == (trials, blocks)
+        trial, flat = np.repeat(np.arange(trials), blocks), rx.reshape(-1, rx.shape[-1])
+        got = _kernels.ml_decode_index(books, trial, flat)[0].reshape(trials, blocks)
+        shared = _kernels.ml_decode_index(np.broadcast_to(books[:1], books.shape), trial, flat)[0]
+        shared = shared.reshape(trials, blocks)
+        one = np.zeros(blocks, int)
         for t in range(trials):
-            alone = _kernels.ml_decode_index(books[t : t + 1], rx[t : t + 1], [blocks])[0][0]
+            alone = _kernels.ml_decode_index(books[t : t + 1], one, rx[t])[0]
             assert np.array_equal(got[t], alone)
             assert np.array_equal(got[t], _brute_ml(cb_bits[t], rx_bits[t]))
-            alone = _kernels.ml_decode_index(books[:1], rx[t : t + 1], [blocks])[0][0]
+            alone = _kernels.ml_decode_index(books[:1], one, rx[t])[0]
             assert np.array_equal(shared[t], alone)
             d = (cb_bits[t][None] != rx_bits[t][:, None]).sum(axis=2)
             ties += int(((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
@@ -229,10 +230,11 @@ def _brute_tied(cb_bits, rx_bits):
 
 
 def _search_cases():
-    """(codebook bits (T, rows, nbits), received bits (T, blocks, nbits),
-    counts, whether every row has a twin) inputs: random codebooks, codebooks whose every row has a twin
-    (a singular G ties on every block), multi-word rows, and counts of 0,
-    partial counts and full counts in one batch."""
+    """(codebook bits (T, rows, nbits), trials (N,), received bits (N, nbits),
+    whether every row has a twin) inputs: random codebooks, codebooks whose
+    every row has a twin (a singular G ties on every block), multi-word rows,
+    and trials with none, some and all of their sub-blocks in one flat list,
+    trials ascending, one with none between trials that have some."""
     rng = np.random.default_rng(21)
     cases = []
     for trials, rows, nbits, blocks, twins in ((4, 16, 8, 30, False), (3, 64, 12, 20, True),
@@ -245,31 +247,35 @@ def _search_cases():
         counts = rng.integers(0, blocks + 1, trials)
         counts[0], counts[-1] = 0, blocks
         cases.append((cb_bits, rx_bits, counts, twins))
-    return cases
+    cb_bits = rng.integers(0, 2, (5, 32, 10)).astype(np.uint8)
+    rx_bits = rng.integers(0, 2, (5, 8, 10)).astype(np.uint8)
+    cases.append((cb_bits, rx_bits, [2, 0, 8, 0, 3], False))
+    return [(cb_bits, np.repeat(np.arange(len(counts)), counts),
+             np.concatenate([rx[:count] for rx, count in zip(rx_bits, counts)]), twins)
+            for cb_bits, rx_bits, counts, twins in cases]
 
 
 def test_ml_decode_tied_flag_equals_bruteforce():
     ties = untied = 0
-    for cb_bits, rx_bits, counts, twins in _search_cases():
+    for cb_bits, trial, rx_bits, twins in _search_cases():
         books = np.stack([_kernels.pack_bits(c) for c in cb_bits])
-        rx = np.stack([_kernels.pack_bits(r) for r in rx_bits])
-        index, tied = _kernels.ml_decode_index(books, rx, counts)
-        assert index.shape == tied.shape == rx.shape[:2] and tied.dtype == bool
-        for t, count in enumerate(counts):
-            assert np.array_equal(index[t, :count], _brute_ml(cb_bits[t], rx_bits[t, :count]))
-            assert np.array_equal(tied[t, :count], _brute_tied(cb_bits[t], rx_bits[t, :count]))
-            # slots past the count are left at 0
-            assert not index[t, count:].any() and not tied[t, count:].any()
-            ties += int(tied[t, :count].sum())
-            untied += int((~tied[t, :count]).sum())
+        index, tied = _kernels.ml_decode_index(books, trial, _kernels.pack_bits(rx_bits))
+        assert index.shape == tied.shape == trial.shape
+        assert index.dtype == np.int64 and tied.dtype == bool
+        for t in range(len(cb_bits)):
+            mine = trial == t
+            assert np.array_equal(index[mine], _brute_ml(cb_bits[t], rx_bits[mine]))
+            assert np.array_equal(tied[mine], _brute_tied(cb_bits[t], rx_bits[mine]))
         if twins:
-            assert all(tied[t, :count].all() for t, count in enumerate(counts))
+            assert tied.all()
+        ties += int(tied.sum())
+        untied += int((~tied).sum())
     assert ties > 50 and untied > 50
 
 
-def test_ml_decode_searches_only_counted_sub_blocks(monkeypatch):
-    # every received word that reaches the distance step, in order, is one
-    # of trial t's first counts[t] sub-blocks, and each is searched once
+def test_ml_decode_searches_each_given_sub_block_once(monkeypatch):
+    # every given sub-block reaches the distance step exactly once, in order,
+    # and an empty list reaches it never
     real, seen = _kernels._distance, []
 
     def spy(a, b):
@@ -277,13 +283,12 @@ def test_ml_decode_searches_only_counted_sub_blocks(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(_kernels, "_distance", spy)
-    for cb_bits, rx_bits, counts, _ in _search_cases():
+    for cb_bits, trial, rx_bits, _ in _search_cases():
         books = np.stack([_kernels.pack_bits(c) for c in cb_bits])
-        rx = np.stack([_kernels.pack_bits(r) for r in rx_bits])
+        rx = _kernels.pack_bits(rx_bits)
         seen.clear()
-        _kernels.ml_decode_index(books, rx, counts)
-        want = np.concatenate([rx[t, :count] for t, count in enumerate(counts)])
-        assert np.array_equal(np.concatenate(seen), want)
+        _kernels.ml_decode_index(books, trial, rx)
+        assert np.array_equal(np.concatenate(seen), rx)
     seen.clear()
-    _kernels.ml_decode_index(books, rx, np.zeros(len(rx), int))
+    _kernels.ml_decode_index(books, trial[:0], rx[:0])
     assert seen == []

@@ -131,3 +131,15 @@ def test_decode_events_have_no_global_cache():
     names = {getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
              for node in ast.walk(tree)}
     assert not names & {"functools", "lru_cache", "cache", "_event", "_DIRECTIONS"}
+
+
+def test_search_takes_its_sub_blocks_as_one_flat_list():
+    # the decoder hands the search its sub-blocks as one list, each with its
+    # trial: no zero-padded per-trial copy built by a helper, and no counts
+    root = Path(ms.__file__).parent
+    tree = ast.parse((root / "coding.py").read_text())
+    assert "_search" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    tree = ast.parse((root / "_kernels.py").read_text())
+    (search,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "ml_decode_index"]
+    assert [arg.arg for arg in search.args.args] == ["codebook", "trial", "received"]

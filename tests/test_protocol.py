@@ -92,6 +92,23 @@ def test_gen_uniform_protocol_rejects_empty():
         gen_uniform_protocol(0, 1)
 
 
+def test_gen_uniform_protocol_rejects_non_integer_arguments():
+    # True once drew seed 1's protocol, and a 1-round one as n; 1.5 and '3'
+    # raised a TypeError
+    for seed, shown in ((True, "True"), (np.True_, "np.True_"), ([1, True], "True"),
+                        (1.5, "1.5"), ("3", "'3'"), ([2, 1.5], "1.5"), (-1, "-1"),
+                        (np.array([False]), "np.False_")):
+        with pytest.raises(ValueError, match=f"protocol seed must be a non-negative integer, "
+                                             f"got {shown}"):
+            gen_uniform_protocol(8, seed)
+    for n in (True, np.True_, 1.5, "8"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            gen_uniform_protocol(n, 1)
+    assert gen_uniform_protocol(np.int64(8), np.uint64(3)).f.tolist() == \
+        gen_uniform_protocol(8, 3).f.tolist()
+    assert gen_uniform_protocol(8, np.arange(2)).f.shape == (2, 8)
+
+
 def test_protocol_validation():
     with pytest.raises(ValueError):
         Protocol([1, 2], [1])
@@ -103,6 +120,17 @@ def test_protocol_validation():
         Protocol(np.ones((2, 2, 2), np.uint8), np.ones((2, 2, 2), np.uint8))
     with pytest.raises(ValueError):
         Protocol([], [])
+    # only integer codes in 1..4: floats were truncated, strings cast, and
+    # 257 or -1 raised numpy's OverflowError
+    for bad in ([1.5, 2], np.array([1.9, 2.2]), ["1", "2"], np.array([True, True]), [0, 1],
+                [5, 1], [257, 1], [-1, 1], np.array([1, 300], np.int64)):
+        with pytest.raises(ValueError, match="function codes must lie in 1..4"):
+            Protocol(bad, [1, 1])
+        with pytest.raises(ValueError, match="function codes must lie in 1..4"):
+            Protocol([1, 1], bad)
+    for good in ([1, 4], np.array([1, 4], np.int64), np.array([1, 4], np.uint16)):
+        p = Protocol(good, good)
+        assert p.f.dtype == np.uint8 and p.f.tolist() == [1, 4]
 
 
 def test_protocol_arrays_frozen():

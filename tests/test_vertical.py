@@ -270,15 +270,17 @@ def test_folded_exchange_equals_the_column_loop(family, eps, tail, trials, monke
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """(calls, tied): each markov_chain, certified_index and ml_decode_index
-    call in order, as (name, the search's counts), and the tie mask of each
-    decode the exchange makes."""
+    call in order, as (name, the search's sub-blocks per trial), and the tie
+    mask of each decode the exchange makes."""
     calls, tied = [], []
 
     def spy(name):
         real = getattr(vertical._kernels, name)
 
         def call(*args):
-            calls.append((name, args[2].tolist() if name == "ml_decode_index" else None))
+            searched = name == "ml_decode_index"
+            calls.append((name, np.bincount(args[1], minlength=len(args[0])).tolist()
+                          if searched else None))
             return real(*args)
 
         monkeypatch.setattr(vertical._kernels, name, call)
