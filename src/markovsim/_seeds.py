@@ -1,4 +1,5 @@
-"""numpy's ``SeedSequence`` hash, run on many entropies at once.
+"""numpy's ``SeedSequence`` hash, run on many entropies at once, and the one
+rule for every integer a caller passes.
 
 Every random stream of the package is keyed the way numpy keys it: the
 harness's per-trial seeds are ``SeedSequence((seed, cell, trial))``, a
@@ -13,6 +14,9 @@ its output off the pool.  Its multipliers step through fixed sequences that
 do not depend on the data, so they are tabled here.  An entropy shorter than
 the pool reads as if padded with zeros; each word past the pool is mixed into
 every pool word in turn.
+
+Every integer a caller passes goes through ``integers``, one rule with one
+message: bools are no integers, and numpy integers come out as Python ints.
 """
 
 from __future__ import annotations
@@ -51,14 +55,27 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> _XSHIFT)
 
 
+def integers(values, what: str, low: int = 0, high: float = np.inf) -> tuple[int, ...]:
+    """One integer, or a non-empty sequence of them, in low..high as Python
+    ints; else a ``ValueError`` that names what and the first bad value."""
+    if not isinstance(values, (list, tuple, range)) and np.ndim(values) == 0:
+        values = (values,)
+    # each type is tested once; a bool is no int here, and np.bool_ no np.integer
+    kinds = set(map(type, values))
+    integral = {t for t in kinds if t is not bool and issubclass(t, (int, np.integer))}
+    if len(values) and kinds == integral and low <= min(values) and max(values) <= high:
+        return tuple(map(int, values))
+    bad = next((v for v in values if type(v) not in integral or not low <= v <= high), values)
+    span = f"of at least {low}" if high == np.inf else f"in {low}..{high}"
+    raise ValueError(f"{what} must be an integer {span}, got {bad!r}")
+
+
 def entropy_words(values) -> tuple[np.ndarray, np.ndarray]:
-    """Each non-negative int of values as SeedSequence reads it: its uint32
+    """Each seed of values as SeedSequence reads it: its uint32
     words, least significant first, with 0 as one word.  Returns ``(R, W)``
     words, zero-padded, and each row's word count.  Ints of any size."""
-    values = np.array(values, dtype=object).reshape(-1)
-    if values.size and min(values) < 0:
-        raise ValueError(f"seeds must be non-negative integers, got {min(values)}")
-    width = max(1, -(-int(max(values, default=0)).bit_length() // 32))
+    values = np.array(integers(values, "seed"), dtype=object)
+    width = max(1, -(-max(values).bit_length() // 32))
     words = (values[:, None] >> np.arange(0, 32 * width, 32).astype(object) & _MASK)
     words = words.astype(np.uint32)
     # a row's count runs to its last nonzero word

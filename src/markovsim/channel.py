@@ -128,11 +128,7 @@ class ChannelPair:
         if isinstance(epsilon, (bool, np.bool_)) or not 0 <= epsilon < 0.5:
             raise ValueError("epsilon must lie in [0, 0.5)")
         self.epsilon = float(epsilon)
-        noise_seed = (noise_seed,) if np.ndim(noise_seed) == 0 else noise_seed
-        for seed in noise_seed:
-            if not np.issubdtype(type(seed), np.integer) or seed < 0:  # a bool is not
-                raise ValueError(f"noise seed must be a non-negative integer, got {seed}")
-        self.noise_seeds = tuple(int(s) for s in noise_seed)
+        self.noise_seeds = _seeds.integers(noise_seed, "noise seed")
         self._pos = [0, 0]
         self._ahead = [(0, np.empty((len(self.noise_seeds), 0), bool))] * 2
         if self.epsilon:

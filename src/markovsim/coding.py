@@ -39,7 +39,7 @@ from typing import Union
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _seeds
 from .bits import bits_to_ints, ints_to_bits
 
 ML_SEARCH_CAP = 20
@@ -58,8 +58,9 @@ class Repetition:
     r: int
 
     def __post_init__(self):
-        if not np.issubdtype(type(self.r), np.integer) or self.r < 1 or self.r % 2 == 0:
-            raise ValueError(f"repetition factor must be an odd positive integer, got {self.r!r}")
+        object.__setattr__(self, "r", _seeds.integers((self.r,), "repetition factor", 1)[0])
+        if self.r % 2 == 0:
+            raise ValueError(f"repetition factor must be odd, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -79,19 +80,23 @@ class RandomLinear:
     def __post_init__(self):
         try:  # Fraction(True) is a rate-1 code, and Fraction(np.True_) a TypeError
             rate = 0 if isinstance(self.rate, bool) else Fraction(self.rate)
+            if isinstance(self.rate, float):
+                # 1/3 is no float: read the fraction of denominator at most 2**26 that
+                # rounds to it; two such lie further apart than a float's rounding
+                # interval in (0, 1], so at most one does
+                near = rate.limit_denominator(1 << 26)
+                rate = near if float(near) == self.rate else rate
         except (TypeError, ValueError, OverflowError):
             rate = 0
         if not 0 < rate <= 1:
             raise ValueError("code rate must lie in (0, 1]")
         object.__setattr__(self, "rate", rate)
-        if not (np.issubdtype(type(self.k), np.integer) and 1 <= self.k <= ML_SEARCH_CAP):
-            raise ValueError(f"info block length k must be an integer in 1..{ML_SEARCH_CAP}, "
-                             f"got {self.k!r}")
-        for seed in self.code_seed if isinstance(self.code_seed, tuple) else (self.code_seed,):
-            if seed is not None and not np.issubdtype(type(seed), np.integer):
-                raise ValueError(f"code seed must be an integer, got {seed!r}")
-            if seed is not None and seed < 0:
-                raise ValueError(f"code seed must be non-negative, got {seed}")
+        (k,) = _seeds.integers((self.k,), "info block length k", 1, ML_SEARCH_CAP)
+        object.__setattr__(self, "k", k)
+        if self.code_seed is not None:
+            stack = isinstance(self.code_seed, tuple)
+            seeds = _seeds.integers(self.code_seed if stack else (self.code_seed,), "code seed")
+            object.__setattr__(self, "code_seed", seeds if stack else seeds[0])
 
     @functools.cached_property
     def nc(self) -> int:
@@ -410,9 +415,12 @@ def parse_code_spec(text: str) -> CodeSpec:
         unknown = set(fields) - {"k", "rate", "seed"}
         if unknown or "k" not in fields or "rate" not in fields:
             raise ValueError(f"random linear spec needs k= and rate=, got {text!r}")
-        seed = int(fields["seed"]) if "seed" in fields else None
-        try:
-            return RandomLinear(int(fields["k"]), Fraction(fields["rate"]), seed)
-        except ZeroDivisionError:
-            raise ValueError(f"random linear rate {fields['rate']!r} divides by zero") from None
+        args = {}
+        for key, value in fields.items():
+            try:
+                args[key] = (Fraction if key == "rate" else int)(value)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"cannot read random linear field {key}={value!r} "
+                                 f"in {text!r}") from None
+        return RandomLinear(args["k"], args["rate"], args.get("seed"))
     raise ValueError(f"unknown code spec {text!r}")

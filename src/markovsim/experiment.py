@@ -36,7 +36,7 @@ import numpy as np
 
 from .channel import ChannelPair, shannon_capacity
 from .coding import CodeSpec, RandomLinear, nominal_rate, parse_code_spec, union_bound_profile
-from ._seeds import entropy_words, seed_states
+from ._seeds import entropy_words, integers, seed_states
 from .protocol import Protocol, gen_uniform_protocol
 from .report import SimulationReport
 from .scheme_random import find_partition, run_scheme1
@@ -81,34 +81,29 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        for name, v in (("trials", self.trials), ("seed", self.seed),
-                        *(("n_values", n) for n in self.n_values)):
-            if not np.issubdtype(type(v), np.integer):  # a bool is not
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if not all(isinstance(eps, numbers.Real) and not isinstance(eps, bool)
-                   for eps in self.eps_values):
+        n_values = integers(self.n_values, "n_values", 1)
+        if not self.eps_values or not all(isinstance(eps, numbers.Real)
+                                          and not isinstance(eps, bool) for eps in self.eps_values):
             raise ValueError(f"eps_values must be real numbers, got {self.eps_values!r}")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if self.seed < 0:
-            raise ValueError(f"master seed must be non-negative, got {self.seed}")
-        if not self.n_values or not self.eps_values:
-            raise ValueError("need at least one n and one epsilon")
         if self.protocols is not None:
             lengths = {q.n for q in self.protocols}
             if len(lengths) != 1:
                 raise ValueError("fixed protocols must all share one length")
-            object.__setattr__(self, "n_values", (lengths.pop(),))
-        if min(self.n_values) < 1:
-            raise ValueError("protocol lengths must be at least 1")
-        _check_m_override(self.scheme, self.m_override)
+            n_values = (lengths.pop(),)
+        # stored as Python numbers, which the CSV and JSON rows print
+        for name, value in (
+            ("n_values", n_values), ("eps_values", tuple(map(float, self.eps_values))),
+            ("trials", integers((self.trials,), "trials", 1)[0]),
+            ("seed", integers((self.seed,), "master seed")[0]),
+            ("m_override", _check_m_override(self.scheme, self.m_override)),
+        ):
+            object.__setattr__(self, name, value)
 
 
-def _check_m_override(scheme: str, m: Optional[int]) -> None:
+def _check_m_override(scheme: str, m: Optional[int]) -> Optional[int]:
     if m is not None and scheme != "scheme2":
         raise ValueError(f"--m-override sets scheme2's block length; {scheme} has none")
-    if not (m is None or np.issubdtype(type(m), np.integer) and m > 0):  # a bool is not
-        raise ValueError(f"m_override must be an integer of at least 1, got {m!r}")
+    return m if m is None else integers((m,), "m_override", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -165,7 +160,7 @@ def run_batch(
     tuple.  Returns one batch report.  scheme1's protocols share one
     block count (starts, if given, are their ``(T, p)`` block starts); only
     scheme2 takes m_override."""
-    _check_m_override(scheme, m_override)
+    m_override = _check_m_override(scheme, m_override)
     if starts is not None and scheme != "scheme1":
         raise ValueError(f"partition starts are scheme1's input; {scheme} takes none")
     if protocols.f.ndim != 2:

@@ -139,15 +139,8 @@ def gen_uniform_protocol(n: int, seed) -> Protocol:
     never rejects for a range of 4), so f takes the bytes of the first
     ⌈n/4⌉ 32-bit words and g those of the next ⌈n/4⌉: ⌈n/4⌉ raw 64-bit
     draws per row."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    lone = np.ndim(seed) == 0
-    seeds = [seed] if lone else seed
-    for s in seeds:  # a bool is an int, and np.bool_ no np.integer
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
-            raise ValueError(f"protocol seed must be a non-negative integer, got {s!r}")
+    (n,) = _seeds.integers((n,), "n", 1)
+    seeds = _seeds.integers(seed, "protocol seed")
     states = _seeds.seed_states(*_seeds.entropy_words(seeds), 4).tolist()
     words = -(-n // 4)
     pcg = np.random.PCG64(0)
@@ -163,7 +156,7 @@ def gen_uniform_protocol(n: int, seed) -> Protocol:
     codes >>= 6
     codes += 1
     f, g = codes[:, :n], codes[:, 4 * words : 4 * words + n]
-    return Protocol(f[0], g[0]) if lone else Protocol(f, g)
+    return Protocol(f[0], g[0]) if np.ndim(seed) == 0 else Protocol(f, g)
 
 
 def serialize_protocol(p: Protocol) -> str:

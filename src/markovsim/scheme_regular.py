@@ -30,7 +30,7 @@ import enum
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _seeds
 from .bits import bits_to_ints, delayed, ints_to_bits, xor_reduce
 from .channel import ChannelPair, Direction, UsageLedger
 from .coding import CodeSpec, coded_length
@@ -137,6 +137,7 @@ def predictor_exchange(
     whose map XORs the entering B bit with their parity.
     """
     n = p.n
+    (m,) = _seeds.integers((m,), "block length m", 1)
     if n % m:
         raise ValueError("block length must divide the protocol length")
     width = m.bit_length()
@@ -179,10 +180,7 @@ def run_scheme2(
     A batched ``p`` gives one batch report.
     """
     n = p.n
-    if m is None:
-        m = ceil_isqrt(n)
-    if m < 1:
-        raise ValueError("block length must be positive")
+    (m,) = _seeds.integers((ceil_isqrt(n) if m is None else m,), "block length m", 1)
     n_pad = m * (-(-n // m))
     padded = Protocol(_pad_fns(p.f, n_pad), _pad_fns(p.g, n_pad))
     trials = len(p.f)

@@ -213,7 +213,8 @@ def test_bad_noise_seeds_rejected_up_front(eps):
     # a bool is an int to Python, and True once keyed the noise as seed 1
     for seed, shown in ((-1, "-1"), ([1, 2.5], "2.5"), ([4, -7], "-7"), (True, "True"),
                         ([3, False], "False")):
-        with pytest.raises(ValueError, match=f"non-negative integer, got {shown}"):
+        with pytest.raises(ValueError,
+                           match=f"noise seed must be an integer of at least 0, got {shown}"):
             ChannelPair(eps, seed)
     p = ms.gen_uniform_protocol(8, 1)
     with pytest.raises(ValueError, match="got -5"):

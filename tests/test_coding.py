@@ -26,8 +26,9 @@ def test_repetition_encode_decode():
     assert ms.decode_payload(rep3, [1, 1, 0], 1).tolist() == [1]
     assert ms.decode_payload(rep3, [0, 1, 0, 1, 1, 1], 2).tolist() == [0, 1]
     # True once built a rep1 code, and 3.0 a rep3 one
-    for r in (4, True, 3.0):
-        with pytest.raises(ValueError, match="repetition factor must be an odd positive integer"):
+    for r, message in ((4, "odd, got 4"), (True, "an integer of at least 1, got True"),
+                       (3.0, "an integer of at least 1, got 3.0")):
+        with pytest.raises(ValueError, match=f"repetition factor must be {message}"):
             ms.Repetition(r)
     with pytest.raises(ValueError):
         ms.decode_payload(rep3, [1, 1], 1)
@@ -82,6 +83,35 @@ def test_rlc_rejects_rates_outside_0_1(rate):
     with pytest.raises(ValueError, match="code rate must lie in"):
         ms.RandomLinear(4, rate, 1)
     assert ms.RandomLinear(4, 1, 1).nc == 4
+
+
+@pytest.mark.parametrize("rate, exact, nc", [
+    (1 / 3, Fraction(1, 3), 12), (2 / 3, Fraction(2, 3), 6), (0.1, Fraction(1, 10), 40),
+    (0.25, Fraction(1, 4), 16), (np.float64(1 / 3), Fraction(1, 3), 12),
+])
+def test_rlc_reads_a_float_rate_as_the_fraction_it_rounds_from(rate, exact, nc):
+    # RandomLinear(4, 1/3) once built a (4, 13) code of rate
+    # 6004799503160661/18014398509481984
+    code = ms.RandomLinear(4, rate, 1)
+    assert code == ms.RandomLinear(4, exact, 1) and code.rate == exact and code.nc == nc
+    # a float no small fraction rounds to is read exactly
+    assert ms.RandomLinear(4, 1e-9, 1).rate == Fraction(1e-9)
+
+
+def test_numpy_integer_code_parameters_are_kept_as_python_ints():
+    # np.int64(3) as r once made nominal_rate a Fraction of numpy integers
+    rep = ms.Repetition(np.int64(3))
+    assert type(rep.r) is int and rep == ms.Repetition(3)
+    assert type(ms.nominal_rate(rep).denominator) is int
+    code = ms.RandomLinear(np.int64(4), Fraction(1, 2), np.uint32(5))
+    assert (type(code.k), type(code.code_seed)) == (int, int)
+    assert code == ms.RandomLinear(4, Fraction(1, 2), 5)
+    stack = ms.RandomLinear(4, Fraction(1, 2), (np.uint64(2**63), 7))
+    assert stack.code_seed == (2**63, 7) and {type(s) for s in stack.code_seed} == {int}
+    for seeds, shown in (((), r"\(\)"), ((1, None), "None"), ([1, 2], r"\[1, 2\]")):
+        with pytest.raises(ValueError, match=f"code seed must be an integer of at least 0, "
+                                             f"got {shown}"):
+            ms.RandomLinear(4, Fraction(1, 2), seeds)
 
 
 def test_rlc_info_block_cap():

@@ -12,6 +12,7 @@ from scipy import stats
 import markovsim as ms
 from markovsim import cli, experiment
 from markovsim import scheme_random as sr
+from markovsim import scheme_regular as sg
 from markovsim.experiment import (
     CSV_COLUMNS,
     ErrorEstimate,
@@ -226,14 +227,14 @@ def test_cli_rejects_short_protocols_before_any_cell(monkeypatch, capsys, n):
     monkeypatch.setattr(experiment, "cell_reports", lambda *args: cells.append(args))
     rc, out, err = run_cli(["--n", n, "--scheme", "scheme2", "--code", "rep3"], capsys)
     assert rc == 2 and out == ""
-    assert "protocol lengths must be at least 1" in err
+    assert "n_values must be an integer of at least 1, got " in err
     assert cells == []
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--seed", "-1", "--n", "8"], "master seed must be non-negative, got -1"),
-    (["--code", "rlc:k=12,rate=1/4,seed=-3"], "code seed must be non-negative, got -3"),
-])
+    (["--seed", "-1", "--n", "8"], "master seed must be an integer of at least 0, got -1"),
+    (["--code", "rlc:k=12,rate=1/4,seed=-3"], "code seed must be an integer of at least 0, got -3"),
+], ids=["master seed", "code seed"])
 def test_cli_rejects_negative_seeds_before_any_cell(monkeypatch, capsys, args, message):
     cells = []
     monkeypatch.setattr(experiment, "cell_reports", lambda *args: cells.append(args))
@@ -242,7 +243,7 @@ def test_cli_rejects_negative_seeds_before_any_cell(monkeypatch, capsys, args, m
     assert message in err
     assert cells == []
     # every seed of a code stack is checked
-    with pytest.raises(ValueError, match="code seed must be non-negative, got -2"):
+    with pytest.raises(ValueError, match="code seed must be an integer of at least 0, got -2"):
         ms.RandomLinear(4, Fraction(1, 2), (1, -2, 3))
 
 
@@ -263,7 +264,7 @@ def test_cli_rejects_zero_rate_denominator(monkeypatch, capsys):
     spec = "rlc:k=4,rate=1/0"
     rc, out, err = run_cli(["--code", spec, "--n", "64", "--trials", "2"], capsys)
     assert rc == 2 and out == ""
-    assert "random linear rate '1/0' divides by zero" in err
+    assert "cannot read random linear field rate='1/0' in 'rlc:k=4,rate=1/0'" in err
     assert cells == []
 
 
@@ -829,3 +830,75 @@ def test_each_direction_draws_its_noise_once_per_batch(monkeypatch, scheme, n, b
     # drawn per message: the baseline sends one per direction, the others more
     per_message = len(calls) - 2
     assert per_message == 2 if scheme == "baseline" else per_message > 2
+
+
+def _same_report(got, want):
+    for side in ("alice", "bob"):
+        for bits in ("a", "b"):
+            assert np.array_equal(getattr(getattr(got, side), bits),
+                                  getattr(getattr(want, side), bits))
+    assert np.array_equal(got.ok, want.ok) and got.ledger.total == want.ledger.total
+
+
+def test_numpy_integer_block_length_gives_the_python_int_result():
+    # m = np.int64(8) once died on 'numpy.int64' object has no attribute 'bit_length'
+    p, code = ms.gen_uniform_protocol(64, 5), ms.Repetition(3)
+    for m in (np.int64(8), np.uint8(8)):
+        _same_report(run_trial("scheme2", p, 0.05, code, 3, m),
+                     run_trial("scheme2", p, 0.05, code, 3, 8))
+        _same_report(sg.run_scheme2(p, ms.ChannelPair(0.05, 3), code, m),
+                     sg.run_scheme2(p, ms.ChannelPair(0.05, 3), code, 8))
+        ends = [sg.predictor_exchange(p, block, code, ms.ChannelPair(0.05, 3), ms.UsageLedger())
+                for block in (m, 8)]
+        assert np.array_equal(*ends)
+        cfg = ExperimentConfig((64,), (0.05,), "scheme2", "rep3", 4, m_override=m)
+        assert type(cfg.m_override) is int
+        want = replace(cfg, m_override=8)
+        for fmt in ("csv", "json"):
+            assert emit(run_experiment(cfg), fmt) == emit(run_experiment(want), fmt)
+
+
+def test_numpy_config_values_emit_the_python_rows():
+    # np.int64 n and trials once made emit(rows, "json") raise a TypeError
+    plain = ExperimentConfig((16, 24), (0.0, 0.05), "scheme1", "rep3", 3, seed=7)
+    numpy = ExperimentConfig((np.int64(16), np.uint16(24)), (np.float64(0.0), np.float64(0.05)),
+                             "scheme1", "rep3", np.int64(3), seed=np.uint8(7))
+    assert numpy == plain
+    for fmt in ("csv", "json"):
+        assert emit(run_experiment(numpy), fmt) == emit(run_experiment(plain), fmt)
+    # an np.float32 or Fraction epsilon once made the JSON raise, and the
+    # Fraction printed as 1/20 in the CSV
+    for eps in (np.float32(0.05), Fraction(1, 20)):
+        cfg = ExperimentConfig((16,), (eps,), "baseline", "rep3", 2)
+        assert cfg.eps_values == (float(eps),)
+        assert json.loads(emit(run_experiment(cfg), "json"))[0]["epsilon"] == float(eps)
+    row = next(csv.DictReader(io.StringIO(emit(run_experiment(cfg), "csv"))))
+    assert row["epsilon"] == "0.05"
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_empty_seed_sequences_are_rejected(eps):
+    # ChannelPair(0.05, []) once failed in a numpy reshape while eps 0 built
+    with pytest.raises(ValueError, match=r"noise seed must be an integer of at least 0, got \[\]"):
+        ms.ChannelPair(eps, [])
+    with pytest.raises(ValueError, match=r"noise seed must be an integer of at least 0, got \(\)"):
+        run_batch("baseline", ms.gen_uniform_protocol(8, [1]), eps, ms.Identity(), ())
+    # once "protocol length must be at least 1"
+    with pytest.raises(ValueError,
+                       match=r"protocol seed must be an integer of at least 0, got \[\]"):
+        ms.gen_uniform_protocol(8, [])
+
+
+@pytest.mark.parametrize("field, spec", [
+    ("k='x'", "rlc:k=x,rate=1/4"), ("rate='abc'", "rlc:k=4,rate=abc"),
+    ("seed='1e3'", "rlc:k=4,rate=1/4,seed=1e3"),
+])
+def test_cli_names_the_code_field_it_cannot_read(monkeypatch, capsys, field, spec):
+    # once "invalid literal for int() with base 10: 'x'" and
+    # "Invalid literal for Fraction: 'abc'", naming neither field nor spec
+    cells = []
+    monkeypatch.setattr(experiment, "cell_reports", lambda *args: cells.append(args))
+    rc, out, err = run_cli(["--code", spec, "--n", "8", "--trials", "1"], capsys)
+    assert rc == 2 and out == ""
+    assert f"cannot read random linear field {field} in {spec!r}" in err
+    assert cells == []

@@ -143,3 +143,24 @@ def test_search_takes_its_sub_blocks_as_one_flat_list():
     (search,) = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "ml_decode_index"]
     assert [arg.arg for arg in search.args.args] == ["codebook", "trial", "received"]
+
+
+def test_every_integer_argument_goes_through_one_rule():
+    # _seeds.integers decides what an integer argument is: no module tests a
+    # type by hand, and no constructor loops over its seeds to check them
+    root = Path(ms.__file__).parent
+    for path in root.glob("*.py"):
+        assert "np.issubdtype(type(" not in path.read_text()
+    for module, owner, name in (("channel", "ChannelPair", "__init__"),
+                                ("protocol", None, "gen_uniform_protocol"),
+                                ("coding", "RandomLinear", "__post_init__")):
+        tree = ast.parse((root / f"{module}.py").read_text())
+        if owner is not None:
+            (tree,) = [node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == owner]
+        (func,) = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+        loops = [node.iter for node in ast.walk(func)
+                 if isinstance(node, (ast.For, ast.comprehension))]
+        assert not [loop for loop in loops if "seed" in ast.unparse(loop)]
+        assert "integers" in ast.unparse(func)

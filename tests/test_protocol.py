@@ -98,7 +98,7 @@ def test_gen_uniform_protocol_rejects_non_integer_arguments():
     for seed, shown in ((True, "True"), (np.True_, "np.True_"), ([1, True], "True"),
                         (1.5, "1.5"), ("3", "'3'"), ([2, 1.5], "1.5"), (-1, "-1"),
                         (np.array([False]), "np.False_")):
-        with pytest.raises(ValueError, match=f"protocol seed must be a non-negative integer, "
+        with pytest.raises(ValueError, match=f"protocol seed must be an integer of at least 0, "
                                              f"got {shown}"):
             gen_uniform_protocol(8, seed)
     for n in (True, np.True_, 1.5, "8"):

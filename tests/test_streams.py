@@ -68,8 +68,23 @@ def test_entropy_words_read_ints_as_seed_sequence_does():
     words, lengths = _seeds.entropy_words([0, 2**32 - 1, 2**32, 2**70 + 5])
     assert lengths.tolist() == [1, 1, 2, 3]
     assert words.tolist() == [[0, 0, 0], [2**32 - 1, 0, 0], [0, 1, 0], [5, 0, 64]]
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0, got -1"):
         _seeds.entropy_words([3, -1])
+
+
+def test_integers_is_one_rule_for_integer_arguments():
+    assert _seeds.integers(5, "x") == (5,)
+    got = _seeds.integers([np.uint64(2**63), 3, np.int8(4)], "x")
+    assert got == (2**63, 3, 4) and {type(v) for v in got} == {int}
+    assert _seeds.integers(np.arange(3), "x", 0, 2) == (0, 1, 2)
+    assert _seeds.integers(range(1, 3), "x", 1) == (1, 2)
+    for values, shown in ((True, "True"), (np.True_, "np.True_"), ([1, False], "False"),
+                          (2.0, "2.0"), ("3", "'3'"), ([1, None], "None"), ([], r"\[\]"),
+                          (-1, "-1"), ([0, 5, -2], "5"), (np.zeros((2, 2), int), r"array\(")):
+        with pytest.raises(ValueError, match=f"^x must be an integer in 0..4, got {shown}"):
+            _seeds.integers(values, "x", 0, 4)
+    with pytest.raises(ValueError, match="^y must be an integer of at least 1, got 0$"):
+        _seeds.integers((3, 0), "y", 1)
 
 
 def numpy_flips(seed, direction, eps, count):
