@@ -4,10 +4,11 @@ rule for every integer a caller passes.
 Every random stream of the package is keyed the way numpy keys it: the
 harness's per-trial seeds are ``SeedSequence((seed, cell, trial))``, a
 protocol's generator is ``default_rng(seed)`` and a direction's channel noise
-is ``Philox(SeedSequence((seed, direction)))``.  A ``SeedSequence``
-object runs its hash in a loop of its own for every key, so ``seed_states``
-runs the same hash over a whole batch of entropies in uint32 array
-arithmetic, bit for bit.
+is keyed by ``SeedSequence((seed, direction)).generate_state(1,
+np.uint64)[0]``, the key of its SplitMix64 stream (see ``channel``).  A
+``SeedSequence`` object runs its hash in a loop of its own for every key, so
+``seed_states`` runs the same hash over a whole batch of entropies in uint32
+array arithmetic, bit for bit.
 
 The hash mixes an entropy's uint32 words into a pool of 4 words, then reads
 its output off the pool.  Its multipliers step through fixed sequences that
@@ -17,6 +18,7 @@ every pool word in turn.
 
 Every integer a caller passes goes through ``integers``, one rule with one
 message: bools are no integers, and numpy integers come out as Python ints.
+The public callers apply it once; the hash helpers take its checked ints.
 """
 
 from __future__ import annotations
@@ -73,8 +75,9 @@ def integers(values, what: str, low: int = 0, high: float = np.inf) -> tuple[int
 def entropy_words(values) -> tuple[np.ndarray, np.ndarray]:
     """Each seed of values as SeedSequence reads it: its uint32
     words, least significant first, with 0 as one word.  Returns ``(R, W)``
-    words, zero-padded, and each row's word count.  Ints of any size."""
-    values = np.array(integers(values, "seed"), dtype=object)
+    words, zero-padded, and each row's word count.  values are non-negative
+    Python ints of any size, as ``integers`` returns them."""
+    values = np.array(values, dtype=object)
     width = max(1, -(-max(values).bit_length() // 32))
     words = (values[:, None] >> np.arange(0, 32 * width, 32).astype(object) & _MASK)
     words = words.astype(np.uint32)

@@ -1,16 +1,23 @@
 """A pair of independent binary symmetric channels, one per direction.
 
 Noise is a pure function of (noise_seed, direction, stream position).  Each
-direction's flip stream is ``Generator(Philox(SeedSequence((seed,
-direction)))).random(L) < epsilon``.  Philox is counter-based, so the flips
-at any position are drawn by setting one reused Philox to the direction's
-key and the position's counter; no generator is built per message.  Chunking
-the same bits into different transmit() calls therefore cannot change the
-noise, which keeps whole runs bit-reproducible.
+row and direction has one 64-bit key, ``SeedSequence((seed,
+direction)).generate_state(1, np.uint64)[0]``, and ``draw(c)`` is the
+SplitMix64 mix (shifts 30, 27 and 31, multipliers ``0xBF58476D1CE4E5B9`` and
+``0x94D049BB133111EB``) of ``key + (c + 1) * 0x9E3779B97F4A7C15 mod 2**64``.
+Use p flips when its 53-bit uniform U_p is below ``e = ceil(epsilon *
+2**53)``, which is exactly the chance that ``random() < epsilon``.  With
+w = p // 64 and j = p % 64, U_p's top 8 bits, most significant first, are
+bit j of ``draw(8w + i)`` for i = 0..7.  Its low 45 bits are ``draw(2**63 +
+p) >> 19``, read only when the top 8 bits equal e's (1 use in 256).  Any
+word of the stream is one hash of its counter, so every row's flips at any
+positions come out of one array pass, and chunking the same bits into
+different transmit() calls cannot change the noise, which keeps whole runs
+bit-reproducible.
 
-Each message's flips cost one pass over the rows, so a scheme that knows how
-many uses a batch will spend in a direction draws them all at once with
-draw_ahead() and every transmit() inside that span slices the kept draw.
+Each message's flips cost one pass with a fixed overhead, so a scheme that
+knows how many uses a batch will spend in a direction draws them all at once
+with draw_ahead() and every transmit() inside that span slices the kept draw.
 The span is only a cost hint: noise stays keyed by position, so a transmit
 outside it draws its own flips, and no span can change an output.
 
@@ -33,7 +40,33 @@ import numpy as np
 
 from . import _seeds
 
-_PIECE = 1 << 16  # positions of a message drawn per row at once
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its counter step, the golden
+# ratio times 2**64, and its two multipliers
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_WORD = 64  # uses per hash word
+_PLANES = 8  # hash words per 64 uses: each use's top 8 bits
+_TAIL_BITS = 45  # each use's low bits, read only on a tie of its top 8
+_TAIL = 1 << 63  # use p's low bits are draw(_TAIL + p)
+
+
+def _draw(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """SplitMix64's word for each key at each counter c, broadcast: the mix of
+    ``key + (c + 1) * _GAMMA`` mod 2**64."""
+    z = keys + (counters + 1) * _GAMMA
+    shifted = np.empty_like(z)  # reused: a fresh temporary per shift costs more than the shift
+    z ^= np.right_shift(z, 30, out=shifted)
+    z *= _MIX1
+    z ^= np.right_shift(z, 27, out=shifted)
+    z *= _MIX2
+    z ^= np.right_shift(z, 31, out=shifted)
+    return z
+
+
+def _bits(words: np.ndarray) -> np.ndarray:
+    """The bits of uint64 words, bit j of word w at w * 64 + j, as bools."""
+    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, bitorder="little").view(bool)
 
 
 class Direction(enum.IntEnum):
@@ -118,10 +151,16 @@ class ChannelPair:
     the noise consumed depends only on the cumulative position.  noise_seed
     is one seed, or a sequence of seeds with one per row of a batch.
 
-    It keeps epsilon, the two positions, one reused Philox, one key per
-    row and direction, all derived at construction in one
-    ``_seeds.seed_states`` call, and per direction the flips of its last
-    draw_ahead() with their first position.
+    Each row and direction has one 64-bit key, ``SeedSequence((seed,
+    direction)).generate_state(1, np.uint64)[0]``; ``draw(c)`` is the
+    SplitMix64 mix of ``key + (c + 1) * 0x9E3779B97F4A7C15 mod 2**64``, and
+    use p flips when its 53-bit uniform U_p, read off draws as _noise says,
+    is below ``e = ceil(epsilon * 2**53)``.
+
+    It keeps epsilon, e, the two positions, the keys of every row and
+    direction, all derived at construction in one ``_seeds.seed_states``
+    call, and per direction the flips of its last draw_ahead() with their
+    first position.
     """
 
     def __init__(self, epsilon: float, noise_seed):
@@ -132,41 +171,54 @@ class ChannelPair:
         self._pos = [0, 0]
         self._ahead = [(0, np.empty((len(self.noise_seeds), 0), bool))] * 2
         if self.epsilon:
-            # (2, rows) keys, SeedSequence((seed, direction)) of each direction and row;
-            # direction 0's word is the zero the padding left
+            # (2, rows, 1) keys, SeedSequence((seed, direction)) of each direction and
+            # row; direction 0's word is the zero the padding left
             seeds, lengths = _seeds.entropy_words(self.noise_seeds)
             rows, width = seeds.shape
             words = np.zeros((2, rows, width + 1), np.uint32)
             words[..., :width] = seeds
             words[1, np.arange(rows), lengths] = 1
-            keys = _seeds.seed_states(words.reshape(2 * rows, -1), np.tile(lengths + 1, 2), 2)
-            self._keys = keys.reshape(2, rows, 2).tolist()
-            self._philox = np.random.Philox(key=0)
-            # random() < epsilon as a bound on the raw draw: random() is (raw >> 11) * 2**-53
-            self._below = math.ceil(self.epsilon * 2.0**53) << 11
+            keys = _seeds.seed_states(words.reshape(2 * rows, -1), np.tile(lengths + 1, 2), 1)
+            self._keys = keys.reshape(2, rows, 1)
+            # a use flips when its 53-bit uniform is below this, as random() < epsilon
+            # does with random() = (53 bits) * 2**-53
+            self._below = math.ceil(self.epsilon * 2.0**53)
 
     def _noise(self, direction: int, start: int, count: int) -> np.ndarray:
         """(rows, count) flips at positions [start, start + count) of the
         direction's stream, a pure function of the seeds, direction, start
-        and count.  A row's stream is what ``Generator(Philox(SeedSequence((seed,
-        direction)))).random(L) < epsilon`` gives.  Philox is counter-based:
-        each counter step gives 4 draws, so position p is reached by setting
-        the counter to p // 4 and dropping p % 4 draws.  A long message is
-        drawn _PIECE positions at a time, which bounds the raw draws held."""
-        philox = self._philox
-        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        and count.  Use p flips when its 53-bit uniform U_p is below
+        ``e = ceil(epsilon * 2**53)``.  With w = p // 64 and j = p % 64, U_p's
+        top 8 bits, most significant first, are bit j of ``draw(8w + i)`` for
+        i = 0..7, and its low 45 bits are ``draw(2**63 + p) >> 19``, read only
+        when the top 8 bits equal e's (1 use in 256).
+
+        Every row's 64-use words are settled in one array pass: 8 hash words
+        per word, compared with e's top bits most significant bit first
+        (Knuth & Yao, 1976), leave a flip mask and a tie mask; then one hash
+        per tied use, and one unpacking of the flip mask."""
         keys = self._keys[direction]
-        flips = np.empty((len(keys), count), bool)
-        for done in range(0, count, _PIECE):
-            take = min(_PIECE, count - done)
-            skip = (start + done) % 4
-            state["state"]["counter"][0] = (start + done) // 4
-            for row, key in zip(flips[:, done : done + take], keys):
-                state["state"]["key"] = key
-                philox.state = state
-                np.less(philox.random_raw(skip + take)[skip:], self._below, out=row)
-        return flips
+        lo, hi = start // _WORD, -(-(start + count) // _WORD)
+        counters = np.arange(lo, hi, dtype=np.uint64) * _PLANES
+        planes = _draw(keys, counters + np.arange(_PLANES, dtype=np.uint64)[:, None, None])
+        top = self._below >> _TAIL_BITS
+        below = np.zeros(planes.shape[1:], np.uint64)
+        tie = ~below
+        for i, zeros in enumerate(np.invert(planes, out=planes)):
+            if top >> (_PLANES - 1 - i) & 1:  # a tied use whose bit is 0 falls below e
+                below |= (drop := tie & zeros)
+                tie ^= drop
+            else:
+                tie &= zeros
+        flips = _bits(below)
+        # the tied uses, as flat indices of flips (1-d searches: 2-d ones cost 8x)
+        words = np.flatnonzero(tie)
+        tied = np.flatnonzero(_bits(tie.reshape(-1)[words, None]))
+        tied += (words[tied // _WORD] - tied // _WORD) * _WORD
+        rows, at = np.divmod(tied, flips.shape[1])
+        tail = _draw(keys[rows, 0], (at + _WORD * lo).astype(np.uint64) + _TAIL) >> 19
+        flips.reshape(-1)[tied] = tail < self._below & (1 << _TAIL_BITS) - 1
+        return flips[:, start - _WORD * lo : start - _WORD * lo + count]
 
     def draw_ahead(self, direction: Direction, uses: int) -> None:
         """Draw every row's flips at the direction's next ``uses`` positions

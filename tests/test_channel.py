@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_noise_independent_of_chunking():
 @pytest.mark.parametrize("seeds, rows", [([3, 2**64 + 5, 0], (3,)), (77, ())])
 def test_noise_keys_are_derived_once_per_pair(monkeypatch, seeds, rows):
     # both directions' keys come from one hash call at construction; no
-    # message derives more, whichever use counts or piece edges it crosses
+    # message derives more, whichever use counts or word edges it crosses
     calls = []
     real = ms.channel._seeds.seed_states
 
@@ -71,11 +72,10 @@ def test_noise_keys_are_derived_once_per_pair(monkeypatch, seeds, rows):
     assert calls == []
     ch, led = ChannelPair(0.1, seeds), UsageLedger()
     assert len(calls) == 1
-    piece = ms.channel._PIECE
-    for size in (4095, 2, 4100, 1, piece - 8197, piece + 9, 3):
+    for size in (63, 2, 64, 1, 4095, 4100, 3):
         for direction in Direction:
             ch.transmit(direction, np.zeros(rows + (size,), np.uint8), led)
-    assert led.uses_ab == led.uses_ba == 2 * piece + 13
+    assert led.uses_ab == led.uses_ba == 8328
     assert len(calls) == 1
 
 
@@ -110,15 +110,14 @@ def test_draw_ahead_never_changes_an_output(monkeypatch, seeds, rows):
     # (span drawn ahead first, or None; message length), each step run in
     # both directions in turn: every transmit must get what a pair that draws
     # per message gets, and only messages outside the last span draw again
-    piece = ms.channel._PIECE
     plan = [
         (40, 25), (None, 25),  # the second straddles the kept draw's end
         (30, 30),  # a span equal to its message
         (100, 10), (None, 20), (None, 5),  # longer: three messages inside
         (5, 20),  # shorter
         (0, 7),  # no span: the one before still ends earlier
-        (None, piece - 300),
-        (500, 200), (None, 300),  # across a piece edge, ending at the span's end
+        (None, 4096 - 227),
+        (500, 200), (None, 300),  # across word edges, ending at the span's end
         (None, 20),
     ]
     calls = []
@@ -149,16 +148,109 @@ def test_draw_ahead_never_changes_an_output(monkeypatch, seeds, rows):
     assert calls == []
 
 
-@pytest.mark.parametrize("eps", [0.02, 0.1, 0.3])
-def test_flip_frequency_of_each_direction_is_epsilon(eps):
-    # over many keys, small and of 2^64 or more, each direction's share of
-    # flipped uses must hold eps within its Wilson interval at z = 4
-    seeds = list(range(1000, 1100)) + [2**64 + 3 * i for i in range(50)]
-    ch, led = ChannelPair(eps, seeds), UsageLedger()
+# The noise stream is the package's own (SplitMix64 words read most
+# significant bit first), so its statistics are checked here over many keys:
+# seeds 1000..1191 and 64 seeds of 2**64 or more, each row STAT_USES[eps] long.
+STAT_SEEDS = list(range(1000, 1192)) + [2**64 + 3 * i for i in range(64)]
+STAT_USES = {1e-6: 1 << 18, 0.001: 1 << 16, 0.02: 1 << 14, 0.05: 1 << 14, 0.1: 1 << 14,
+             0.2: 1 << 14, 0.3: 1 << 14, 0.49: 1 << 14}
+
+
+@functools.cache
+def flip_positions(eps):
+    """Per direction, the sorted flat positions (row * uses + use) of every
+    flip, drawn message by message so that no whole stream is held."""
+    uses, chunk = STAT_USES[eps], 1 << 13
+    ch, led = ChannelPair(eps, STAT_SEEDS), UsageLedger()
+    out = []
     for direction in Direction:
-        flips = ch.transmit(direction, np.zeros((len(seeds), 20_000), np.uint8), led)
-        lo, hi = ms.wilson_interval(int(flips.sum()), flips.size, z=4.0)
-        assert lo <= eps <= hi
+        found = []
+        for lo in range(0, uses, chunk):
+            flips = ch.transmit(direction, np.zeros((len(STAT_SEEDS), chunk), np.uint8), led)
+            row, at = np.divmod(np.flatnonzero(flips), chunk)
+            found.append(row * uses + lo + at)
+        out.append(np.sort(np.concatenate(found)))
+    return out
+
+
+def hits(values, flat):
+    """How many of values lie in the sorted array flat."""
+    at = np.minimum(np.searchsorted(flat, values), len(flat) - 1)
+    return int((flat[at] == values).sum()) if len(flat) else 0
+
+
+def correlation(a, b, pairs, size):
+    """Pearson correlation of two 0/1 series of size terms with a and b ones
+    and pairs terms where both are 1."""
+    pa, pb = a / size, b / size
+    return (pairs / size - pa * pb) / np.sqrt(pa * (1 - pa) * pb * (1 - pb))
+
+
+@pytest.mark.parametrize("eps", sorted(STAT_USES))
+def test_flip_frequency_of_each_direction_is_epsilon(eps):
+    # each direction's share of flipped uses must hold eps within its Wilson
+    # interval at z = 4
+    size = len(STAT_SEEDS) * STAT_USES[eps]
+    for flat in flip_positions(eps):
+        lo, hi = ms.wilson_interval(len(flat), size, z=4.0)
+        assert lo <= eps <= hi, (len(flat), size)
+
+
+@pytest.mark.parametrize("eps", sorted(STAT_USES))
+def test_run_lengths_fit_geometric(eps):
+    # the gap from each flip, and from the start of each row, to the next
+    # flip is Geometric(eps).  A gap counts only if it starts at least `top`
+    # uses before its row's end, so that each bin below is seen whole; bins
+    # are log-spaced lengths up to top, merged until each expects 5 gaps.
+    uses, rows = STAT_USES[eps], len(STAT_SEEDS)
+    top = uses // 2
+    edges = np.unique(np.ceil(np.geomspace(1, top, 40)).astype(np.int64))
+    for flat in flip_positions(eps):
+        starts = np.concatenate([np.arange(rows) * uses - 1, flat])
+        row = np.concatenate([np.arange(rows), flat // uses])
+        keep = starts - row * uses + top <= uses - 1
+        starts, row = starts[keep], row[keep]
+        nxt = np.searchsorted(flat, starts, side="right")
+        ahead = np.append(flat, np.iinfo(np.int64).max)[nxt]
+        gap = np.where(ahead < (row + 1) * uses, ahead - starts, np.iinfo(np.int64).max)
+        observed = np.append(np.histogram(gap, np.append(0, edges) + 0.5)[0],
+                             (gap > top).sum())
+        cdf = 1 - (1 - eps) ** np.append(0, edges).astype(float)
+        expected = len(gap) * np.append(np.diff(cdf), 1 - cdf[-1])
+        obs, exp, o, e = [], [], 0, 0.0
+        for oi, ei in zip(observed, expected):
+            o, e = o + oi, e + ei
+            if e >= 5:
+                obs.append(o)
+                exp.append(e)
+                o, e = 0, 0.0
+        obs[-1] += o
+        exp[-1] += e
+        assert len(obs) >= 3, (eps, len(gap))
+        assert stats.chisquare(obs, exp).pvalue > 1e-3, (eps, obs, exp)
+
+
+@pytest.mark.parametrize("eps", sorted(STAT_USES))
+def test_flips_are_uncorrelated(eps):
+    # lag 1 within a row, between neighbouring rows (seeds t and t + 1) and
+    # between the two directions of one seed: each correlation is within
+    # 4 / sqrt(terms) of zero
+    uses, rows = STAT_USES[eps], len(STAT_SEEDS)
+    ab, ba = flip_positions(eps)
+    for flat in (ab, ba):
+        inside = flat % uses < uses - 1  # a flip with a next use in its row
+        size = rows * (uses - 1)
+        lag1 = correlation(inside.sum(), (flat % uses > 0).sum(),
+                           hits(flat[inside] + 1, flat), size)
+        assert abs(lag1) * np.sqrt(size) < 4, ("lag 1", lag1)
+        size = (rows - 1) * uses
+        below = flat < size
+        rows_r = correlation(below.sum(), (flat >= uses).sum(),
+                             hits(flat[below] + uses, flat), size)
+        assert abs(rows_r) * np.sqrt(size) < 4, ("rows", rows_r)
+    size = rows * uses
+    both = correlation(len(ab), len(ba), hits(ab, ba), size)
+    assert abs(both) * np.sqrt(size) < 4, ("directions", both)
 
 
 def test_noise_reproducible_and_keyed_by_direction():

@@ -498,9 +498,10 @@ def test_bound_column_is_each_codes_block_error(scheme, code_text):
 
 
 def test_bound_column_covers_the_rep3_error_it_once_missed():
-    # the ensemble bound reported 1.5e-34 for this cell against a p_hat of 0.99
+    # the ensemble bound reported 1.5e-34 for this cell against a p_hat of
+    # 0.99 (0.97 under the SplitMix64 noise)
     row = run_experiment(ExperimentConfig((256,), (0.05,), "baseline", "rep3", 100, seed=3))[0]
-    assert row.p_hat == 0.99
+    assert row.p_hat == 0.97
     assert row.block_union_bound == 1.0
 
 

@@ -164,3 +164,23 @@ def test_every_integer_argument_goes_through_one_rule():
                  if isinstance(node, (ast.For, ast.comprehension))]
         assert not [loop for loop in loops if "seed" in ast.unparse(loop)]
         assert "integers" in ast.unparse(func)
+
+
+def test_channel_noise_is_one_array_pass():
+    # every row's noise is hashed at once: no Philox, no raw draws and no
+    # pieces, and _noise's one loop runs over a use's 8 hash words, not over
+    # rows; entropy_words takes the ints its callers checked
+    root = Path(ms.__file__).parent
+    tree = ast.parse((root / "channel.py").read_text())
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+    assert not names & {"Philox", "random_raw", "_PIECE"}
+    (noise,) = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_noise"]
+    loops = [ast.unparse(node.iter) for node in ast.walk(noise)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert len(loops) == 1 and "planes" in loops[0]
+    tree = ast.parse((root / "_seeds.py").read_text())
+    (words,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "entropy_words"]
+    assert not [node for node in ast.walk(words)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "integers"]

@@ -406,12 +406,20 @@ def test_scheme1_decodes_a_batch_of_partitions_at_once(monkeypatch):
     assert calls == [(5, 9 * sr._field_width(n))]
 
 
-def test_scheme1_misdecoded_partition_does_not_raise():
+def test_scheme1_misdecoded_partition_does_not_raise(monkeypatch):
     # rep3 at eps 0.05: the partition decodes with two starts closer than
     # ceil(sqrt(n)); Bob must fall back to a layout that fits the wire
+    decoded, real = [], sr.decode_partition
+
+    def recording(bits, n, n_pad):
+        decoded.append(sr.bits_to_ints(bits, sr._field_width(n))[..., 1:] + 1)
+        return real(bits, n, n_pad)
+
+    monkeypatch.setattr(sr, "decode_partition", recording)
     p = ms.gen_uniform_protocol(100, 1)
-    rep = sr.run_scheme1(p, ms.ChannelPair(0.05, 1001), ms.Repetition(3))
+    rep = sr.run_scheme1(p, ms.ChannelPair(0.05, 1002), ms.Repetition(3))
     assert any(ev.stage == "partition" for ev in rep.decode_log)
+    assert (np.diff(decoded[0], axis=-1) < 10).any()
     assert rep.bob.a.size == 100 and not rep.ok
 
 

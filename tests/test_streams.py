@@ -1,17 +1,20 @@
-"""Every random stream against numpy's own.
+"""Every random stream against an independent reference.
 
-The package derives its seeds, noise and protocols without building numpy's
+The package derives its seeds and protocols without building numpy's
 ``SeedSequence``, ``Generator`` or ``default_rng`` objects.  Each test here
 builds those objects directly and checks that the package's stream equals
 theirs bit for bit, so that a numpy upgrade that changes a stream, or the
-layout of a bit generator's state, fails loudly.
+layout of a bit generator's state, fails loudly.  The channel's noise is
+checked against ``splitmix_reference``, its contract written out use by use
+in plain Python.
 """
 
 import numpy as np
 import pytest
 
 import markovsim as ms
-from markovsim import _seeds, channel
+import splitmix_reference as ref
+from markovsim import _seeds
 
 EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70)
 
@@ -68,8 +71,12 @@ def test_entropy_words_read_ints_as_seed_sequence_does():
     words, lengths = _seeds.entropy_words([0, 2**32 - 1, 2**32, 2**70 + 5])
     assert lengths.tolist() == [1, 1, 2, 3]
     assert words.tolist() == [[0, 0, 0], [2**32 - 1, 0, 0], [0, 1, 0], [5, 0, 64]]
-    with pytest.raises(ValueError, match="seed must be an integer of at least 0, got -1"):
-        _seeds.entropy_words([3, -1])
+    # entropy_words takes checked ints: its public callers reject a bad seed
+    rule = "seed must be an integer of at least 0, got -1"
+    with pytest.raises(ValueError, match=f"^noise {rule}"):
+        ms.ChannelPair(0.05, [3, -1])
+    with pytest.raises(ValueError, match=f"^protocol {rule}"):
+        ms.gen_uniform_protocol(8, [3, -1])
 
 
 def test_integers_is_one_rule_for_integer_arguments():
@@ -87,56 +94,51 @@ def test_integers_is_one_rule_for_integer_arguments():
         _seeds.integers((3, 0), "y", 1)
 
 
-def numpy_flips(seed, direction, eps, count):
-    """The noise of a direction's first count positions, as numpy draws it."""
-    ss = np.random.SeedSequence((seed, direction))
-    return np.random.Generator(np.random.Philox(ss)).random(count) < eps
+# message starts on both sides of 64-use word edges, near 0, 64, 128 and 4096
+STARTS = list(range(8)) + [63, 64, 65, 127, 128, 129, 4095, 4096, 4097]
+COUNTS = (1, 3, 63, 64, 65, 130, 200)  # lengths that end inside, at and past a word
+# with the direction, seeds of 1 to 4 uint32 words are entropies of 2 to 5 words
+SEEDS = [7, 2**32 + 9, 2**64 + 11, 2**96 + 13]
+# eps 12.5/256 sits midway in its top-8-bit bucket, so a tied use flips half
+# the time; below 2**-8 the top bits are all 0 and every flip comes from a tie
+TIE_EPS = (0.2, 12.5 / 256, 0.003)
 
 
-PIECE = channel._PIECE
-OFFSETS = list(range(8)) + list(range(4093, 4100)) + [8190, 8191, 8192]
-OFFSETS += [PIECE - 3, PIECE - 1, PIECE, PIECE + 1, PIECE + 6]
+@pytest.fixture(scope="module")
+def reference_uniforms():
+    length = max(STARTS) + max(COUNTS)
+    return {d: np.array([ref.uniforms(s, d, length) for s in SEEDS], object) for d in (0, 1)}
 
 
 @pytest.mark.parametrize("direction", list(ms.Direction))
-def test_flips_equal_philox_at_every_offset(direction):
-    # seeds below 2**32, above it and above 2**64 give keys of 3, 4 and 5
-    # words; messages start at offsets 0-7, around uses 4096 and 8192 and
-    # around the piece edge, and reach across those edges
-    seeds, eps = [7, 2**32 + 9, 2**64 + 11], 0.2
-    counts = (1, 3, 4, 5, 9, 4100, PIECE - 1, PIECE + 1, 2 * PIECE + 3)
-    want = np.stack([numpy_flips(s, int(direction), eps, max(OFFSETS) + max(counts))
-                     for s in seeds])
-    for start in OFFSETS:
-        for count in counts:
-            ch, led = ms.ChannelPair(eps, seeds), ms.UsageLedger()
-            ch.transmit(direction, np.zeros((len(seeds), start), np.uint8), led)
-            got = ch.transmit(direction, np.zeros((len(seeds), count), np.uint8), led)
-            assert np.array_equal(got, want[:, start : start + count]), (start, count)
-            lone = ms.ChannelPair(eps, seeds[count % 3])
-            lone.transmit(direction, np.zeros(start, np.uint8), ms.UsageLedger())
-            got = lone.transmit(direction, np.ones(count, np.uint8), ms.UsageLedger())
-            assert np.array_equal(got, 1 - want[count % 3, start : start + count])
-    # SeedSequence pads an entropy shorter than its 4-word pool with zeros, so
-    # below 2**64 a stream's first 4096 flips are those that the key
-    # (seed, direction, 0) gave when each 4096 uses had a key of their own
-    old = np.stack([
-        np.random.Generator(np.random.Philox(np.random.SeedSequence((s, int(direction), 0))))
-        .random(4096) < eps
-        for s in seeds
-    ])
-    assert np.array_equal(want[:2, :4096], old[:2])
-    assert not np.array_equal(want[2, :4096], old[2])
+def test_flips_equal_reference_at_every_offset(direction, reference_uniforms):
+    uniform = reference_uniforms[int(direction)]
+    for eps in TIE_EPS:
+        want = uniform < ref.threshold(eps)
+        # both outcomes of a tie occur in the span tested
+        tied = uniform >> 45 == ref.threshold(eps) >> 45
+        assert want[tied].any() and not want[tied].all(), eps
+        for start in STARTS:
+            for count in COUNTS:
+                ch, led = ms.ChannelPair(eps, SEEDS), ms.UsageLedger()
+                ch.transmit(direction, np.zeros((len(SEEDS), start), np.uint8), led)
+                got = ch.transmit(direction, np.zeros((len(SEEDS), count), np.uint8), led)
+                assert np.array_equal(got, want[:, start : start + count]), (eps, start, count)
+                row = (start + count) % len(SEEDS)
+                lone = ms.ChannelPair(eps, SEEDS[row])
+                lone.transmit(direction, np.zeros(start, np.uint8), ms.UsageLedger())
+                got = lone.transmit(direction, np.ones(count, np.uint8), ms.UsageLedger())
+                assert np.array_equal(got, 1 - want[row, start : start + count])
 
 
-def test_flips_equal_philox_over_many_blocks():
-    # 4096-use spans and piece edges, crossed by messages of every size
-    seeds, eps = [2**64 + 1, 3], 0.05
-    want = np.stack([numpy_flips(s, 1, eps, 19480 + 2 * PIECE + 2) for s in seeds])
+def test_flips_equal_reference_over_many_words():
+    # messages of every size cross word edges and the 4096th use in turn
+    seeds, eps, sizes = [2**64 + 1, 3], 0.05, (63, 1, 64, 65, 3, 3900, 129, 200)
+    want = np.array([ref.uniforms(s, 1, sum(sizes)) for s in seeds], object)
     ch, led = ms.ChannelPair(eps, seeds), ms.UsageLedger()
     parts = [ch.transmit(ms.Direction.B_TO_A, np.zeros((2, size), np.uint8), led)
-             for size in (4095, 1, 9000, 3, 5000, 1381, PIECE - 19480, PIECE + 2, 19480)]
-    assert np.array_equal(np.concatenate(parts, axis=1), want)
+             for size in sizes]
+    assert np.array_equal(np.concatenate(parts, axis=1), want < ref.threshold(eps))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 9, 13, 255, 257, 4097])
@@ -168,17 +170,9 @@ def layout(state):
 
 
 def test_bit_generator_state_layouts_are_as_set():
-    # the channel and the protocol generator set these dicts on a reused
-    # Philox and PCG64; a fresh generator must read back the same layout
+    # the protocol generator sets this dict on a reused PCG64; a fresh
+    # generator must read back the same layout
     ss = np.random.SeedSequence(12345)
-    philox = np.random.Philox(ss).state
-    assert layout(philox) == layout({
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    })
-    assert philox["state"]["key"].tolist() == ss.generate_state(2, np.uint64).tolist()
-    assert philox["state"]["counter"].tolist() == [0, 0, 0, 0] and philox["buffer_pos"] == 4
     pcg = np.random.PCG64(ss).state
     assert layout(pcg) == layout({
         "bit_generator": "PCG64", "state": {"state": 1, "inc": 1}, "has_uint32": 0,
