@@ -144,24 +144,12 @@ def rate_of(ledger: UsageLedger, n: int) -> Fraction:
 
 
 class ChannelPair:
-    """Two BSC(epsilon) links with independent noise streams.
-
-    transmit() flips each bit independently with probability epsilon and
-    charges the use count to the ledger.  Positions advance per direction;
-    the noise consumed depends only on the cumulative position.  noise_seed
-    is one seed, or a sequence of seeds with one per row of a batch.
-
-    Each row and direction has one 64-bit key, ``SeedSequence((seed,
-    direction)).generate_state(1, np.uint64)[0]``; ``draw(c)`` is the
-    SplitMix64 mix of ``key + (c + 1) * 0x9E3779B97F4A7C15 mod 2**64``, and
-    use p flips when its 53-bit uniform U_p, read off draws as _noise says,
-    is below ``e = ceil(epsilon * 2**53)``.
-
-    It keeps epsilon, e, the two positions, the keys of every row and
+    """Two BSC(epsilon) links, one per direction, with the noise the module
+    docstring states.  It keeps epsilon, e, its noise seeds (one, or one per
+    row of a batch), each direction's position, the keys of every row and
     direction, all derived at construction in one ``_seeds.seed_states``
     call, and per direction the flips of its last draw_ahead() with their
-    first position.
-    """
+    first position."""
 
     def __init__(self, epsilon: float, noise_seed):
         if isinstance(epsilon, (bool, np.bool_)) or not 0 <= epsilon < 0.5:
@@ -186,17 +174,11 @@ class ChannelPair:
 
     def _noise(self, direction: int, start: int, count: int) -> np.ndarray:
         """(rows, count) flips at positions [start, start + count) of the
-        direction's stream, a pure function of the seeds, direction, start
-        and count.  Use p flips when its 53-bit uniform U_p is below
-        ``e = ceil(epsilon * 2**53)``.  With w = p // 64 and j = p % 64, U_p's
-        top 8 bits, most significant first, are bit j of ``draw(8w + i)`` for
-        i = 0..7, and its low 45 bits are ``draw(2**63 + p) >> 19``, read only
-        when the top 8 bits equal e's (1 use in 256).
-
-        Every row's 64-use words are settled in one array pass: 8 hash words
-        per word, compared with e's top bits most significant bit first
-        (Knuth & Yao, 1976), leave a flip mask and a tie mask; then one hash
-        per tied use, and one unpacking of the flip mask."""
+        direction's stream, as the module docstring states them.  One array
+        pass settles every row's 64-use words: their 8 hash planes, compared
+        with e's top bits most significant bit first (Knuth & Yao, 1976),
+        leave a flip mask and a tie mask; then one hash per tied use, and one
+        unpacking of the flip mask."""
         keys = self._keys[direction]
         lo, hi = start // _WORD, -(-(start + count) // _WORD)
         counters = np.arange(lo, hi, dtype=np.uint64) * _PLANES

@@ -90,9 +90,10 @@ class ExperimentConfig:
             if len(lengths) != 1:
                 raise ValueError("fixed protocols must all share one length")
             n_values = (lengths.pop(),)
-        # stored as Python numbers, which the CSV and JSON rows print
+        # stored as Python numbers, which the CSV and JSON rows print; + 0.0
+        # turns -0.0 into 0.0
         for name, value in (
-            ("n_values", n_values), ("eps_values", tuple(map(float, self.eps_values))),
+            ("n_values", n_values), ("eps_values", tuple(float(e) + 0.0 for e in self.eps_values)),
             ("trials", integers((self.trials,), "trials", 1)[0]),
             ("seed", integers((self.seed,), "master seed")[0]),
             ("m_override", _check_m_override(self.scheme, self.m_override)),

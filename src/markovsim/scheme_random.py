@@ -31,9 +31,8 @@ from .bits import bits_to_ints, delayed, ints_to_bits
 from .channel import ChannelPair, Direction
 from .coding import CodeSpec, coded_length
 from .protocol import Protocol, Transcript, TransmitFn, eval_fn_array, lone_or_batch
-from .vertical import (FnDescMode, describe_functions, exchange_layout, finish_report,
-                       functions_from_bits, new_ledger, offline_simulate,
-                       run_vertical_exchange, send)
+from .vertical import (FnDescMode, describe_functions, finish_report, functions_from_bits,
+                       new_ledger, offline_simulate, run_vertical_exchange, send)
 
 
 def ceil_isqrt(n: int) -> int:
@@ -196,10 +195,10 @@ def run_scheme1(p: Protocol, ch: ChannelPair, code: CodeSpec, starts: np.ndarray
     vertical = part.p > _ceil_root4(n)
     head = coded_length(code, (part.p + 1) * _field_width(n))
     tail = width - part.p * w
-    if vertical:
-        _, _, alice_len, bob_len = exchange_layout(code, part.p, w, tail)
-        ch.draw_ahead(Direction.A_TO_B, head + coded_length(code, alice_len))
-        ch.draw_ahead(Direction.B_TO_A, coded_length(code, bob_len) + coded_length(code, tail))
+    if vertical:  # w columns of p bits each way, and the tail in Alice's last
+        column = coded_length(code, part.p)
+        ch.draw_ahead(Direction.A_TO_B, head + (w - 1) * column + coded_length(code, part.p + tail))
+        ch.draw_ahead(Direction.B_TO_A, w * column + coded_length(code, tail))
     else:  # two bits per Part A function, one per Part B; Bob's one reply needs no span
         ch.draw_ahead(Direction.A_TO_B, head + coded_length(code, part.p * w + width))
 

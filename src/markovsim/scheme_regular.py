@@ -37,7 +37,7 @@ from .coding import CodeSpec, coded_length
 from .protocol import Protocol, Transcript, lone_or_batch
 from .report import SimulationReport
 from .scheme_random import _pad_fns, ceil_isqrt
-from .vertical import exchange_layout, finish_report, new_ledger, run_vertical_exchange, send
+from .vertical import finish_report, new_ledger, run_vertical_exchange, send
 
 
 def summarize_block_bob(g_slice) -> tuple[int, int]:
@@ -186,13 +186,11 @@ def run_scheme2(
     trials = len(p.f)
 
     blocks = n_pad // m
-    # each direction's flips in one draw: its predictor fields, then its
-    # message of the exchange
-    _, _, a_len, b_len = exchange_layout(code, blocks, m)
-    fields = coded_length(code, blocks * m.bit_length())
-    ch.draw_ahead(Direction.A_TO_B, fields + coded_length(code, a_len))
-    ch.draw_ahead(Direction.B_TO_A,
-                  fields + coded_length(code, blocks) + coded_length(code, b_len))
+    # each direction's flips in one draw: its predictor fields, Bob's parity
+    # round of one bit per block, and the m columns of the exchange
+    fields, column = coded_length(code, blocks * m.bit_length()), coded_length(code, blocks)
+    ch.draw_ahead(Direction.A_TO_B, fields + m * column)
+    ch.draw_ahead(Direction.B_TO_A, fields + (m + 1) * column)
 
     ledger = new_ledger(trials)
     ends = predictor_exchange(padded, m, code, ch, ledger)

@@ -164,17 +164,6 @@ def _count_blocks(ledger: UsageLedger, code: CodeSpec, lengths, times: int = 1) 
             ledger.block_counts[s] += blocks
 
 
-def exchange_layout(code: CodeSpec, rows: int, width: int, tail: int = 0):
-    """(step, at, a_len, b_len): how run_vertical_exchange lays out a
-    (rows, width) matrix and a tail of ``tail`` bits.  A column padded to
-    whole blocks takes step bits, Alice's tail starts at bit at, after her
-    last column, and her message and Bob's take a_len and b_len info bits,
-    each padded to whole blocks."""
-    step = math.prod(payload_blocks(code, rows))
-    at = (width - 1) * step + rows
-    return step, at, math.prod(payload_blocks(code, at + tail)), width * step
-
-
 def _book(ledger: UsageLedger, misses) -> None:
     """Append each (DecodeEvent, missed) of misses, in order, to the log of
     every row the row mask missed selects: one event per missed message or
@@ -212,7 +201,11 @@ def run_vertical_exchange(
 
     Noise is keyed by position, so each direction sends all its columns, each
     padded to whole blocks, as zero words in one send; the ledger ends as
-    column-by-column sends leave it.  Over a BSC a linear code decodes as
+    column-by-column sends leave it.  So with C = coded_length, each
+    direction's one send costs exactly the sum of its columns, the identity
+    the schemes' draw_ahead spans count on: (width - 1) * C(rows) +
+    C(rows + tail) uses from Alice, each trial with its own tail, and
+    width * C(rows) from Bob.  Over a BSC a linear code decodes as
     decode(encode(x) ^ e) = x ^ decode(e), so the flips e of every column
     enter the codes as c' = ((c - 1) ^ e) + 1, and one chain per row gives
     Bob's A and Alice's B bits, each other view one XOR away.  ML ties, which
@@ -237,7 +230,11 @@ def run_vertical_exchange(
     sizes = np.broadcast_to(tail.shape[-1] if tail_lengths is None else tail_lengths, lead)
     inside = np.arange(tail.shape[-1]) < sizes[..., None]
     tail = tail * inside
-    step, at, a_len, b_len = exchange_layout(code, rows, width, tail.shape[-1])
+    # a column padded to whole blocks takes step bits; Alice's tail starts at
+    # bit at, after her last column, and both messages pad to whole blocks
+    step = math.prod(payload_blocks(code, rows))
+    at = (width - 1) * step + rows
+    a_len, b_len = math.prod(payload_blocks(code, at + tail.shape[-1])), width * step
     got_a = send(ch, code, ledger, np.zeros(lead + (at + tail.shape[-1],), np.uint8),
                  Direction.A_TO_B, "vertical_a",
                  lengths=None if tail_lengths is None else at + sizes, decode=False)

@@ -221,6 +221,20 @@ def test_cli_rejects_nan_epsilon_before_any_cell(monkeypatch, capsys):
     assert cells == []
 
 
+def test_negative_zero_epsilon_is_stored_and_printed_as_zero(capsys):
+    # -0.0 == 0.0, but it printed as -0.0 in the CSV and JSON rows
+    cfg = ExperimentConfig((8,), (-0.0, np.float64(-0.0)), "baseline", "identity", 2)
+    assert [math.copysign(1, eps) for eps in cfg.eps_values] == [1.0, 1.0]
+    rc, out, _ = run_cli(["--n", "5", "--eps", "-0.0", "--trials", "2"], capsys)
+    assert rc == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["epsilon"] == "0.0"
+    rc, out, _ = run_cli(["--n", "5", "--eps", "-0.0", "--trials", "2", "--format", "json"],
+                         capsys)
+    assert rc == 0 and '"epsilon": 0.0,' in out
+    assert math.copysign(1, json.loads(out)[0]["epsilon"]) == 1.0
+
+
 @pytest.mark.parametrize("n", ["0", "4,0", "-3"])
 def test_cli_rejects_short_protocols_before_any_cell(monkeypatch, capsys, n):
     cells = []

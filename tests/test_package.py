@@ -59,6 +59,24 @@ def test_vertical_exchange_has_one_path():
     assert "RandomLinear" not in names
 
 
+def test_exchange_layout_has_one_home():
+    # run_vertical_exchange alone lays out the folded columns: no module
+    # defines or imports a layout helper, and the schemes count their
+    # draw_ahead spans in coded columns, never in padded info blocks
+    root = Path(ms.__file__).parent
+    for path in root.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "exchange_layout" not in defined | imported, path.stem
+    for module in ("scheme_random", "scheme_regular"):
+        tree = ast.parse((root / f"{module}.py").read_text())
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert "payload_blocks" not in called, module
+
+
 def test_scheme1_layout_has_one_home():
     # scheme1's Part A / Part B layout is built in one place, the Part A
     # mask: split_parts reads its index arrays off it and run_scheme1 moves

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 import markovsim as ms
 from markovsim import vertical
+from markovsim.coding import coded_length
 from markovsim.experiment import run_batch
 from markovsim.protocol import TransmitFn as Mu
 from markovsim.protocol import eval_fn_array
@@ -511,6 +513,37 @@ def test_exchange_ledger_and_profile_accounting():
     assert led.uses_ba == 8 + 8
     assert led.block_counts == {4: 5}
     assert res.bob_tail.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("code", [ms.Identity(), ms.Repetition(3)]
+                         + [ms.RandomLinear(k, Fraction(1, 2), 4) for k in (3, 5, 12)])
+def test_exchange_costs_the_sum_of_its_columns(code):
+    # each direction's one transmit is its columns, each coded on its own,
+    # with Alice's last also carrying the tail; the schemes' draw_ahead spans
+    # count on it.  k = 5 and 12 divide few of the row counts
+    C = lambda bits: coded_length(code, bits)  # noqa: E731
+    rng = np.random.default_rng(36)
+    for rows, width, tail in itertools.product(range(1, 14), range(1, 7), range(10)):
+        f_rows, g_rows = rng.integers(1, 5, (2, rows, width)).astype(np.uint8)
+        ch, led = RecordingChannel(0.0, 0), ms.UsageLedger()
+        vertical.run_vertical_exchange(f_rows, g_rows, np.zeros(rows, np.uint8), code, ch, led,
+                                       alice_tail=rng.integers(0, 2, tail).astype(np.uint8))
+        alice, bob = (width - 1) * C(rows) + C(rows + tail), width * C(rows)
+        assert [bits.shape for _, bits in ch.sent] == [(alice,), (bob,)], (rows, width, tail)
+        assert (led.uses_ab, led.uses_ba) == (alice, bob), (rows, width, tail)
+    # a ragged batch sends its longest tail, and charges each row its own
+    rows, width, sizes = 7, 4, np.array([0, 3, 9, 5, 1])
+    f_rows, g_rows = rng.integers(1, 5, (2, len(sizes), rows, width)).astype(np.uint8)
+    ch, led = RecordingChannel(0.0, range(len(sizes))), vertical.new_ledger(len(sizes))
+    vertical.run_vertical_exchange(f_rows, g_rows, np.zeros((len(sizes), rows), np.uint8), code,
+                                   ch, led, rng.integers(0, 2, (len(sizes), 9)).astype(np.uint8),
+                                   tail_lengths=sizes)
+    alice = (width - 1) * C(rows) + C(rows + 9)
+    assert [bits.shape for _, bits in ch.sent] == [(len(sizes), alice),
+                                                   (len(sizes), width * C(rows))]
+    for t, tail in enumerate(sizes.tolist()):
+        want = ((width - 1) * C(rows) + C(rows + tail), width * C(rows))
+        assert (led.row(t).uses_ab, led.row(t).uses_ba) == want, t
 
 
 def test_exchange_without_tail_returns_none():
